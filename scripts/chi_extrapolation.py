@@ -7,7 +7,7 @@ error rate.
 """
 import argparse
 
-from rcsw import circuits, graphs
+from rcsw.circuits import build_instance
 from rcsw.errors import FitError
 from rcsw.mps import epsilon_vs_chi
 
@@ -23,9 +23,8 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    cs = [circuits.build_rg_circuit(
-        graphs.sample_colored_graph(args.n, args.depth, args.seed + i),
-        args.seed + i) for i in range(args.instances)]
+    cs = [build_instance("rg", args.n, args.depth, args.seed + i)
+          for i in range(args.instances)]
     scan = epsilon_vs_chi(cs, args.chis, args.blocks, seed=args.seed)
 
     print(f"N = {args.n}, d = {args.depth}, {args.instances} circuits")

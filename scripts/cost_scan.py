@@ -8,15 +8,9 @@ import argparse
 
 import numpy as np
 
-from rcsw import circuits, graphs
+from rcsw.circuits import build_instance
 from rcsw.tn import (SimpleCostModel, circuit_to_tn, max_effective_qubits,
                      optimize_order, summarize)
-
-
-def build(ensemble, n, d, seed):
-    if ensemble == "rg":
-        return circuits.build_rg_circuit(graphs.sample_colored_graph(n, d, seed), seed)
-    return circuits.build_2d_circuit(graphs.sample_grid(n, seed), d, seed)
 
 
 def main():
@@ -41,7 +35,7 @@ def main():
             for i in range(args.instances):
                 s = args.seed + i
                 try:
-                    c = build(ensemble, n, args.depth, s)
+                    c = build_instance(ensemble, n, args.depth, s)
                 except ValueError:
                     continue
                 tree = optimize_order(circuit_to_tn(c), budget=args.budget,

@@ -8,7 +8,8 @@ import argparse
 
 import numpy as np
 
-from rcsw import circuits, graphs, statevector
+from rcsw import circuits, statevector
+from rcsw.circuits import build_instance
 from rcsw.estimators import GateCountParams, gate_counting
 from rcsw.statevector import NoiseModel
 
@@ -35,8 +36,7 @@ def main():
         direct, xeb, mb = [], [], []
         for i in range(args.instances):
             s = args.seed + i
-            c = circuits.build_rg_circuit(
-                graphs.sample_colored_graph(args.n, d, s), s)
+            c = build_instance("rg", args.n, d, s)
             probs = statevector.run(c).probabilities()
             res = statevector.run_trajectories(
                 c, nm, args.trajectories, seed=s + 100,

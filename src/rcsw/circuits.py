@@ -247,6 +247,13 @@ def build_2d_circuit(gs: graphs.GridSample, d: int, seed) -> Circuit:
     )
 
 
+def build_instance(ensemble: str, n: int, d: int, seed: int) -> Circuit:
+    """One circuit of the "rg" or "2d" ensemble; graph and gates share the seed."""
+    if ensemble == "rg":
+        return build_rg_circuit(graphs.sample_colored_graph(n, d, seed), seed)
+    return build_2d_circuit(graphs.sample_grid(n, seed), d, seed)
+
+
 def _seed_int(seed) -> int | None:
     return seed if isinstance(seed, int) else None
 

@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import os
+import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import circuits, graphs, statevector
+from . import circuits, graphs, statevector  # noqa: F401  tracers wrap cli.graphs
 from .bootstrap import (
     COVERAGE_CSV_HEADER,
     ExperimentModel,
@@ -36,6 +38,7 @@ from .errors import CapacityError, InfeasibleBudget
 from .estimators import GateCountParams, gate_counting
 from .mps import MPS_CSV_HEADER, evolve
 from .tn import CSV_HEADER, circuit_to_tn, optimize_order, slice_tree, summarize
+from .tn.order import METHODS
 
 BOOT_CSV_HEADER = "n_jobs,n_per,k,p_aggregate,p_double"
 COST_SUMMARY_HEADER = "ensemble,N,d,c_median,c_min,c_max,n_instances,seed0"
@@ -77,14 +80,26 @@ class RunConfig:
     def __post_init__(self):
         if self.ensemble not in ("rg", "2d"):
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.method not in ("greedy", "partition", "annealed"):
+        if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.instances < 1 or self.budget < 1 or self.shots < 1:
             raise ValueError("instances, budget, and shots must be positive")
+        if self.trajectories < 1:
+            raise ValueError("trajectories must be positive")
+        if self.resamples < 100:
+            raise ValueError("resamples must be at least 100")
         if min(self.n, default=1) < 1 or min(self.d, default=1) < 1:
             raise ValueError("qubit counts and depths must be positive")
+        if self.ensemble == "rg":
+            for n, d in itertools.product(self.n, self.d):
+                if n % 2 or d >= n:
+                    raise ValueError(f"rg circuits need an even n and d < n, "
+                                     f"got n={n}, d={d}")
         if min(self.chi, default=1) < 1:
             raise ValueError("bond dimensions must be positive")
+        top = min(self.n, default=1)
+        if self.command == "mps" and not 1 <= min(self.blocks) <= max(self.blocks) <= top:
+            raise ValueError(f"block counts must lie in [1, {top}]")
         for name in ("noise_eps2q", "noise_mem", "spam"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
@@ -108,9 +123,12 @@ class FidelityReport:
 
 def _max_workers() -> int:
     env = os.environ.get("RCSW_THREADS")
-    if env:
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    try:
         return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
+    except ValueError:
+        raise ValueError(f"RCSW_THREADS must be an integer, got {env!r}") from None
 
 
 def _pool_map(fn, items) -> list:
@@ -139,12 +157,6 @@ def _write_csv(path: Path, header: str, rows) -> Path:
     return path
 
 
-def _build_instance(ensemble: str, n: int, d: int, seed: int) -> circuits.Circuit:
-    if ensemble == "rg":
-        return circuits.build_rg_circuit(graphs.sample_colored_graph(n, d, seed), seed)
-    return circuits.build_2d_circuit(graphs.sample_grid(n, seed), d, seed)
-
-
 def _grid(cfg: RunConfig):
     for n in cfg.n:
         for d in cfg.d:
@@ -158,7 +170,7 @@ def cmd_generate(cfg: RunConfig) -> list[Path]:
     for n, d in _grid(cfg):
         for i in range(cfg.instances):
             s = cfg.seed + i
-            c = _build_instance(cfg.ensemble, n, d, s)
+            c = circuits.build_instance(cfg.ensemble, n, d, s)
             base = f"{cfg.ensemble}_n{n}_d{d}_s{s}"
             jpath = out / f"{base}.json"
             _atomic_write(jpath, circuits.serialize(c) + "\n")
@@ -181,7 +193,7 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
     def one(item):
         n, d, i = item
         s = cfg.seed + i
-        c = _build_instance(cfg.ensemble, n, d, s)
+        c = circuits.build_instance(cfg.ensemble, n, d, s)
         net = circuit_to_tn(c)
         tree = optimize_order(net, budget=cfg.budget, method=cfg.method, seed=s)
         sliced = None
@@ -255,7 +267,7 @@ def cmd_fidelity(cfg: RunConfig) -> list[Path]:
     files: list[Path] = []
     csv_rows: list[str] = []
     for n, d in _grid(cfg):
-        cs = [_build_instance(cfg.ensemble, n, d, cfg.seed + i)
+        cs = [circuits.build_instance(cfg.ensemble, n, d, cfg.seed + i)
               for i in range(cfg.instances)]
         shared = {"ensemble": cfg.ensemble, "n": n, "d": d,
                   "eps_2q": cfg.noise_eps2q, "eps_mem": cfg.noise_mem,
@@ -288,7 +300,7 @@ def cmd_fidelity(cfg: RunConfig) -> list[Path]:
 def cmd_mps(cfg: RunConfig) -> list[Path]:
     def one(item):
         n, d, i, chi, b = item
-        c = _build_instance(cfg.ensemble, n, d, cfg.seed + i)
+        c = circuits.build_instance(cfg.ensemble, n, d, cfg.seed + i)
         _, rep = evolve(c, chi, int(b), seed=cfg.seed + i)
         return rep.csv_row()
 
@@ -360,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     circuit_flags(c)
     c.add_argument("--budget", type=int, default=4,
                    help="contraction-order search budget")
-    c.add_argument("--method", choices=["greedy", "partition", "annealed"],
-                   default="greedy")
+    c.add_argument("--method", choices=METHODS, default="greedy")
     c.add_argument("--width-budget", type=int, default=None,
                    help="log2 of the sliced width budget; omit to skip slicing")
     common(c)
@@ -418,7 +429,12 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = config_from_args(args)
+    try:
+        cfg = config_from_args(args)
+        _max_workers()  # a bad RCSW_THREADS fails here, before any work
+    except ValueError as exc:
+        print(f"rcsw {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     for path in _COMMANDS[cfg.command](cfg):
         print(f"wrote {path}")
     return 0

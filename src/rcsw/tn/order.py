@@ -3,35 +3,53 @@
 Several candidate generators feed a best-of selection: two deterministic
 sweeps (time order, which can never do worse than a statevector pass over
 the circuit, and wire-major order, which is the right shape for chain-like
-circuits), randomized size-reduction greedy, recursive balanced bisection,
-and simulated-annealing refinement by subtree rotations and leaf swaps.
-Budgets are spent as independently seeded trials, so a larger budget only
-ever improves the returned tree.
+circuits), randomized greedy pairing that merges the neighbours sharing
+the most live legs, and simulated-annealing refinement of the greedy trees
+by subtree rotations.  The greedy walks neighbours in ascending id order,
+so each tie-break draw goes to the same pair on every run.  Budgets are
+spent as independently seeded trials, so a larger budget only ever
+improves the returned tree.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from collections import defaultdict
 
 import numpy as np
 
-from ..graphs import partition_nodes
 from .network import TensorNetwork
-from .tree import ContractionTree, analyze_merges, leg_sets
+from .tree import (ContractionTree, leg_sets, live_mask, log2_size, mask_indices,
+                   walk_merges)
 
-_PARTITION_CAP = 150  # above this, bisect by leaf order instead of hill-climbing
+METHODS = ("greedy", "annealed")
+
+
+class _MergeList:
+    """Merge list under construction over ``n_leaves`` leaves."""
+
+    def __init__(self, n_leaves: int):
+        self.n_leaves = n_leaves
+        self.merges: list[tuple[int, int]] = []
+
+    def join(self, a: int, b: int) -> int:
+        self.merges.append((a, b))
+        return self.n_leaves + len(self.merges) - 1
+
+    def chain(self, nodes) -> int:
+        """Merge nodes left to right and return the last node."""
+        cur = nodes[0]
+        for t in nodes[1:]:
+            cur = self.join(cur, t)
+        return cur
 
 
 def _chain(order: list[int], n_leaves: int) -> list[tuple[int, int]]:
-    merges = []
-    cur = order[0]
-    nxt = n_leaves
-    for t in order[1:]:
-        merges.append((cur, t))
-        cur = nxt
-        nxt += 1
-    return merges
+    out = _MergeList(n_leaves)
+    out.chain(order)
+    return out.merges
 
 
 def _time_order(tn: TensorNetwork) -> list[int]:
@@ -47,19 +65,20 @@ def _wire_major_order(tn: TensorNetwork) -> list[int]:
     return sorted(range(tn.n_tensors), key=key)
 
 
-def _greedy_merges(legs, dims, rng, noise: float) -> list[tuple[int, int]]:
-    """Pick the shared-index pair minimizing the merged size, repeatedly."""
+def _greedy_merges(legs: list[int], live: int, rng,
+                   noise: float) -> list[tuple[int, int]]:
+    """Merge the neighbour pair sharing the most live legs, repeatedly.
+
+    Merging a and b changes the log2 size by -2 * log2_size(a & b): the
+    shared legs close and no others open, so the score only counts shared
+    legs (the linear-size greedy of Gray & Kourtis, arXiv:2002.01935).
+    """
     n_leaves = len(legs)
-    log_dim = {i: math.log2(d) for i, d in dims.items()}
-
-    def lsize(ls):
-        return sum(log_dim[i] for i in ls)
-
     node = dict(enumerate(legs))
     nbrs: dict[int, set[int]] = defaultdict(set)
     owner: dict[int, list[int]] = defaultdict(list)
     for t, ls in enumerate(legs):
-        for i in ls:
+        for i in mask_indices(ls):
             owner[i].append(t)
     for pair in owner.values():
         if len(pair) == 2:
@@ -68,12 +87,12 @@ def _greedy_merges(legs, dims, rng, noise: float) -> list[tuple[int, int]]:
             nbrs[b].add(a)
 
     def score(a, b):
-        s = lsize(node[a] ^ node[b]) - lsize(node[a]) - lsize(node[b])
+        s = -2 * log2_size(node[a] & node[b], live)
         return s + (noise * rng.standard_normal() if noise else 0.0)
 
     heap = []
     for a in node:
-        for b in nbrs[a]:
+        for b in sorted(nbrs[a]):
             if a < b:
                 heapq.heappush(heap, (score(a, b), rng.random(), a, b))
 
@@ -99,7 +118,7 @@ def _greedy_merges(legs, dims, rng, noise: float) -> list[tuple[int, int]]:
         node[w] = la ^ lb
         nbrs_w = (nbrs.pop(a, set()) | nbrs.pop(b, set())) - {a, b}
         nbrs[w] = set()
-        for x in nbrs_w:
+        for x in sorted(nbrs_w):
             if x in node:
                 nbrs[x].discard(a)
                 nbrs[x].discard(b)
@@ -109,59 +128,14 @@ def _greedy_merges(legs, dims, rng, noise: float) -> list[tuple[int, int]]:
     return merges
 
 
-def _partition_merges(tn: TensorNetwork, dims, rng) -> list[tuple[int, int]]:
-    """Recursive balanced bisection of the tensor graph."""
-    owner: dict[int, list[int]] = defaultdict(list)
-    for t, ids in enumerate(tn.indices):
-        for i in ids:
-            owner[i].append(t)
-
-    merges: list[tuple[int, int]] = []
-    nxt = tn.n_tensors
-
-    def emit(a, b):
-        nonlocal nxt
-        merges.append((a, b))
-        nxt += 1
-        return nxt - 1
-
-    def solve(group: list[int]) -> int:
-        if len(group) == 1:
-            return group[0]
-        if len(group) <= 3:
-            cur = group[0]
-            for t in group[1:]:
-                cur = emit(cur, t)
-            return cur
-        local = {t: j for j, t in enumerate(group)}
-        if len(group) > _PARTITION_CAP:
-            half = len(group) // 2
-            blocks = [group[:half], group[half:]]
-        else:
-            edges = []
-            for i, pair in owner.items():
-                if len(pair) == 2 and pair[0] in local and pair[1] in local:
-                    edges.append((local[pair[0]], local[pair[1]]))
-            assign = partition_nodes(len(group), edges, 2,
-                                     seed=int(rng.integers(2 ** 31)))
-            blocks = [[group[j] for j in blk] for blk in assign]
-            if not blocks[0] or not blocks[1]:
-                half = len(group) // 2
-                blocks = [group[:half], group[half:]]
-        return emit(solve(blocks[0]), solve(blocks[1]))
-
-    solve(list(range(tn.n_tensors)))
-    return merges
-
-
 class _TreeState:
     """Mutable rooted tree with incremental leg and cost bookkeeping."""
 
-    def __init__(self, n_leaves, merges, legs, dims):
+    def __init__(self, n_leaves, merges, legs, live):
         self.n_leaves = n_leaves
-        self.log_dim = {i: math.log2(d) for i, d in dims.items()}
+        self.live = live
         self.children: dict[int, tuple[int, int]] = {}
-        self.legs: dict[int, frozenset] = {t: legs[t] for t in range(n_leaves)}
+        self.legs: dict[int, int] = {t: legs[t] for t in range(n_leaves)}
         self.cost: dict[int, float] = {}
         nxt = n_leaves
         for a, b in merges:
@@ -171,15 +145,12 @@ class _TreeState:
         self.root = nxt - 1
         self.total = sum(self.cost.values())
 
-    def _lsize(self, ls):
-        return sum(self.log_dim[i] for i in ls)
-
     def _refresh(self, p):
         a, b = self.children[p]
         la, lb = self.legs[a], self.legs[b]
         self.legs[p] = la ^ lb
-        self.cost[p] = 8.0 * (2.0 ** (self._lsize(la ^ lb) + self._lsize(la & lb)))
-
+        self.cost[p] = 8.0 * 2.0 ** (log2_size(la ^ lb, self.live)
+                                     + log2_size(la & lb, self.live))
     def rotate(self, p, rng, temperature) -> bool:
         a, b = self.children[p]
         inner = [c for c in (a, b) if c in self.children]
@@ -229,9 +200,9 @@ class _TreeState:
         return merges
 
 
-def _anneal_merges(n_leaves, merges, legs, dims, rng,
+def _anneal_merges(n_leaves, merges, legs, live, rng,
                    sweeps: int = 24) -> list[tuple[int, int]]:
-    state = _TreeState(n_leaves, merges, legs, dims)
+    state = _TreeState(n_leaves, merges, legs, live)
     internal = [p for p in state.children]
     best = state.merge_list()
     best_total = state.total
@@ -247,48 +218,21 @@ def _anneal_merges(n_leaves, merges, legs, dims, rng,
     return best
 
 
-def _quotient(tn: TensorNetwork):
-    """Gate-level view of a split network: halves pre-merged per gate.
-
-    Returns (group leaf lists in time order, quotient legs) or None when
-    every gate already is a single tensor.
-    """
-    if all(half == "ab" for _, _, half in tn.provenance):
-        return None
+def _gate_groups(tn: TensorNetwork) -> dict[tuple, list[int]]:
+    """Tensors of each gate, keyed (two-qubit layer position, pair) in time order."""
     groups: dict[tuple, list[int]] = defaultdict(list)
     for t, (pos, pair, _half) in enumerate(tn.provenance):
         groups[(pos, pair)].append(t)
-    keys = sorted(groups)
-    legs = leg_sets(tn.indices)
-    qlegs = []
-    for k in keys:
-        ls = frozenset()
-        for t in groups[k]:
-            ls = ls ^ legs[t]
-        qlegs.append(ls)
-    return [groups[k] for k in keys], qlegs
+    return dict(sorted(groups.items()))
 
 
-def _expand_quotient(qmerges, qgroups, n_leaves) -> list[tuple[int, int]]:
+def _expand_groups(qmerges, groups, n_leaves) -> list[tuple[int, int]]:
     """Lift a merge list over gate groups back to the full leaf set."""
-    merges: list[tuple[int, int]] = []
-    nxt = n_leaves
-
-    def emit(a, b):
-        nonlocal nxt
-        merges.append((a, b))
-        nxt += 1
-        return nxt - 1
-
-    node = []
-    for members in qgroups:
-        cur = members[0]
-        for t in members[1:]:
-            cur = emit(cur, t)
-        node.append(cur)
+    out = _MergeList(n_leaves)
+    node = [out.chain(members) for members in groups]
     for a, b in qmerges:
-        node.append(emit(node[a], node[b]))
-    return merges
+        node.append(out.join(node[a], node[b]))
+    return out.merges
 
 
 def optimize_order(tn: TensorNetwork, budget: int = 8, method: str = "greedy",
@@ -302,62 +246,43 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, method: str = "greedy",
     pre-merge cost itself.  With sliced indices given, the search prices
     them at dimension 1 and the returned stats describe one slice task.
     """
-    if method not in ("greedy", "partition", "annealed"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     t_count = tn.n_tensors
     legs = leg_sets(tn.indices)
     if t_count == 0:
         tree = ContractionTree(0, [], sliced=tuple(sliced))
         return tree.attach_stats(legs, tn.dims)
-    search_dims = {i: (1 if i in set(sliced) else d) for i, d in tn.dims.items()}
+    live = live_mask(tn.dims, sliced)
 
     def priced(merges):
-        return analyze_merges(merges, legs, search_dims).total_flops
+        return walk_merges(merges, legs, live).flops
 
-    candidates: list[list[tuple[int, int]]] = []
-    if t_count == 1:
-        candidates.append([])
-    else:
-        candidates.append(_chain(_time_order(tn), t_count))
-        candidates.append(_chain(_wire_major_order(tn), t_count))
-        quot = _quotient(tn)
-        if quot is not None:
-            qgroups, qlegs = quot
-            if len(qgroups) == 1:
-                candidates.append(_expand_quotient([], qgroups, t_count))
-            else:
-                for order in (list(range(len(qgroups))),):
-                    candidates.append(_expand_quotient(
-                        _chain(order, len(qgroups)), qgroups, t_count))
-        ss = seed if isinstance(seed, np.random.SeedSequence) \
-            else np.random.SeedSequence(seed)
-        seeds = ss.spawn(max(budget, 0))
-        for t, child in enumerate(seeds):
-            rng = np.random.default_rng(child)
-            if method == "partition":
-                candidates.append(_partition_merges(tn, search_dims, rng))
-                continue
-            noise = 0.0 if t == 0 else float(rng.choice([0.2, 0.5, 1.0]))
-            merges = _greedy_merges(legs, search_dims, rng, noise)
-            if method == "annealed":
-                merges = _anneal_merges(t_count, merges, legs,
-                                        search_dims, rng)
-            candidates.append(merges)
-            if quot is not None and len(qgroups) > 1:
-                qrng = np.random.default_rng(child)
-                qmerges = _greedy_merges(qlegs, search_dims, qrng, noise)
-                candidates.append(_expand_quotient(qmerges, qgroups, t_count))
+    groups = list(_gate_groups(tn).values())
+    split = len(groups) < t_count  # gates cut in two halves
+    qlegs = [functools.reduce(operator.xor, (legs[t] for t in g)) for g in groups]
+    candidates = [_chain(_time_order(tn), t_count),
+                  _chain(_wire_major_order(tn), t_count)]
+    if split:
+        candidates.append(_expand_groups(_chain(range(len(groups)), len(groups)),
+                                         groups, t_count))
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    for t, child in enumerate(ss.spawn(max(budget, 0))):
+        rng = np.random.default_rng(child)
+        noise = 0.0 if t == 0 else float(rng.choice([0.2, 0.5, 1.0]))
+        merges = _greedy_merges(legs, live, rng, noise)
+        if method == "annealed":
+            merges = _anneal_merges(t_count, merges, legs, live, rng)
+        candidates.append(merges)
+        if split:
+            qrng = np.random.default_rng(child)
+            qmerges = _greedy_merges(qlegs, live, qrng, noise)
+            candidates.append(_expand_groups(qmerges, groups, t_count))
 
     best = min(candidates, key=priced)
     tree = ContractionTree(t_count, best, sliced=tuple(sliced))
     return tree.attach_stats(legs, tn.dims)
-
-
-def _gate_groups(tn: TensorNetwork):
-    groups: dict[tuple, list[int]] = defaultdict(list)
-    for t, (pos, pair, _half) in enumerate(tn.provenance):
-        groups[(pos, pair)].append(t)
-    return groups
 
 
 def light_cone_order(tn: TensorNetwork,
@@ -411,24 +336,12 @@ def light_cone_order(tn: TensorNetwork,
     else:
         finals = [k for k in sorted(groups) if k[0] == depth - 1]
 
-    merges: list[tuple[int, int]] = []
-    nxt = tn.n_tensors
-
-    def emit(a, b):
-        nonlocal nxt
-        merges.append((a, b))
-        nxt += 1
-        return nxt - 1
-
+    out = _MergeList(tn.n_tensors)
     gate_node: dict[tuple, int] = {}
 
     def node_for(key):
         if key not in gate_node:
-            ts = groups[key]
-            cur = ts[0]
-            for t in ts[1:]:
-                cur = emit(cur, t)
-            gate_node[key] = cur
+            gate_node[key] = out.chain(groups[key])
         return gate_node[key]
 
     done: set[tuple] = set()
@@ -446,13 +359,13 @@ def light_cone_order(tn: TensorNetwork,
         new = sorted(cone(pick) - done)
         for key in new:
             node = node_for(key)
-            acc = node if acc is None else emit(acc, node)
+            acc = node if acc is None else out.join(acc, node)
             done.add(key)
             touched.update(key[1])
     for key in sorted(set(groups) - done):
         node = node_for(key)
-        acc = node if acc is None else emit(acc, node)
+        acc = node if acc is None else out.join(acc, node)
         done.add(key)
 
-    tree = ContractionTree(tn.n_tensors, merges)
+    tree = ContractionTree(tn.n_tensors, out.merges)
     return tree.attach_stats(leg_sets(tn.indices), tn.dims)

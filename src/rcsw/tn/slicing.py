@@ -14,47 +14,8 @@ import numpy as np
 from ..errors import InfeasibleBudget
 from .network import TensorNetwork
 from .order import optimize_order
-from .tree import ContractionTree, analyze_merges, leg_sets
-
-
-def _oversized_indices(merges, legs, dims, sliced, width_budget):
-    """Unsliced indices of the largest over-budget node.
-
-    Scoring only the widest node keeps the per-step trial count at most
-    the node rank instead of every index touched by any oversized node;
-    ties fall to the earliest node in contraction order.
-    """
-    sliced_set = frozenset(sliced)
-
-    def dim(i):
-        return 1 if i in sliced_set else dims[i]
-
-    def size(ls):
-        s = 1.0
-        for i in ls:
-            s *= dim(i)
-        return s
-
-    best_size = width_budget
-    found: set[int] = set()
-    node = {t: ls for t, ls in enumerate(legs)}
-    nxt = len(legs)
-
-    def consider(ls):
-        nonlocal best_size, found
-        s = size(ls)
-        if s > best_size:
-            best_size = s
-            found = {i for i in ls if i not in sliced_set}
-
-    for ls in legs:
-        consider(ls)
-    for a, b in merges:
-        parent = node.pop(a) ^ node.pop(b)
-        consider(parent)
-        node[nxt] = parent
-        nxt += 1
-    return found
+from .tree import (ContractionTree, index_mask, leg_sets, live_mask, mask_indices,
+                   walk_merges)
 
 
 def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
@@ -69,25 +30,29 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
     if width_budget < 2:
         raise InfeasibleBudget("width budget below a single binary index")
     legs = leg_sets(tn.indices)
-    dims = tn.dims
+    full = live_mask(tn.dims)
     sliced = list(tree.sliced)
     merges = list(tree.merges)
     seeds = iter(np.random.SeedSequence(seed).spawn(max_slices + 1))
     since_reopt = 0
     while True:
-        stats = analyze_merges(merges, legs, dims, tuple(sliced))
-        if stats.width <= width_budget:
+        cut = index_mask(sliced)
+        live = full & ~cut
+        walk = walk_merges(merges, legs, live)
+        if 2.0 ** walk.log2_width <= width_budget:
             break
         if len(sliced) >= max_slices:
             raise InfeasibleBudget(
                 f"{max_slices} slices did not reach width {width_budget}")
-        candidates = _oversized_indices(merges, legs, dims, sliced, width_budget)
+        # only the first widest node's unsliced legs are tried, so a step
+        # costs at most its rank in trials
+        candidates = walk.widest & ~cut
         if not candidates:
             raise InfeasibleBudget("no index left to slice in oversized nodes")
         best = None
-        for i in sorted(candidates):
-            trial = analyze_merges(merges, legs, dims, tuple(sliced + [i]))
-            key = (trial.width, trial.flops, i)
+        for i in mask_indices(candidates):
+            trial = walk_merges(merges, legs, live & ~(1 << i))
+            key = (trial.log2_width, trial.flops, i)
             if best is None or key < best[0]:
                 best = (key, i)
         sliced.append(best[1])
@@ -98,4 +63,4 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
                                          seed=next(seeds),
                                          sliced=tuple(sliced)).merges)
     out = ContractionTree(tn.n_tensors, merges, sliced=tuple(sliced))
-    return out.attach_stats(legs, dims)
+    return out.attach_stats(legs, tn.dims)

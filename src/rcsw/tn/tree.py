@@ -2,16 +2,21 @@
 
 A tree over a closed network is a list of pairwise merges in static
 single-assignment form: leaves are numbered 0..T-1 and merge step s
-produces node T+s.  Because every index appears in exactly two tensors,
-the legs of a merged node are the symmetric difference of its children's
-legs.  Costs use 8*S*K real FLOPs for a complex contraction producing S
-entries from a contracted dimension K.
+produces node T+s.  A leg set is a Python int with bit i set for index i.
+Because every index appears in exactly two tensors, the legs of a merged
+node are the XOR of its children's legs.  Every index has dimension 2, or
+1 at a Schmidt rank of 1 or when sliced, so the log2 size of a leg set is
+the number of its legs inside the ``live`` mask of dimension-2 indices;
+``log2_size`` is the one pricing rule the order search and the slicer use.
+Costs use 8*S*K real FLOPs for a complex contraction producing S entries
+from a contracted dimension K.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 @dataclass
@@ -32,11 +37,79 @@ class TreeStats:
         return math.log2(self.width) if self.width > 0 else 0.0
 
 
-def leg_sets(indices: list[tuple[int, ...]]) -> list[frozenset[int]]:
-    return [frozenset(ids) for ids in indices]
+def index_mask(ids) -> int:
+    """Bitmask with bit i set for each index i in ids."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
 
 
-def analyze_merges(merges, legs: list[frozenset[int]], dims: dict[int, int],
+def mask_indices(mask: int) -> list[int]:
+    """Index ids set in a bitmask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def leg_sets(indices: list[tuple[int, ...]]) -> list[int]:
+    """Leg set of each tensor as an index bitmask."""
+    return [index_mask(ids) for ids in indices]
+
+
+def live_mask(dims: dict[int, int], sliced=()) -> int:
+    """Bitmask of the indices priced at dimension 2.
+
+    Every index has dimension 2, or 1 at a Schmidt rank of 1; a sliced index
+    is priced at 1 as well.  Any other dimension is rejected.
+    """
+    live = 0
+    for i, d in dims.items():
+        if d == 2:
+            live |= 1 << i
+        elif d != 1:
+            raise ValueError(f"index {i} has dimension {d}; only 1 and 2 are priced")
+    return live & ~index_mask(sliced)
+
+
+def log2_size(legs: int, live: int) -> int:
+    """log2 of the number of entries of a tensor with these legs."""
+    return (legs & live).bit_count()
+
+
+class Walk(NamedTuple):
+    """Cost of one merge list at one ``live`` mask."""
+
+    flops: float
+    log2_width: int   # log2 of the largest node, leaves included
+    widest: int       # legs of the first node of that size, leaves first
+
+
+def walk_merges(merges, legs: list[int], live: int) -> Walk:
+    """Price a merge list at the dimensions given by ``live``."""
+    node = dict(enumerate(legs))
+    widest = max(legs, key=lambda ls: log2_size(ls, live), default=0)
+    best = log2_size(widest, live)
+    flops = 0.0
+    nxt = len(legs)
+    for a, b in merges:
+        la, lb = node.pop(a), node.pop(b)
+        parent = la ^ lb
+        k = log2_size(parent, live)
+        flops += 8.0 * 2.0 ** (k + log2_size(la & lb, live))
+        if k > best:
+            best, widest = k, parent
+        node[nxt] = parent
+        nxt += 1
+    if len(node) > 1 or any(node.values()):
+        raise ValueError("merge list does not contract the network to a scalar")
+    return Walk(flops, best, widest)
+
+
+def analyze_merges(merges, legs: list[int], dims: dict[int, int],
                    sliced: tuple[int, ...] = ()) -> TreeStats:
     """Walk a merge list and price it.
 
@@ -44,45 +117,17 @@ def analyze_merges(merges, legs: list[frozenset[int]], dims: dict[int, int],
     the stats then describe a single task and the total carries the
     task-count multiplier.
     """
-    sliced_set = frozenset(sliced)
-
-    def dim(i: int) -> int:
-        return 1 if i in sliced_set else dims[i]
-
-    def size(ls: frozenset[int]) -> float:
-        s = 1.0
-        for i in ls:
-            s *= dim(i)
-        return s
-
-    if not legs and not merges:
-        return TreeStats(flops=0.0, width=1.0, max_rank=0.0, log2_flops=0.0,
-                         sliced_multiplier=1.0, total_flops=0.0)
-    node: dict[int, frozenset[int]] = {t: ls for t, ls in enumerate(legs)}
-    width = max((size(ls) for ls in legs), default=1.0)
-    flops = 0.0
-    nxt = len(legs)
-    for a, b in merges:
-        la, lb = node.pop(a), node.pop(b)
-        parent = la ^ lb
-        s = size(parent)
-        k = size(la & lb)
-        flops += 8.0 * s * k
-        width = max(width, s)
-        node[nxt] = parent
-        nxt += 1
-    if len(node) != 1 or next(iter(node.values())):
-        raise ValueError("merge list does not contract the network to a scalar")
-    mult = 1.0
-    for i in sliced_set:
-        mult *= dims[i]
+    full = live_mask(dims)
+    cut = index_mask(sliced)
+    walk = walk_merges(merges, legs, full & ~cut)
+    mult = 2.0 ** log2_size(cut, full)
     return TreeStats(
-        flops=flops,
-        width=width,
-        max_rank=math.log2(width) if width > 0 else 0.0,
-        log2_flops=math.log2(flops) if flops > 0 else 0.0,
+        flops=walk.flops,
+        width=2.0 ** walk.log2_width,
+        max_rank=float(walk.log2_width),
+        log2_flops=math.log2(walk.flops) if walk.flops > 0 else 0.0,
         sliced_multiplier=mult,
-        total_flops=mult * flops,
+        total_flops=mult * walk.flops,
     )
 
 

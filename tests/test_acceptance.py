@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from rcsw import circuits, graphs, statevector
+from rcsw.circuits import build_instance
 from rcsw.bootstrap import (ExperimentModel, ShotTable, _resample_aggregate,
                             _resample_double, coverage, p_aggregate, p_double)
 from rcsw.errors import InfeasibleBudget
@@ -25,16 +26,11 @@ def _verdict(idx, name, ok, detail):
     return ok
 
 
-def rg(n, d, seed):
-    return circuits.build_rg_circuit(graphs.sample_colored_graph(n, d, seed),
-                                     seed)
-
-
 def test_01_second_moment_convergence():
     t0 = time.perf_counter()
     devs = []
     for i in range(20):
-        c = rg(16, 10, 400 + i)
+        c = build_instance("rg", 16, 10, 400 + i)
         p = statevector.run(c).probabilities()
         devs.append(2.0 ** 16 * float(np.sum(p * p)) - 2.0)
     devs = np.array(devs)
@@ -54,13 +50,13 @@ def test_02_estimator_agreement():
     F, X, M = [], [], []
     for i in range(n_circ):
         s = 700 + i
-        c = rg(n, d, s)
+        c = build_instance("rg", n, d, s)
         probs = statevector.run(c).probabilities()
         res = statevector.run_trajectories(c, nm, n_traj, seed=s + 50,
                                            shots_per_traj=spt)
         F.extend(res.overlaps)
         X.extend(2.0 ** n * probs[int(x, 2)] - 1.0 for x in res.samples)
-        half = rg(n, d // 2, s + 9000)
+        half = build_instance("rg", n, d // 2, s + 9000)
         mirror = circuits.build_mirror(half, seed=s + 70)
         mres = statevector.run_trajectories(mirror, nm, n_traj, seed=s + 90,
                                             shots_per_traj=spt)
@@ -91,7 +87,7 @@ def test_04_cost_density_saturation():
     for n in (32, 44, 56):
         dens = []
         for i in range(3):
-            c = rg(n, 16, 800 + i)
+            c = build_instance("rg", n, 16, 800 + i)
             tree = optimize_order(circuit_to_tn(c), budget=2, method="greedy",
                                   seed=800 + i)
             cd = summarize(c, tree, seed=800 + i).c_density
@@ -113,7 +109,7 @@ def test_05_rank_bounds_sandwich():
     for t in range(100):
         n = 2 * int(rng.integers(5, 14))
         d = int(rng.integers(3, 9))
-        c = rg(n, d, 9000 + t)
+        c = build_instance("rg", n, d, 9000 + t)
         net = circuit_to_tn(c)
         tree = optimize_order(net, budget=1, method="greedy", seed=t)
         lc = light_cone_order(net)
@@ -151,7 +147,7 @@ def test_07_slicing_contract():
     equality = True
     # shallow cases: unsliced width already inside the budget
     for n, d, seed in ((16, 4, 1402), (24, 4, 1403), (36, 4, 1400)):
-        c = rg(n, d, seed)
+        c = build_instance("rg", n, d, seed)
         net = circuit_to_tn(c)
         tree = optimize_order(net, budget=2, method="greedy", seed=seed)
         st = slice_tree(net, tree, W, budget=2, seed=seed + 1)
@@ -162,7 +158,7 @@ def test_07_slicing_contract():
     # deep regime: push depth until the slicer gives up
     feasible_d, gap = None, 0.0
     for d in (5, 6, 7, 8):
-        c = rg(36, d, 1400)
+        c = build_instance("rg", 36, d, 1400)
         net = circuit_to_tn(c)
         tree = optimize_order(net, budget=2, method="greedy", seed=1400)
         try:
@@ -187,7 +183,7 @@ def test_08_contraction_matches_statevector():
         d = int(rng.integers(2, 6))
         kind = t % 3
         if kind == 0:
-            c = rg(n, min(d, n - 1), 2600 + t)
+            c = build_instance("rg", n, min(d, n - 1), 2600 + t)
         elif kind == 1:
             c = circuits.build_brickwork_circuit(n, d, 2600 + t)
         else:
@@ -265,7 +261,7 @@ def test_11_truncation_fidelity_accounting():
     exact_err = 0.0
     exact_eps = 0.0
     for i in range(20):
-        c = rg(n, d, 100 + i)
+        c = build_instance("rg", n, d, 100 + i)
         sv = statevector.run(c)
         state, report = evolve(c, chi, 2, seed=100 + i)
         f_exact = abs(np.vdot(state.to_statevector().amplitudes,
@@ -295,7 +291,7 @@ def test_12_mirror_identity():
         n = 2 * int(rng.integers(2, 8))
         d = int(rng.integers(1, 6))
         if t % 2 == 0:
-            c = rg(n, min(d, n - 1), 2800 + t)
+            c = build_instance("rg", n, min(d, n - 1), 2800 + t)
         else:
             c = circuits.build_brickwork_circuit(n, d, 2800 + t)
         m = circuits.build_mirror(c, seed=2900 + t)

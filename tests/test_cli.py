@@ -215,6 +215,40 @@ class TestConfig:
             (out2 / "mps_runs.csv").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["fidelity", "--trajectories", "0"],
+    ["fidelity", "--resamples", "50"],
+    ["coverage", "--resamples", "50"],
+    ["cost", "--n", "13", "--d", "3"],
+    ["cost", "--n", "13", "--d", "4"],
+    ["cost", "--n", "8", "--d", "8"],
+    ["mps", "--n", "8", "--blocks", "20"],
+], ids=["zero-trajectories", "fidelity-resamples", "coverage-resamples",
+        "odd-n-odd-degree", "odd-n", "degree-not-below-n", "too-many-blocks"])
+def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
+    out = tmp_path / "never"
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rcsw {argv[0]}: error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_non_integer_threads_exit_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("RCSW_THREADS", "two")
+    out = tmp_path / "never"
+    assert cli.main(["cost", "--n", "6", "--d", "3", "--out", str(out)]) == 2
+    assert "RCSW_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_partition_method_removed():
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["cost", "--method", "partition"])
+    assert exc.value.code == 2
+    with pytest.raises(ValueError, match="method"):
+        cli.RunConfig(command="cost", method="partition")
+
+
 def test_atomic_write_replaces_existing(tmp_path):
     target = tmp_path / "x.txt"
     target.write_text("old")

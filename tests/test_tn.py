@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rg_circuit
+from helpers import analyze_merges_reference, rg_circuit
 from rcsw.circuits import (
     Circuit,
     Layer,
@@ -82,14 +82,14 @@ def test_network_records_meta():
 # ---------------------------------------------------------------- tree
 
 def test_analyze_two_tensor_contraction():
-    legs = [frozenset({0}), frozenset({0})]
+    legs = leg_sets([(0,), (0,)])
     stats = analyze_merges([(0, 1)], legs, {0: 2})
     assert stats.flops == 16.0  # 8 * S(1) * K(2)
     assert stats.width == 2.0
 
 
 def test_analyze_chain_of_three():
-    legs = [frozenset({0}), frozenset({0, 1}), frozenset({1})]
+    legs = leg_sets([(0,), (0, 1), (1,)])
     dims = {0: 2, 1: 2}
     stats = analyze_merges([(0, 1), (3, 2)], legs, dims)
     # (A.B): S=2, K=2 -> 32; then with C: S=1, K=2 -> 16
@@ -98,9 +98,47 @@ def test_analyze_chain_of_three():
 
 
 def test_analyze_rejects_open_root():
-    legs = [frozenset({0}), frozenset({0, 1})]
+    legs = leg_sets([(0,), (0, 1)])
     with pytest.raises(ValueError):
         analyze_merges([(0, 1)], legs, {0: 2, 1: 2})
+
+
+def test_analyze_rejects_dimension_three():
+    legs = leg_sets([(0,), (0,)])
+    with pytest.raises(ValueError, match="dimension 3"):
+        analyze_merges([(0, 1)], legs, {0: 3})
+
+
+def _random_merges(n_leaves, rng):
+    alive = list(range(n_leaves))
+    merges = []
+    while len(alive) > 1:
+        i, j = rng.choice(len(alive), size=2, replace=False)
+        a, b = alive[i], alive[j]
+        merges.append((a, b))
+        alive = [x for x in alive if x not in (a, b)] + [n_leaves + len(merges) - 1]
+    return merges
+
+
+def test_bitset_pricing_matches_frozenset_reference():
+    rng = np.random.default_rng(30)
+    base = rg_circuit(8, 4, seed=30)
+    nets = [circuit_to_tn(base, split_rank=2),
+            circuit_to_tn(base, split_rank=4),
+            circuit_to_tn(build_transport_rb(base, seed=31), split_rank=2),
+            circuit_to_tn(build_brickwork_circuit(6, 5, seed=32), split_rank=2)]
+    assert min(nets[2].dims.values()) == 1  # zero-angle bonds priced at 1
+    for tn in nets:
+        ids = sorted(tn.dims)
+        for trial in range(6):
+            merges = (_random_merges(tn.n_tensors, rng) if trial % 2
+                      else optimize_order(tn, budget=1, seed=trial).merges)
+            k = int(rng.integers(0, 6))
+            sliced = tuple(int(i) for i in rng.choice(ids, size=k, replace=False))
+            got = analyze_merges(merges, leg_sets(tn.indices), tn.dims, sliced)
+            ref = analyze_merges_reference(
+                merges, [frozenset(x) for x in tn.indices], tn.dims, sliced)
+            assert got == ref
 
 
 def test_tree_validation():
@@ -236,9 +274,15 @@ def test_methods_agree_on_amplitude():
     bits = "11001010"
     tn = circuit_to_tn(c, bitstring_out=bits)
     expect = amplitude_oracle(c, bits)
-    for method in ("greedy", "partition", "annealed"):
+    for method in ("greedy", "annealed"):
         tree = optimize_order(tn, budget=2, method=method, seed=2)
         assert abs(execute_tree(tn, tree) - expect) < 1e-10
+
+
+def test_unknown_method_rejected():
+    tn = circuit_to_tn(rg_circuit(6, 3, seed=19))
+    with pytest.raises(ValueError, match="partition"):
+        optimize_order(tn, budget=1, method="partition")
 
 
 def test_order_deterministic():
