@@ -37,10 +37,11 @@ def main():
         for i in range(args.instances):
             s = args.seed + i
             c = build_instance("rg", args.n, d, s)
-            probs = statevector.run(c).probabilities()
+            ideal = statevector.run(c)
+            probs = ideal.probabilities()
             res = statevector.run_trajectories(
                 c, nm, args.trajectories, seed=s + 100,
-                shots_per_traj=args.shots)
+                shots_per_traj=args.shots, ideal=ideal)
             direct.append(res.fidelity)
             xeb.extend(2.0 ** c.n * probs[int(x, 2)] - 1.0
                        for x in res.samples)

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
-from scipy.integrate import quad
 
 from .errors import EmptyTable
 
@@ -159,6 +157,7 @@ def p_aggregate(k: int, n_s: int) -> float:
         raise ValueError("need at least one shot")
     if not 0 <= k <= n_s:
         raise ValueError(f"count {k} outside [0, {n_s}]")
+    from scipy import stats as sps
     return float(sps.binom.pmf(k, n_s, 1.0 / n_s))
 
 
@@ -175,6 +174,7 @@ def p_double(k: int, n_jobs: int, n_per: int) -> float:
         raise ValueError("need at least one circuit and one shot")
     if not 0 <= k <= n_jobs * n_per:
         raise ValueError(f"count {k} outside [0, {n_jobs * n_per}]")
+    from scipy import stats as sps
     j = np.arange(n_jobs + 1)
     outer = sps.binom.pmf(j, n_jobs, 1.0 / n_jobs)
     inner = sps.binom.pmf(k, j * n_per, 1.0 / n_per)
@@ -229,6 +229,8 @@ class ExperimentModel:
         """Population mean of the observable, by quadrature over eps."""
         if self.mu == 0.0 or self.base_eps == 0.0:
             return float(self.fidelity(self.base_eps))
+        from scipy import stats as sps
+        from scipy.integrate import quad
         sigma = self.mu * self.base_eps
         below = sps.norm.cdf(-self.base_eps / sigma)  # clipped to eps = 0, F = 1
         hi = min(1.0, self.base_eps + 12.0 * sigma)

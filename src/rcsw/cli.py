@@ -225,9 +225,11 @@ def _xeb_report(cfg: RunConfig, cs, nm) -> FidelityReport:
     rows = []
     total = 0
     for i, c in enumerate(cs):
-        probs = statevector.run(c, cap=cfg.xeb_cap).probabilities()
+        ideal = statevector.run(c, cap=cfg.xeb_cap)
+        probs = ideal.probabilities()
         res = statevector.run_trajectories(
-            c, nm, cfg.trajectories, seed=cfg.seed + 1000 + i, shots_per_traj=spt)
+            c, nm, cfg.trajectories, seed=cfg.seed + 1000 + i, shots_per_traj=spt,
+            ideal=ideal)
         vals = np.array([2.0 ** c.n * probs[int(x, 2)] - 1.0
                          for x in res.samples])
         rows.append(vals)
@@ -274,14 +276,12 @@ def cmd_fidelity(cfg: RunConfig) -> list[Path]:
                   "p_spam": cfg.spam, "instances": cfg.instances,
                   "seed": cfg.seed}
         reports: list[FidelityReport] = []
-        try:
-            reports.append(_xeb_report(cfg, cs, nm))
-        except CapacityError:
-            pass  # ideal output probabilities out of reach; keep the others
-        try:
-            reports.append(_mb_report(cfg, cs, nm))
-        except CapacityError:
-            pass
+        for name, report in (("xeb", _xeb_report), ("mb", _mb_report)):
+            try:
+                reports.append(report(cfg, cs, nm))
+            except CapacityError as exc:  # keep the other estimators
+                print(f"rcsw fidelity: skipped {name} at n={n}, d={d}: {exc}",
+                      file=sys.stderr)
         gc = gate_counting(gc_params, n, d)
         reports.append(FidelityReport(
             "gc", gc, None, None, 0,

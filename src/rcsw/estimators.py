@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .errors import DomainError, EmptySamples, FitError
 
@@ -173,6 +172,7 @@ def fit_decay(lengths, survivals, asymptote: float) -> DecayFit:
     def model(x, amp, rate):
         return amp * rate ** x + asymptote
 
+    from scipy.optimize import curve_fit
     try:
         p0 = (max(y[0] - asymptote, 1e-3), 0.99)
         popt, _ = curve_fit(model, m, y, p0=p0,
@@ -195,6 +195,7 @@ def fit_logistic(sizes, values) -> tuple[float, float, float]:
     def model(n, a, n0, k):
         return a / (1.0 + np.exp(-k * (n - n0)))
 
+    from scipy.optimize import curve_fit
     spread = max(np.ptp(x), 1.0)
     p0 = (float(y.max()) * 1.05, float(x.mean()), 4.0 / spread)
     try:

@@ -2,18 +2,39 @@
 
 Qubit 0 is the most significant bit of the amplitude index, so the
 amplitude of bitstring "b0 b1 ... b_{n-1}" sits at index int(bits, 2).
+
+Noisy and noiseless runs share one layer loop over a compiled circuit.  A
+1q layer is applied as Kronecker blocks of up to _BLOCK qubits, each one
+matmul; its gate matrices are built once per circuit.  A 2q layer applies
+each ZZ gate as one broadcast multiply by a 2x2 phase table, and memory
+dephasing is one precomputed phase vector.  Within a layer, Pauli errors
+come after the gates (after all ZZ phases of a 2q layer, with which they
+commute) and before the dephasing.
+
+run_trajectories draws every trajectory's errors first, from that
+trajectory's own generator and in circuit order, then samples its shots
+from the same generator; the draws never depend on the state, so results
+are seed-for-seed those of simulating each trajectory gate by gate.  The
+error-free path is walked once.  A trajectory with errors is forked from it
+at the layer of its first error and run to the end; one without errors
+reuses the final error-free state and its overlap.  Extra memory is a few
+state vectors, whatever the depth or the number of trajectories.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, PAULIS
+from .circuits import Circuit, Layer, PAULIS
 from .errors import CapacityError
 
 DEFAULT_CAP = 26  # qubits; 2^26 complex128 amplitudes is 1 GiB
+# Qubits per fused 1q block.  Sizes 2-5 timed within noise of each other at
+# n = 12 and 16 and 4-5 led at n = 20 (ideal rg runs, one BLAS thread).
+_BLOCK = 4
 
 
 @dataclass
@@ -91,51 +112,95 @@ def _initial_state(c: Circuit, initial) -> np.ndarray:
     return state
 
 
-def apply_1q(state: np.ndarray, u: np.ndarray, q: int, n: int):
-    """In-place single-qubit gate on qubit q."""
-    m = state.reshape(2 ** q, 2, -1)
-    a0 = m[:, 0, :].copy()
-    a1 = m[:, 1, :]
-    m[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
-    m[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron for 2-d arrays, without its general-shape overhead."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def apply_diag_1q(state: np.ndarray, d0: complex, d1: complex, q: int, n: int):
-    m = state.reshape(2 ** q, 2, -1)
-    m[:, 0, :] *= d0
-    m[:, 1, :] *= d1
+class _OneQubitLayer:
+    """A 1q layer as Kronecker blocks of up to _BLOCK qubits, one matmul each.
+
+    Each block acts on the trailing qubits of the state and moves them to
+    the front, so after the last block the qubits are back in order.
+    """
+
+    dephased = False
+
+    def __init__(self, lay: Layer, n: int):
+        mats: list[np.ndarray | None] = [None] * n
+        for g in lay.gates:
+            m = g.matrix()
+            mats[g.q] = m if mats[g.q] is None else m @ mats[g.q]
+        self.blocks = []
+        if lay.gates:
+            for hi in range(n, 0, -_BLOCK):
+                ops = [PAULIS["I"] if m is None else m for m in mats[max(0, hi - _BLOCK):hi]]
+                self.blocks.append(functools.reduce(_kron, ops))
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        for k in self.blocks:
+            psi = np.matmul(k, psi.reshape(-1, k.shape[0]).T).reshape(-1)
+        return psi
 
 
-def apply_uzz(state: np.ndarray, theta: float, qa: int, qb: int, n: int):
-    """In-place exp(-i theta/2 Z@Z) on qubits qa < qb."""
-    if qa > qb:
-        qa, qb = qb, qa
-    eq = np.exp(-0.5j * theta)
-    ne = np.exp(0.5j * theta)
-    m = state.reshape(2 ** qa, 2, 2 ** (qb - qa - 1), 2, -1)
-    m[:, 0, :, 0, :] *= eq
-    m[:, 1, :, 1, :] *= eq
-    m[:, 0, :, 1, :] *= ne
-    m[:, 1, :, 0, :] *= ne
+class _PhaseLayer:
+    """A layer of ZZ gates, each one broadcast multiply by a 2x2 phase table."""
+
+    dephased = True
+
+    def __init__(self, lay: Layer, n: int):
+        self.shape = (2,) * n
+        self.tables = []
+        for g in lay.gates:
+            eq, ne = np.exp(-0.5j * g.theta), np.exp(0.5j * g.theta)
+            axes = [1] * n
+            axes[g.q0] = axes[g.q1] = 2
+            self.tables.append(np.array([[eq, ne], [ne, eq]]).reshape(axes))
+
+    def apply(self, psi: np.ndarray) -> np.ndarray:
+        view = psi.reshape(self.shape)
+        for t in self.tables:
+            view *= t
+        return psi
 
 
-def apply_circuit(state: np.ndarray, c: Circuit) -> np.ndarray:
-    for lay in c.layers:
-        if lay.kind == "1q":
-            for g in lay.gates:
-                apply_1q(state, g.matrix(), g.q, c.n)
-        else:
-            for g in lay.gates:
-                apply_uzz(state, g.theta, g.q0, g.q1, c.n)
-    return state
+def _compile(c: Circuit) -> list:
+    return [(_OneQubitLayer if lay.kind == "1q" else _PhaseLayer)(lay, c.n)
+            for lay in c.layers]
+
+
+def _finish_layer(psi: np.ndarray, layer, errors, dephase) -> np.ndarray:
+    """Pauli errors after a layer's gates, then memory dephasing after a 2q layer."""
+    for q, label in errors:
+        view = psi.reshape(2 ** q, 2, -1)
+        view[...] = np.matmul(PAULIS[label], view)
+    if layer.dephased and dephase is not None:
+        psi *= dephase
+    return psi
+
+
+def _run_layers(psi: np.ndarray, layers: list, dephase=None, errors=None,
+                start: int = 0, fork=None) -> np.ndarray:
+    """Apply layers[start:] to psi, which may be overwritten, and return the result.
+
+    errors maps a layer index to the (qubit, Pauli label) errors injected
+    after that layer's gates.  fork(i, psi), when given, sees the state
+    after the gates of layer i and before its errors and dephasing.
+    """
+    errors = errors or {}
+    for i in range(start, len(layers)):
+        psi = layers[i].apply(psi)
+        if fork is not None:
+            fork(i, psi)
+        psi = _finish_layer(psi, layers[i], errors.get(i, ()), dephase)
+    return psi
 
 
 def run(c: Circuit, initial=None, cap: int = DEFAULT_CAP) -> StateVector:
     """Noiseless simulation from c.initial_bits (default all zeros)."""
     _check_cap(c.n, cap)
-    state = _initial_state(c, initial)
-    apply_circuit(state, c)
-    return StateVector(c.n, state)
+    return StateVector(c.n, _run_layers(_initial_state(c, initial), _compile(c)))
 
 
 def sample(sv: StateVector, shots: int, seed) -> list[str]:
@@ -192,58 +257,90 @@ class TrajectoryResult:
     samples: list[str] = field(default_factory=list)
 
 
-def _noisy_trajectory(c: Circuit, nm: NoiseModel, rng: np.random.Generator) -> np.ndarray:
+def _draw_errors(c: Circuit, nm: NoiseModel, rng: np.random.Generator) -> dict:
+    """One trajectory's Pauli errors as {layer index: [(qubit, label), ...]}.
+
+    The draws never depend on the state; they are made layer by layer in
+    circuit order, per qubit after a 1q layer and per gate in a 2q layer.
+    """
     scale = nm.scale(c.n)
     p2 = min(nm.eps_2q * scale, 1.0)
     p1 = min(nm.eps_1q * scale, 1.0)
-    phi = nm.dephasing_angle(c.n) * nm.mem_sign
-    dz = (np.exp(-0.5j * phi), np.exp(0.5j * phi))
     weights = nm.pauli_probs
-    state = _initial_state(c, None)
-    for lay in c.layers:
+    errors = {}
+    for i, lay in enumerate(c.layers):
+        hits = []
         if lay.kind == "1q":
-            for g in lay.gates:
-                apply_1q(state, g.matrix(), g.q, c.n)
             if p1 > 0.0:
                 for q in range(c.n):
                     if rng.random() < p1:
-                        label = "XYZ"[rng.integers(0, 3)]
-                        apply_1q(state, PAULIS[label], q, c.n)
-        else:
+                        hits.append((q, "XYZ"[rng.integers(0, 3)]))
+        elif p2 > 0.0:
             for g in lay.gates:
-                apply_uzz(state, g.theta, g.q0, g.q1, c.n)
-                if p2 > 0.0 and rng.random() < p2:
+                if rng.random() < p2:
                     k = rng.choice(15, p=weights) if weights is not None else rng.integers(0, 15)
                     la, lb = _PAULI_PAIRS[k]
-                    if la != "I":
-                        apply_1q(state, PAULIS[la], g.q0, c.n)
-                    if lb != "I":
-                        apply_1q(state, PAULIS[lb], g.q1, c.n)
-            if nm.eps_mem > 0.0:
-                for q in range(c.n):
-                    apply_diag_1q(state, dz[0], dz[1], q, c.n)
-    return state
+                    hits += [(q, p) for q, p in ((g.q0, la), (g.q1, lb)) if p != "I"]
+        if hits:
+            errors[i] = hits
+    return errors
+
+
+def _dephasing_phases(n: int, phi: float) -> np.ndarray:
+    """Rz(phi) on every qubit as one diagonal: exp(-i phi/2 (n - 2 popcount))."""
+    rz = np.array([[np.exp(-0.5j * phi)], [np.exp(0.5j * phi)]])
+    return functools.reduce(_kron, [rz] * n).reshape(-1)
 
 
 def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
-                     shots_per_traj: int = 0, cap: int = DEFAULT_CAP) -> TrajectoryResult:
+                     shots_per_traj: int = 0, cap: int = DEFAULT_CAP,
+                     ideal=None) -> TrajectoryResult:
     """Quantum-trajectory noise simulation.
 
     Each trajectory applies the ideal circuit with randomly inserted Pauli
     errors; the fidelity estimate is the mean squared overlap with the ideal
-    state.  With shots_per_traj > 0, bitstrings sampled from each noisy
-    trajectory are pooled, giving draws from the noisy output distribution.
+    state, which is simulated here unless given as ``ideal`` (a StateVector
+    or amplitude array of ``c``'s noiseless output).  With shots_per_traj > 0,
+    bitstrings sampled from each noisy trajectory are pooled in trajectory
+    order, giving draws from the noisy output distribution.
     """
+    if n_traj < 1:
+        raise ValueError("n_traj must be at least 1")
+    if shots_per_traj < 0:
+        raise ValueError("shots_per_traj must be nonnegative")
     _check_cap(c.n, cap)
-    ideal = run(c, cap=cap).amplitudes
-    seeds = np.random.SeedSequence(seed).spawn(n_traj)
+    if ideal is None:
+        ideal = run(c, cap=cap)
+    ideal = ideal.amplitudes if isinstance(ideal, StateVector) else np.asarray(ideal)
+    if ideal.shape != (2 ** c.n,):
+        raise ValueError("ideal state has wrong dimension")
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
+    errors = [_draw_errors(c, nm, rng) for rng in rngs]
+    forks: dict[int, list[int]] = {}
+    for t, e in enumerate(errors):
+        if e:
+            forks.setdefault(min(e), []).append(t)
+    layers = _compile(c)
+    dephase = (_dephasing_phases(c.n, nm.dephasing_angle(c.n) * nm.mem_sign)
+               if nm.eps_mem > 0.0 else None)
     overlaps = np.empty(n_traj)
-    samples: list[str] = []
-    for t in range(n_traj):
-        rng = np.random.default_rng(seeds[t])
-        state = _noisy_trajectory(c, nm, rng)
-        overlaps[t] = abs(np.vdot(ideal, state)) ** 2
+    shots: list[list[str]] = [[] for _ in range(n_traj)]
+
+    def finish(t: int, psi: np.ndarray, overlap=None):
+        overlaps[t] = abs(np.vdot(ideal, psi)) ** 2 if overlap is None else overlap
         if shots_per_traj > 0:
-            samples.extend(sample(StateVector(c.n, state), shots_per_traj, rng))
+            shots[t] = sample(StateVector(c.n, psi), shots_per_traj, rngs[t])
+
+    def fork(i: int, psi: np.ndarray):
+        for t in forks.get(i, ()):
+            branch = _finish_layer(psi.copy(), layers[i], errors[t][i], dephase)
+            finish(t, _run_layers(branch, layers, dephase, errors[t], start=i + 1))
+
+    clean = _run_layers(_initial_state(c, None), layers, dephase, fork=fork)
+    clean_overlap = abs(np.vdot(ideal, clean)) ** 2
+    for t, e in enumerate(errors):
+        if not e:
+            finish(t, clean, clean_overlap)
     stderr = float(np.std(overlaps, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
-    return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps, samples)
+    return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps,
+                            [x for s in shots for x in s])

@@ -4,7 +4,8 @@ import math
 import numpy as np
 
 from rcsw import graphs
-from rcsw.circuits import Circuit, build_rg_circuit
+from rcsw.circuits import PAULIS, Circuit, build_rg_circuit
+from rcsw.statevector import NoiseModel, StateVector, TrajectoryResult, sample
 from rcsw.tn.tree import TreeStats
 
 
@@ -37,6 +38,108 @@ def phase_aligned(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Rescale b by a unit phase so its largest entry matches a's."""
     k = np.argmax(np.abs(a))
     return b * (a.flat[k] / b.flat[k])
+
+
+def apply_1q(state: np.ndarray, u: np.ndarray, q: int):
+    """In-place single-qubit gate on qubit q."""
+    m = state.reshape(2 ** q, 2, -1)
+    a0 = m[:, 0, :].copy()
+    a1 = m[:, 1, :]
+    m[:, 0, :] = u[0, 0] * a0 + u[0, 1] * a1
+    m[:, 1, :] = u[1, 0] * a0 + u[1, 1] * a1
+
+
+def apply_diag_1q(state: np.ndarray, d0: complex, d1: complex, q: int):
+    m = state.reshape(2 ** q, 2, -1)
+    m[:, 0, :] *= d0
+    m[:, 1, :] *= d1
+
+
+def apply_uzz(state: np.ndarray, theta: float, qa: int, qb: int):
+    """In-place exp(-i theta/2 Z@Z) on qubits qa < qb."""
+    if qa > qb:
+        qa, qb = qb, qa
+    eq = np.exp(-0.5j * theta)
+    ne = np.exp(0.5j * theta)
+    m = state.reshape(2 ** qa, 2, 2 ** (qb - qa - 1), 2, -1)
+    m[:, 0, :, 0, :] *= eq
+    m[:, 1, :, 1, :] *= eq
+    m[:, 0, :, 1, :] *= ne
+    m[:, 1, :, 0, :] *= ne
+
+
+def initial_state_reference(c: Circuit) -> np.ndarray:
+    state = np.zeros(2 ** c.n, dtype=complex)
+    state[int(c.initial_bits, 2) if c.initial_bits else 0] = 1.0
+    return state
+
+
+def apply_circuit_reference(state: np.ndarray, c: Circuit) -> np.ndarray:
+    """Per-gate in-place simulation; the reference for ``statevector.run``."""
+    for lay in c.layers:
+        if lay.kind == "1q":
+            for g in lay.gates:
+                apply_1q(state, g.matrix(), g.q)
+        else:
+            for g in lay.gates:
+                apply_uzz(state, g.theta, g.q0, g.q1)
+    return state
+
+
+_PAULI_PAIRS = [(a, b) for a in "IXYZ" for b in "IXYZ" if (a, b) != ("I", "I")]
+
+
+def noisy_trajectory_reference(c: Circuit, nm: NoiseModel,
+                               rng: np.random.Generator) -> np.ndarray:
+    """One trajectory, drawing each error as its gate is reached."""
+    scale = nm.scale(c.n)
+    p2 = min(nm.eps_2q * scale, 1.0)
+    p1 = min(nm.eps_1q * scale, 1.0)
+    phi = nm.dephasing_angle(c.n) * nm.mem_sign
+    dz = (np.exp(-0.5j * phi), np.exp(0.5j * phi))
+    weights = nm.pauli_probs
+    state = initial_state_reference(c)
+    for lay in c.layers:
+        if lay.kind == "1q":
+            for g in lay.gates:
+                apply_1q(state, g.matrix(), g.q)
+            if p1 > 0.0:
+                for q in range(c.n):
+                    if rng.random() < p1:
+                        label = "XYZ"[rng.integers(0, 3)]
+                        apply_1q(state, PAULIS[label], q)
+        else:
+            for g in lay.gates:
+                apply_uzz(state, g.theta, g.q0, g.q1)
+                if p2 > 0.0 and rng.random() < p2:
+                    k = rng.choice(15, p=weights) if weights is not None else rng.integers(0, 15)
+                    la, lb = _PAULI_PAIRS[k]
+                    if la != "I":
+                        apply_1q(state, PAULIS[la], g.q0)
+                    if lb != "I":
+                        apply_1q(state, PAULIS[lb], g.q1)
+            if nm.eps_mem > 0.0:
+                for q in range(c.n):
+                    apply_diag_1q(state, dz[0], dz[1], q)
+    return state
+
+
+def run_trajectories_reference(c: Circuit, nm: NoiseModel, n_traj: int, seed,
+                               shots_per_traj: int = 0) -> TrajectoryResult:
+    """One per-gate simulation per trajectory; the reference for
+    ``statevector.run_trajectories``."""
+    ideal = apply_circuit_reference(initial_state_reference(c), c)
+    seeds = np.random.SeedSequence(seed).spawn(n_traj)
+    overlaps = np.empty(n_traj)
+    samples: list[str] = []
+    for t in range(n_traj):
+        rng = np.random.default_rng(seeds[t])
+        state = noisy_trajectory_reference(c, nm, rng)
+        overlaps[t] = abs(np.vdot(ideal, state)) ** 2
+        if shots_per_traj > 0:
+            samples.extend(sample(StateVector(c.n, state), shots_per_traj, rng))
+    stderr = float(np.std(overlaps, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
+    return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps, samples)
 
 
 def rg_circuit(n: int, d: int, seed: int) -> Circuit:

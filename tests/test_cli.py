@@ -1,5 +1,9 @@
 """End-to-end checks of the batch command line."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,13 +115,16 @@ class TestFidelity:
         assert 0.0 < vals["gc"] < 1.0
         assert -0.5 < vals["xeb"] < 1.5
 
-    def test_capacity_skip_keeps_mb_and_gc(self, tmp_path):
+    def test_capacity_skip_keeps_mb_and_gc(self, tmp_path, capsys):
         out = tmp_path / "fid2"
         run_cli(["fidelity", "--n", "6", "--d", "4", "--instances", "1",
                  "--xeb-cap", "4", "--trajectories", "4", "--shots", "16",
                  "--resamples", "120", "--seed", "9", "--out", str(out)])
         doc = json.loads((out / "fidelity_n6_d4.json").read_text())
         assert [r["estimator"] for r in doc] == ["mb", "gc"]
+        assert capsys.readouterr().err.splitlines() == [
+            "rcsw fidelity: skipped xeb at n=6, d=4: "
+            "6 qubits exceeds the dense cap of 4"]
 
 
 class TestMps:
@@ -247,6 +254,18 @@ def test_partition_method_removed():
     assert exc.value.code == 2
     with pytest.raises(ValueError, match="method"):
         cli.RunConfig(command="cost", method="partition")
+
+
+def test_import_defers_scipy_submodules():
+    # fidelity, cost and mps runs never call the fits, quadratures or binomials
+    code = ("import sys, rcsw.cli; print(sorted(m for m in ('scipy.stats', "
+            "'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_atomic_write_replaces_existing(tmp_path):

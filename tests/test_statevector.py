@@ -6,13 +6,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcsw import graphs, statevector
-from rcsw.circuits import build_mirror, build_rg_circuit, build_transport_rb
+from rcsw.circuits import (
+    Circuit, Layer, OneQubitGate, TwoQubitGate, build_brickwork_circuit,
+    build_instance, build_mirror, build_rg_circuit, build_transport_rb,
+)
 from rcsw.errors import CapacityError
 from rcsw.statevector import (
     NoiseModel, StateVector, bipartite_purity, porter_thomas_stats, run,
     run_trajectories, sample,
 )
-from helpers import dense_unitary, rg_circuit
+from helpers import (
+    apply_circuit_reference, dense_unitary, initial_state_reference, rg_circuit,
+    run_trajectories_reference,
+)
+
+
+def _reference_circuits():
+    rg = rg_circuit(8, 4, 3)
+    yield "rg", rg
+    yield "2d", build_instance("2d", 9, 5, 4)
+    yield "brickwork", build_brickwork_circuit(7, 5, 5)
+    yield "mirror", build_mirror(rg, seed=6)
+    yield "transport", build_transport_rb(rg_circuit(6, 3, 2), seed=7)
+    # partial and empty 1q layers, two gates on one qubit, a reversed ZZ pair
+    yield "custom", Circuit(n=5, layers=(
+        Layer("1q", (OneQubitGate(0, 0.3, 0.5, 0.7), OneQubitGate(2, 0.1, 0.2, 0.3),
+                     OneQubitGate(0, 1.1, 0.4, -0.2))),
+        Layer("2q", (TwoQubitGate(2, 0, 0.7), TwoQubitGate(4, 3, -1.3))),
+        Layer("1q", ()),
+        Layer("2q", (TwoQubitGate(1, 4, 0.4),)),
+        Layer("1q", (OneQubitGate(4, 0.9, 1.2, 0.1),))))
 
 
 class TestRun:
@@ -51,6 +74,46 @@ class TestRun:
         t = build_transport_rb(src, seed=3)
         sv = run(t)
         assert sv.probabilities()[int(t.initial_bits, 2)] == pytest.approx(1.0, abs=1e-10)
+
+
+class TestPerGateReference:
+    """The fused layer loop against the per-gate simulation in helpers."""
+
+    @pytest.mark.parametrize("name,c", list(_reference_circuits()))
+    def test_run_matches_per_gate(self, name, c):
+        from dataclasses import replace
+        bits = "".join("01"[q % 2] for q in range(c.n))
+        rng = np.random.default_rng(c.n)
+        psi = rng.normal(size=2 ** c.n) + 1j * rng.normal(size=2 ** c.n)
+        starts = [
+            (c, None, initial_state_reference(c)),
+            (replace(c, initial_bits=bits), None,
+             initial_state_reference(replace(c, initial_bits=bits))),
+            (c, psi, psi.copy()),
+        ]
+        for circ, initial, ref_start in starts:
+            got = run(circ, initial=initial).amplitudes
+            expect = apply_circuit_reference(ref_start, circ)
+            assert np.max(np.abs(got - expect)) < 1e-12
+
+    @pytest.mark.parametrize("nm,shots", [
+        (NoiseModel(), 0),
+        (NoiseModel(), 3),
+        (NoiseModel(eps_2q=1.0), 2),
+        (NoiseModel(eps_1q=0.05), 2),
+        (NoiseModel(eps_2q=0.3, pauli_probs=tuple(np.arange(1, 16) / 120.0)), 2),
+        (NoiseModel(eps_2q=0.01, eps_1q=0.004, scale_with_n=True, ref_n=56), 2),
+        (NoiseModel(eps_2q=0.05, eps_mem=3e-3, mem_sign=-1.0), 0),
+        (NoiseModel(eps_2q=0.05, eps_mem=3e-3, mem_sign=-1.0), 4),
+    ])
+    def test_trajectories_match_per_gate(self, nm, shots):
+        for name, c in _reference_circuits():
+            got = run_trajectories(c, nm, n_traj=12, seed=5, shots_per_traj=shots)
+            ref = run_trajectories_reference(c, nm, n_traj=12, seed=5,
+                                             shots_per_traj=shots)
+            assert got.samples == ref.samples, name
+            assert np.max(np.abs(got.overlaps - ref.overlaps)) < 1e-12, name
+            assert got.fidelity == pytest.approx(ref.fidelity, abs=1e-12)
 
 
 class TestSample:
@@ -177,6 +240,28 @@ class TestTrajectories:
                                shots_per_traj=3)
         assert len(res.samples) == 24
         assert all(len(s) == 6 for s in res.samples)
+
+    def test_given_ideal_state(self):
+        c = rg_circuit(6, 3, 8)
+        nm = NoiseModel(eps_2q=0.05)
+        sv = run(c)
+        base = run_trajectories(c, nm, n_traj=6, seed=1, shots_per_traj=2)
+        for ideal in (sv, sv.amplitudes):
+            res = run_trajectories(c, nm, n_traj=6, seed=1, shots_per_traj=2,
+                                   ideal=ideal)
+            assert res.samples == base.samples
+            assert np.array_equal(res.overlaps, base.overlaps)
+        with pytest.raises(ValueError):
+            run_trajectories(c, nm, n_traj=2, seed=1, ideal=sv.amplitudes[:32])
+
+    def test_rejects_no_trajectories(self):
+        with pytest.raises(ValueError, match="n_traj"):
+            run_trajectories(rg_circuit(6, 3, 2), NoiseModel(), n_traj=0, seed=0)
+
+    def test_rejects_negative_shots(self):
+        with pytest.raises(ValueError, match="shots_per_traj"):
+            run_trajectories(rg_circuit(6, 3, 2), NoiseModel(), n_traj=2, seed=0,
+                             shots_per_traj=-1)
 
     def test_bad_channel_weights(self):
         with pytest.raises(ValueError):
