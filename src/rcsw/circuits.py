@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 
@@ -255,7 +256,8 @@ def build_instance(ensemble: str, n: int, d: int, seed: int) -> Circuit:
 
 
 def _seed_int(seed) -> int | None:
-    return seed if isinstance(seed, int) else None
+    """The seed as a Python int when it is integral (NumPy integers too)."""
+    return int(seed) if isinstance(seed, numbers.Integral) else None
 
 
 _PAULI_NAMES = ("I", "X", "Y", "Z")

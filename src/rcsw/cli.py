@@ -298,10 +298,12 @@ def cmd_fidelity(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_mps(cfg: RunConfig) -> list[Path]:
+    cs = {(n, d, i): circuits.build_instance(cfg.ensemble, n, d, cfg.seed + i)
+          for n, d in _grid(cfg) for i in range(cfg.instances)}
+
     def one(item):
         n, d, i, chi, b = item
-        c = circuits.build_instance(cfg.ensemble, n, d, cfg.seed + i)
-        _, rep = evolve(c, chi, int(b), seed=cfg.seed + i)
+        _, rep = evolve(cs[n, d, i], chi, int(b), seed=cfg.seed + i)
         return rep.csv_row()
 
     items = [(n, d, i, chi, b)

@@ -3,10 +3,17 @@
 The state is a chain of block tensors with shape (l, 2**s_j, r): the middle
 axis is the joint computational index of the qubits assigned to block j
 (first listed qubit most significant) and l, r are bond indices capped at
-chi.  Gates between qubits of one block are dense local updates.  Gates
-across blocks contract the two tensors, apply the gate, and split again
-with an SVD truncated to chi; blocks that are not adjacent in the chain are
-first brought together by swapping whole blocks and are swapped back
+chi.  Every entangler is the diagonal gate exp(-i(theta/2) Z x Z), so a gate
+inside one block is a phase per basis state.  A gate across two adjacent
+blocks is written in operator-Schmidt form cos(theta/2) I x I -
+i sin(theta/2) Z x Z and its two terms are stacked onto the bond, which at
+most doubles it to 2k.  The left block is then QR-factored and the right
+block LQ-factored, and only the core of at most 2k x 2k is split with a
+truncated SVD; its singular values are those of the merged pair, so the
+truncation is the one a full SVD of the pair would make (the reduced update
+of Zhou, Stoudenmire and Waintal, PRX 10, 041038 (2020)).  Blocks that are
+not adjacent in the chain are first brought together by swapping whole
+blocks, each swap a full SVD of the merged pair, and are swapped back
 afterwards, so the chain layout never drifts.  Each truncation multiplies
 f_acc by one minus the discarded weight and renormalizes the state, so
 f_acc estimates the squared overlap with the exact state under the usual
@@ -19,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, Layer
+from .circuits import Circuit, _seed_int
 from .errors import CapacityError, DomainError, FitError
 from .graphs import partition_nodes
 from .statevector import DEFAULT_CAP, StateVector
@@ -27,6 +34,20 @@ from .statevector import DEFAULT_CAP, StateVector
 _ZERO_TOL = 1e-14  # singular values below s0 * this are rank padding, not content
 
 MPS_CSV_HEADER = "N,d,chi,blocking,F_mps,eps_mps,flops_est,seed"
+
+
+@dataclass
+class MpsCounters:
+    """What one chain did: gates applied, block swaps, truncated SVDs (gate
+    splits and swaps), the largest bond any SVD kept, and the sum and the
+    largest of the weights those SVDs discarded."""
+    gates_1q: int = 0
+    gates_2q: int = 0
+    swaps: int = 0
+    svds: int = 0
+    peak_bond: int = 1
+    disc_sum: float = 0.0
+    disc_max: float = 0.0
 
 
 @dataclass
@@ -39,7 +60,7 @@ class MpsState:
     f_acc: float = 1.0
     center: int = 0
     flops: float = 0.0
-    gate_log: list = field(default_factory=list)
+    counters: MpsCounters = field(default_factory=MpsCounters)
 
     @property
     def n_blocks(self) -> int:
@@ -174,16 +195,15 @@ def _center_into(state: MpsState, pos: int):
         _shift_left(state, state.center)
 
 
-def _split_pair(state: MpsState, pos: int, theta: np.ndarray) -> float:
-    """SVD theta = (l, P_left, P_right, r) back into two tensors at pos.
+def _truncated_svd(state: MpsState, mat: np.ndarray):
+    """Split mat at the orthogonality center into (u, s vh) truncated to chi.
 
-    Keeps at most chi singular values, returns the discarded weight, and
-    renormalizes so the state stays unit norm.  The caller must have the
-    orthogonality center inside the pair for the weight to be the true
-    global fidelity loss.
+    The one truncation rule: singular values at or below s0 * _ZERO_TOL are
+    rank padding, at most chi of the rest are kept, the discarded share of
+    the weight multiplies f_acc down, and the kept values are renormalized
+    so the state stays unit norm.  The center must lie inside the factored
+    pair for the weight to be the true global fidelity loss.
     """
-    l, pl, pr, r = theta.shape
-    mat = theta.reshape(l * pl, pr * r)
     u, s, vh = _svd(mat)
     state.flops += 8.0 * mat.shape[0] * mat.shape[1] * min(mat.shape)
     rank = s.size
@@ -200,20 +220,37 @@ def _split_pair(state: MpsState, pos: int, theta: np.ndarray) -> float:
     norm = math.sqrt(float(np.sum(kept ** 2)))
     if norm > 0.0:
         kept = kept / norm
-    state.tensors[pos] = u[:, :keep].reshape(l, pl, keep)
-    state.tensors[pos + 1] = (kept[:, None] * vh[:keep]).reshape(keep, pr, r)
+    cnt = state.counters
+    cnt.svds += 1
+    cnt.peak_bond = max(cnt.peak_bond, keep)
+    cnt.disc_sum += w
+    cnt.disc_max = max(cnt.disc_max, w)
+    return u[:, :keep], kept[:, None] * vh[:keep]
+
+
+def _split_pair(state: MpsState, pos: int, theta: np.ndarray):
+    """SVD theta = (l, P_left, P_right, r) back into two tensors at pos."""
+    l, pl, pr, r = theta.shape
+    u, svh = _truncated_svd(state, theta.reshape(l * pl, pr * r))
+    state.tensors[pos] = u.reshape(l, pl, -1)
+    state.tensors[pos + 1] = svh.reshape(-1, pr, r)
     state.center = pos + 1
-    return w
 
 
-def _merge(state: MpsState, pos: int) -> np.ndarray:
-    left, right = state.tensors[pos], state.tensors[pos + 1]
-    l, pl, k = left.shape
-    _, pr, r = right.shape
+def _check_pair_cap(state: MpsState, pos: int):
+    l, pl, _ = state.tensors[pos].shape
+    _, pr, r = state.tensors[pos + 1].shape
     if l * pl * pr * r > 2 ** state.cap:
         raise CapacityError(
             f"merged pair at position {pos} needs {l * pl * pr * r} elements, "
             f"cap is 2^{state.cap}")
+
+
+def _merge(state: MpsState, pos: int) -> np.ndarray:
+    _check_pair_cap(state, pos)
+    left, right = state.tensors[pos], state.tensors[pos + 1]
+    l, pl, k = left.shape
+    _, pr, r = right.shape
     state.flops += 8.0 * l * pl * pr * r * k
     return np.tensordot(left, right, axes=(2, 0))
 
@@ -223,8 +260,8 @@ def _swap_blocks(state: MpsState, pos: int):
     theta = _merge(state, pos).transpose(0, 2, 1, 3)
     state.blocks[pos], state.blocks[pos + 1] = \
         state.blocks[pos + 1], state.blocks[pos]
-    w = _split_pair(state, pos, np.ascontiguousarray(theta))
-    state.gate_log.append(("swap", pos, w))
+    _split_pair(state, pos, np.ascontiguousarray(theta))
+    state.counters.swaps += 1
 
 
 def _apply_1q(state: MpsState, u: np.ndarray, q: int):
@@ -235,45 +272,55 @@ def _apply_1q(state: MpsState, u: np.ndarray, q: int):
     out = np.tensordot(u, work, axes=([1], [2]))
     state.tensors[pos] = np.moveaxis(out, 0, 2).reshape(l, p, r)
     state.flops += 8.0 * 2.0 * arr.size
-    state.gate_log.append(("1q", q))
+    state.counters.gates_1q += 1
 
 
-def _apply_2q_merged(state, g4, full, ax_a, ax_b):
-    out = np.tensordot(g4, full, axes=([2, 3], [ax_a, ax_b]))
-    state.flops += 8.0 * 4.0 * full.size
-    return np.moveaxis(out, [0, 1], [ax_a, ax_b])
+def _z_signs(state: MpsState, q: int) -> tuple[int, np.ndarray]:
+    """Chain position of qubit q and the Z eigenvalue of q per block index."""
+    pos, t = state.locate(q)
+    s = len(state.blocks[pos])
+    bits = (np.arange(2 ** s) >> (s - 1 - t)) & 1
+    return pos, 1.0 - 2.0 * bits
 
 
-def _apply_2q(state: MpsState, g4: np.ndarray, qa: int, qb: int):
-    pa, _ = state.locate(qa)
-    pb, _ = state.locate(qb)
+def _qr(state: MpsState, mat: np.ndarray):
+    state.flops += 8.0 * mat.shape[0] * mat.shape[1] * min(mat.shape)
+    return np.linalg.qr(mat)
+
+
+def _apply_zz(state: MpsState, theta: float, qa: int, qb: int):
+    """exp(-i(theta/2) Z_qa Z_qb), with the reduced two-site update across blocks."""
+    state.counters.gates_2q += 1
+    pa, za = _z_signs(state, qa)
+    pb, zb = _z_signs(state, qb)
     if pa == pb:
         arr = state.tensors[pa]
-        l, p, r = arr.shape
-        s = len(state.blocks[pa])
-        full = arr.reshape((l,) + (2,) * s + (r,))
-        _, ta = state.locate(qa)
-        _, tb = state.locate(qb)
-        out = _apply_2q_merged(state, g4, full, 1 + ta, 1 + tb)
-        state.tensors[pa] = out.reshape(l, p, r)
-        state.gate_log.append(("2q", (qa, qb)))
+        state.tensors[pa] = np.exp(-0.5j * theta * za * zb)[:, None] * arr
+        state.flops += 8.0 * arr.size
         return
     lo, hi = min(pa, pb), max(pa, pb)
     for p in range(hi - 1, lo, -1):
         _swap_blocks(state, p)
     _center_into(state, lo)
-    theta = _merge(state, lo)
-    l, pl, pr, r = theta.shape
-    sl = len(state.blocks[lo])
-    full = theta.reshape((l,) + (2,) * (sl + len(state.blocks[lo + 1])) + (r,))
-
-    def axis_of(q):
-        pos, t = state.locate(q)
-        return 1 + t if pos == lo else 1 + sl + t
-
-    out = _apply_2q_merged(state, g4, full, axis_of(qa), axis_of(qb))
-    w = _split_pair(state, lo, out.reshape(l, pl, pr, r))
-    state.gate_log.append(("2q", (qa, qb), w))
+    _check_pair_cap(state, lo)
+    zl, zr = (za, zb) if pa == lo else (zb, za)
+    left, right = state.tensors[lo], state.tensors[lo + 1]
+    l, pl, k = left.shape
+    _, pr, r = right.shape
+    # the terms cos I x I and -i sin Z x Z, indexed (term, k) on the bond
+    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
+    left2 = np.stack([c * left, (-1j * s) * (zl[:, None] * left)], axis=2)
+    right2 = np.concatenate([right, zr[:, None] * right])
+    state.flops += 8.0 * (left.size + right.size)
+    q_left, r_left = _qr(state, left2.reshape(l * pl, 2 * k))
+    q_right, r_right = _qr(state, right2.reshape(2 * k, pr * r).conj().T)
+    core = r_left @ r_right.conj().T
+    state.flops += 8.0 * core.shape[0] * core.shape[1] * 2 * k
+    u, svh = _truncated_svd(state, core)
+    state.tensors[lo] = (q_left @ u).reshape(l, pl, -1)
+    state.tensors[lo + 1] = (svh @ q_right.conj().T).reshape(-1, pr, r)
+    state.flops += 8.0 * u.shape[1] * (q_left.size + q_right.size)
+    state.center = lo + 1
     for p in range(lo + 1, hi):
         _swap_blocks(state, p)
 
@@ -286,9 +333,7 @@ def _apply_layers(state: MpsState, layers, inverse: bool = False):
                 u = g.matrix()
                 _apply_1q(state, u.conj().T if inverse else u, g.q)
             else:
-                m = g.matrix()
-                g4 = (m.conj().T if inverse else m).reshape(2, 2, 2, 2)
-                _apply_2q(state, g4, g.q0, g.q1)
+                _apply_zz(state, -g.theta if inverse else g.theta, g.q0, g.q1)
 
 
 def mps_overlap(a: MpsState, b: MpsState) -> complex:
@@ -300,10 +345,6 @@ def mps_overlap(a: MpsState, b: MpsState) -> complex:
         tmp = np.tensordot(env, tb, axes=(1, 0))
         env = np.tensordot(ta.conj(), tmp, axes=([0, 1], [0, 1]))
     return complex(env[0, 0])
-
-
-def _seed_int(seed) -> int | None:
-    return seed if isinstance(seed, int) else None
 
 
 def evolve(c: Circuit, chi: int, blocking, seed=0,

@@ -3,9 +3,9 @@ import math
 
 import numpy as np
 
-from rcsw import graphs
-from rcsw.circuits import PAULIS, Circuit, build_rg_circuit
-from rcsw.statevector import NoiseModel, StateVector, TrajectoryResult, sample
+from rcsw import graphs, mps
+from rcsw.circuits import PAULIS, Circuit, build_rg_circuit, uzz_matrix
+from rcsw.statevector import DEFAULT_CAP, NoiseModel, StateVector, TrajectoryResult, sample
 from rcsw.tn.tree import TreeStats
 
 
@@ -192,3 +192,73 @@ def analyze_merges_reference(merges, legs, dims, sliced=()) -> TreeStats:
         sliced_multiplier=mult,
         total_flops=mult * flops,
     )
+
+
+def apply_zz_full_merge_reference(state: mps.MpsState, theta: float, qa: int, qb: int):
+    """A ZZ gate as a dense 4-index tensor; across blocks, on the merged pair
+    split by a full SVD.  The reference for the reduced update in ``rcsw.mps``."""
+    g4 = uzz_matrix(theta).reshape(2, 2, 2, 2)
+    state.counters.gates_2q += 1
+
+    def apply(full, ax_a, ax_b):
+        out = np.tensordot(g4, full, axes=([2, 3], [ax_a, ax_b]))
+        state.flops += 8.0 * 4.0 * full.size
+        return np.moveaxis(out, [0, 1], [ax_a, ax_b])
+
+    pa, ta = state.locate(qa)
+    pb, tb = state.locate(qb)
+    if pa == pb:
+        arr = state.tensors[pa]
+        l, p, r = arr.shape
+        full = arr.reshape((l,) + (2,) * len(state.blocks[pa]) + (r,))
+        state.tensors[pa] = apply(full, 1 + ta, 1 + tb).reshape(l, p, r)
+        return
+    lo, hi = min(pa, pb), max(pa, pb)
+    for p in range(hi - 1, lo, -1):
+        mps._swap_blocks(state, p)
+    mps._center_into(state, lo)
+    theta2 = mps._merge(state, lo)
+    l, pl, pr, r = theta2.shape
+    sl = len(state.blocks[lo])
+    full = theta2.reshape((l,) + (2,) * (sl + len(state.blocks[lo + 1])) + (r,))
+
+    def axis_of(q):
+        pos, t = state.locate(q)
+        return 1 + t if pos == lo else 1 + sl + t
+
+    out = apply(full, axis_of(qa), axis_of(qb))
+    mps._split_pair(state, lo, out.reshape(l, pl, pr, r))
+    for p in range(lo + 1, hi):
+        mps._swap_blocks(state, p)
+
+
+def _apply_layers_full_merge(state: mps.MpsState, layers, inverse: bool = False):
+    for lay in (reversed(layers) if inverse else layers):
+        for g in lay.gates:
+            if lay.kind == "1q":
+                u = g.matrix()
+                mps._apply_1q(state, u.conj().T if inverse else u, g.q)
+            else:
+                apply_zz_full_merge_reference(
+                    state, -g.theta if inverse else g.theta, g.q0, g.q1)
+
+
+def evolve_full_merge_reference(c: Circuit, chi: int, blocking, seed=0,
+                                cap: int = DEFAULT_CAP) -> mps.MpsState:
+    """``mps.evolve`` with every cross-block gate taken through the full merge."""
+    blocks = mps._resolve_blocking(c, blocking, seed)
+    state = mps._fresh_state(c.n, blocks, c.initial_bits or "0" * c.n, chi, cap)
+    _apply_layers_full_merge(state, c.layers)
+    return state
+
+
+def split_amplitude_full_merge_reference(c: Circuit, x: str, chi: int, blocking,
+                                         seed=0) -> tuple[float, float]:
+    """``mps.split_amplitude`` over the full-merge gate path."""
+    blocks = mps._resolve_blocking(c, blocking, seed)
+    cut = 2 * ((c.depth + 1) // 2)
+    fwd = mps._fresh_state(c.n, blocks, c.initial_bits or "0" * c.n, chi, DEFAULT_CAP)
+    _apply_layers_full_merge(fwd, c.layers[:cut])
+    bwd = mps._fresh_state(c.n, blocks, x, chi, DEFAULT_CAP)
+    _apply_layers_full_merge(bwd, c.layers[cut:], inverse=True)
+    return abs(mps.mps_overlap(bwd, fwd)), fwd.f_acc * bwd.f_acc

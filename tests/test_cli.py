@@ -10,6 +10,7 @@ import pytest
 
 from rcsw import circuits, cli
 from rcsw.bootstrap import p_aggregate, p_double
+from rcsw.mps import MPS_CSV_HEADER, evolve
 
 
 def run_cli(argv):
@@ -142,6 +143,26 @@ class TestMps:
             eps[(int(parts[2]), int(parts[7]))] = float(parts[5])
         for seed in (4, 5):
             assert eps[(16, seed)] <= eps[(2, seed)] + 1e-12
+
+    def test_builds_each_circuit_once(self, tmp_path, monkeypatch):
+        build = cli.circuits.build_instance
+        calls = []
+
+        def counting_build(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(cli.circuits, "build_instance", counting_build)
+        out = tmp_path / "mps"
+        run_cli(["mps", "--n", "8", "--d", "3", "4", "--instances", "2",
+                 "--chi", "2", "8", "--blocks", "2", "4", "--seed", "4",
+                 "--out", str(out)])
+        cells = [("rg", 8, d, 4 + i) for d in (3, 4) for i in range(2)]
+        assert sorted(calls) == cells
+        per_pair = [evolve(build("rg", 8, d, 4 + i), chi, b, seed=4 + i)[1].csv_row()
+                    for d in (3, 4) for chi in (2, 8) for b in (2, 4) for i in range(2)]
+        assert (out / "mps_runs.csv").read_text() == \
+            "\n".join([MPS_CSV_HEADER, *per_pair]) + "\n"
 
 
 class TestBootstrap:

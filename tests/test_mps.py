@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import rg_circuit
-from rcsw import statevector
-from rcsw.circuits import Circuit, Layer, OneQubitGate
+from helpers import (
+    evolve_full_merge_reference,
+    rg_circuit,
+    split_amplitude_full_merge_reference,
+)
+from rcsw import mps, statevector
+from rcsw.circuits import Circuit, Layer, OneQubitGate, TwoQubitGate, build_instance
 from rcsw.errors import CapacityError, DomainError, FitError
 from rcsw.mps import (
     MPS_CSV_HEADER,
@@ -39,9 +44,9 @@ def test_exact_chi_matches_statevector(blocking):
 def test_exact_chi_no_truncation_events():
     c = rg_circuit(10, 5, seed=6)
     state, _ = evolve(c, 2 ** 5, 2)
-    weights = [entry[-1] for entry in state.gate_log
-               if entry[0] in ("2q", "swap") and len(entry) == 3]
-    assert all(w == 0.0 for w in weights)
+    assert state.counters.svds > 0
+    assert state.counters.disc_max == 0.0
+    assert state.counters.disc_sum == 0.0
 
 
 def test_product_layer_chi_one():
@@ -59,16 +64,15 @@ def test_blocks_restored_after_routing():
     state, _ = evolve(c, 8, 4, seed=3)
     from rcsw.mps import _resolve_blocking
     assert state.blocks == _resolve_blocking(c, 4, 3)
-    assert any(entry[0] == "swap" for entry in state.gate_log)
+    assert state.counters.swaps > 0
 
 
 def test_gate_log_covers_all_gates():
     c = rg_circuit(8, 3, seed=8)
     state, _ = evolve(c, 16, 2)
-    n1 = sum(1 for e in state.gate_log if e[0] == "1q")
-    n2 = sum(1 for e in state.gate_log if e[0] == "2q")
-    assert n2 == c.n_2q
-    assert n1 == sum(len(lay.gates) for lay in c.layers if lay.kind == "1q")
+    assert state.counters.gates_2q == c.n_2q
+    assert state.counters.gates_1q == sum(
+        len(lay.gates) for lay in c.layers if lay.kind == "1q")
 
 
 def test_truncation_shrinks_f_acc_and_keeps_norm():
@@ -257,3 +261,108 @@ def test_exact_chi_random_circuits(half_n, d, seed):
     state, report = evolve(c, 2 ** half_n, 2, seed=seed)
     assert max_state_error(state, sv) < 1e-10
     assert report.eps_mps == 0.0
+
+
+def test_integral_seeds_recorded():
+    c = rg_circuit(6, 3, seed=13)
+    for seed in (3, np.int64(3), np.uint8(3)):
+        _, report = evolve(c, 4, 2, seed=seed)
+        assert report.seed == 3 and type(report.seed) is int
+        assert report.csv_row().endswith(",3")
+    assert evolve(c, 4, 2, seed=np.random.SeedSequence(3))[1].seed is None
+
+
+def _eps(f: float, n2q: int) -> float:
+    return 0.0 if n2q == 0 or f == 1.0 else 1.0 - f ** (1.0 / n2q)
+
+
+def _assert_matches_full_merge(c, chi, blocking, seed, monkeypatch):
+    """The reduced update against the full-merge reference: same fidelity
+    accounting, same state, and no SVD larger than 2 chi x 2 chi except the
+    block swaps."""
+    shapes = []
+    svd = mps._svd
+
+    def recording_svd(mat):
+        shapes.append(mat.shape)
+        return svd(mat)
+
+    monkeypatch.setattr(mps, "_svd", recording_svd)
+    state, report = evolve(c, chi, blocking, seed=seed)
+    monkeypatch.undo()
+    ref = evolve_full_merge_reference(c, chi, blocking, seed=seed)
+    assert report.f_mps == pytest.approx(ref.f_acc, rel=1e-12, abs=0.0)
+    assert report.eps_mps == pytest.approx(_eps(ref.f_acc, c.n_2q), rel=1e-12, abs=0.0)
+    err = np.abs(state.to_statevector().amplitudes - ref.to_statevector().amplitudes)
+    assert float(np.max(err)) < 1e-10
+    cnt = state.counters
+    assert (cnt.svds, cnt.swaps, cnt.gates_2q) == \
+        (ref.counters.svds, ref.counters.swaps, ref.counters.gates_2q)
+    assert cnt.disc_sum == pytest.approx(ref.counters.disc_sum, rel=1e-12, abs=1e-15)
+    large = [sh for sh in shapes if max(sh) > 2 * chi]
+    assert len(shapes) == cnt.svds and len(large) <= cnt.swaps
+    return state, report, ref
+
+
+@pytest.mark.parametrize("blocking", [2, 3, 4, [[7, 6, 5, 4], [3, 2, 1, 0]]])
+@pytest.mark.parametrize("chi", [2, 4, 16])
+def test_reduced_update_matches_full_merge(blocking, chi, monkeypatch):
+    c = rg_circuit(8, 5, seed=70)
+    state, report, _ = _assert_matches_full_merge(c, chi, blocking, 70, monkeypatch)
+    assert (report.f_mps == 1.0) == (chi == 16)
+    if not isinstance(blocking, int):
+        # cross-block gates whose first qubit sits in the right-hand block
+        assert any(state.locate(g.q0)[0] > state.locate(g.q1)[0]
+                   for lay in c.two_qubit_layers() for g in lay.gates)
+
+
+@pytest.mark.parametrize("chi", [3, 32])
+def test_reduced_update_zero_and_pi_angles(chi, monkeypatch):
+    c = rg_circuit(10, 6, seed=71)
+    layers = []
+    for lay in c.layers:
+        if lay.kind == "2q":
+            lay = Layer("2q", tuple(TwoQubitGate(g.q0, g.q1, (0.0, math.pi, g.theta)[k % 3])
+                                    for k, g in enumerate(lay.gates)))
+        layers.append(lay)
+    c = dataclasses.replace(c, layers=tuple(layers))
+    _assert_matches_full_merge(c, chi, 2, 71, monkeypatch)
+    _assert_matches_full_merge(c, chi, 3, 71, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reduced_update_matches_full_merge_on_benchmark_instances(seed, monkeypatch):
+    # every cross-block gate is a reduced update at 2 blocks; at 4 blocks the
+    # reference's time goes to the swaps both paths share, so one chi suffices
+    c = build_instance("rg", 16, 8, seed)
+    for chi, blocks in ((8, 2), (16, 2), (32, 2), (8, 4)):
+        _, report, ref = _assert_matches_full_merge(c, chi, blocks, seed, monkeypatch)
+        assert report.flops_est < ref.flops
+
+
+@pytest.mark.parametrize("chi", [3, 32])
+def test_split_amplitude_matches_full_merge(chi):
+    c = rg_circuit(10, 5, seed=72)
+    x = "0110100111"
+    for blocking in (2, 3):
+        amp, fid = split_amplitude(c, x, chi, blocking, seed=72)
+        ref_amp, ref_fid = split_amplitude_full_merge_reference(c, x, chi, blocking, seed=72)
+        assert amp == pytest.approx(ref_amp, abs=1e-10)
+        assert fid == pytest.approx(ref_fid, rel=1e-12, abs=0.0)
+        assert (fid < 1.0) == (chi == 3)
+
+
+def test_capacity_error_matches_full_merge():
+    c = rg_circuit(10, 3, seed=14)
+    raised = []
+    for cap in range(6, 12):
+        outcomes = []
+        for run in (evolve, evolve_full_merge_reference):
+            try:
+                run(c, 64, 3, seed=14, cap=cap)
+                outcomes.append(False)
+            except CapacityError:
+                outcomes.append(True)
+        assert outcomes[0] == outcomes[1], cap
+        raised.append(outcomes[0])
+    assert raised[0] and not raised[-1]
