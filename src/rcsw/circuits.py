@@ -16,7 +16,7 @@ import json
 import math
 import numbers
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -116,13 +116,6 @@ class Layer:
 
 
 @dataclass(frozen=True)
-class PauliFrame:
-    """Random Pauli labels inserted around each reverse-half two-qubit gate."""
-
-    entries: tuple  # ((layer, (q0, q1), label0, label1), ...)
-
-
-@dataclass(frozen=True)
 class Circuit:
     n: int
     layers: tuple[Layer, ...]
@@ -130,7 +123,6 @@ class Circuit:
     seed: int | None = None
     graph: dict | None = None
     initial_bits: str | None = None
-    frame: PauliFrame | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.layers:
@@ -162,6 +154,15 @@ class Circuit:
 
     def two_qubit_layers(self) -> list[Layer]:
         return [lay for lay in self.layers if lay.kind == "2q"]
+
+
+def layer_matrices(lay: Layer, n: int) -> list[np.ndarray]:
+    """Each qubit's product of a 1q layer's gates, in gate order; I on idle qubits."""
+    mats: list[np.ndarray | None] = [None] * n
+    for g in lay.gates:
+        m = g.matrix()
+        mats[g.q] = m if mats[g.q] is None else m @ mats[g.q]
+    return [_I2 if m is None else m for m in mats]
 
 
 def _one_q_layer_from_matrices(mats: list[np.ndarray]) -> Layer:
@@ -263,67 +264,61 @@ def _seed_int(seed) -> int | None:
 _PAULI_NAMES = ("I", "X", "Y", "Z")
 
 
-def _pauli_pair_conjugate(theta: float, p0: str, p1: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qubit factors of UZZ(theta) (P0 x P1) UZZ(theta)^dag, up to phase.
+def _frame_correction(theta: float, p0: str, p1: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit factors of UZZ(theta) (P0 x P1) UZZ(theta)^dag, theta a multiple of pi/2.
 
-    UZZ conjugation maps Pauli pairs to Pauli pairs; the phase is global and
-    dropped.  Found by scanning all 16 candidate pairs.
+    A pair with an even number of X/Y factors commutes with Z x Z and is left
+    unchanged.  Otherwise the conjugate is UZZ(2 theta) (P0 x P1), and
+    UZZ(2 theta) = cos(theta) I x I - i sin(theta) Z x Z has one nonzero term.
+    The phase rides on the first factor, so the product is exact.
     """
-    g = uzz_matrix(theta)
-    m = g @ np.kron(PAULIS[p0], PAULIS[p1]) @ g.conj().T
-    for a in _PAULI_NAMES:
-        for b in _PAULI_NAMES:
-            cand = np.kron(PAULIS[a], PAULIS[b])
-            overlap = np.trace(cand.conj().T @ m) / 4.0
-            if abs(abs(overlap) - 1.0) < 1e-10:
-                return PAULIS[a] * overlap, PAULIS[b]
-    raise RuntimeError("conjugated operator is not a Pauli pair")
+    a, b = PAULIS[p0], PAULIS[p1]
+    if (p0 in "XY") == (p1 in "XY"):
+        return a, b
+    cos, sin = round(math.cos(theta)), round(math.sin(theta))
+    if cos:
+        return cos * a, b
+    return (-1j * sin) * (_Z @ a), _Z @ b
 
 
 def build_mirror(c: Circuit, seed) -> Circuit:
     """Mirror circuit: run c, then its inverse, from a random basis state.
 
     The reverse half is Pauli randomized compiled: uniform random Pauli pairs
-    are folded in before each reverse gate and their frame corrections after
-    it, leaving the ideal unitary unchanged.  Reverse gates UZZ(-pi/2) are
-    realized as UZZ(+pi/2) with Z rotations folded into the neighboring
-    single-qubit layers, so the hardware-facing gate set never changes.  The
-    ideal circuit maps the initial bitstring to itself.
+    P0 x P1 are folded in before each reverse gate UZZ(t) and their frame
+    corrections after it, leaving the ideal unitary unchanged.  The
+    correction is UZZ(t) (P0 x P1) UZZ(t)^dag in closed form: P0 x P1 itself
+    when the pair has an even number of X/Y factors, else (Z P0) x (Z P1) up
+    to phase at t = +-pi/2 and P0 x P1 at t in {0, pi}.  Every ZZ angle must
+    therefore be a multiple of pi/2; any other angle raises ValueError before
+    anything is drawn.  Reverse gates UZZ(-pi/2) are realized as UZZ(+pi/2)
+    with Z rotations folded into the neighboring single-qubit layers, so the
+    hardware-facing gate set never changes.  The ideal circuit maps the
+    initial bitstring to itself.
     """
-    rng = np.random.default_rng(seed)
     h = c.depth
     if h < 1:
         raise ValueError("mirror needs a circuit with at least one 2q layer")
-    fwd_1q: list[list[np.ndarray]] = []
-    fwd_2q: list[Layer] = []
-    for lay in c.layers:
-        if lay.kind == "1q":
-            mats = [_I2] * c.n
-            for g in lay.gates:
-                mats[g.q] = g.matrix()
-            fwd_1q.append(mats)
-        else:
-            fwd_2q.append(lay)
+    fwd_2q = c.two_qubit_layers()
+    for lay in fwd_2q:
+        for g in lay.gates:
+            k = g.theta / (math.pi / 2.0)
+            if abs(k - round(k)) > 1e-12:
+                raise ValueError(f"mirror needs ZZ angles that are multiples of pi/2, "
+                                 f"got {g.theta!r}")
+    rng = np.random.default_rng(seed)
+    fwd_1q = [layer_matrices(lay, c.n) for lay in c.layers[0::2]]
 
     # single-qubit matrices for the 2h+1 layers of the mirrored circuit
-    mats: list[list[np.ndarray]] = []
-    for k in range(h):
-        mats.append([m.copy() for m in fwd_1q[k]])
-    mats.append([_I2.copy() for _ in range(c.n)])  # merged S_h^dag S_h
-    for k in range(h - 1, -1, -1):
-        mats.append([m.conj().T.copy() for m in fwd_1q[k]])
+    mats = fwd_1q[:h] + [[_I2] * c.n]  # merged S_h^dag S_h
+    mats += [[m.conj().T for m in fwd_1q[k]] for k in range(h - 1, -1, -1)]
 
-    two_q: list[tuple[TwoQubitGate, ...]] = []
-    for j in range(h):
-        two_q.append(fwd_2q[j].gates)
-    frame_entries = []
+    two_q = [lay.gates for lay in fwd_2q]
     for j in range(h, 2 * h):
-        src = fwd_2q[2 * h - j - 1]
         gates = []
-        for g in src.gates:
+        for g in fwd_2q[2 * h - j - 1].gates:
             p0, p1 = (_PAULI_NAMES[i] for i in rng.integers(0, 4, size=2))
-            frame_entries.append((j + 1, (g.q0, g.q1), p0, p1))
-            c0, c1 = _pauli_pair_conjugate(-g.theta, p0, p1)
+            c0, c1 = _frame_correction(-g.theta, p0, p1)
             # twirl inserts P before the ideal reverse gate, its frame
             # correction after it
             mats[j][g.q0] = PAULIS[p0] @ mats[j][g.q0]
@@ -352,7 +347,6 @@ def build_mirror(c: Circuit, seed) -> Circuit:
         seed=_seed_int(seed),
         graph=c.graph,
         initial_bits=bits,
-        frame=PauliFrame(tuple(frame_entries)),
     )
 
 
@@ -368,20 +362,11 @@ def build_transport_rb(c: Circuit, initial_bits: str | None = None, seed=0) -> C
     rng = np.random.default_rng(seed)
     if initial_bits is None:
         initial_bits = "".join(str(b) for b in rng.integers(0, 2, size=c.n))
-    one_q: list[list[np.ndarray]] = []
-    two_q: list[Layer] = []
-    for lay in c.layers:
-        if lay.kind == "1q":
-            mats = [_I2] * c.n
-            for g in lay.gates:
-                mats[g.q] = g.matrix()
-            one_q.append(mats)
-        else:
-            two_q.append(lay)
-    cumulative = [_I2.copy() for _ in range(c.n)]
+    one_q = [layer_matrices(lay, c.n) for lay in c.layers[0::2]]
+    two_q = c.two_qubit_layers()
+    cumulative = [_I2] * c.n
     for mats in one_q[:-1]:
-        for q in range(c.n):
-            cumulative[q] = mats[q] @ cumulative[q]
+        cumulative = [m @ cm for m, cm in zip(mats, cumulative)]
     final = [m.conj().T for m in cumulative]
 
     layers: list[Layer] = []

@@ -5,8 +5,7 @@ fidelities from simulated noisy runs, scan chain-truncation error rates,
 tabulate resampling distributions, and run interval-coverage studies.
 Every command is a pure function of its flags and seeds: re-running
 reproduces primary outputs byte for byte (manifest timestamps aside).
-Files are written atomically (temp file, then rename) and RCSW_THREADS
-caps the worker pool used for independent instances.
+Files are written atomically (temp file, then rename).
 """
 from __future__ import annotations
 
@@ -18,7 +17,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -121,24 +119,6 @@ class FidelityReport:
                 f"{lo},{hi},{self.n_samples},{seed}")
 
 
-def _max_workers() -> int:
-    env = os.environ.get("RCSW_THREADS")
-    if not env:
-        return min(4, os.cpu_count() or 1)
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"RCSW_THREADS must be an integer, got {env!r}") from None
-
-
-def _pool_map(fn, items) -> list:
-    items = list(items)
-    if len(items) <= 1 or _max_workers() == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=_max_workers()) as ex:
-        return list(ex.map(fn, items))
-
-
 def _atomic_write(path: Path, text: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
@@ -206,7 +186,7 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
         return summarize(c, tree, sliced_tree=sliced, seed=s)
 
     items = [(n, d, i) for n, d in _grid(cfg) for i in range(cfg.instances)]
-    summaries = _pool_map(one, items)
+    summaries = [one(item) for item in items]
     out = Path(cfg.out)
     rows_path = _write_csv(out / "cost_rows.csv", CSV_HEADER,
                            (s.csv_row() for s in summaries))
@@ -220,45 +200,35 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
     return [rows_path, sum_path]
 
 
-def _xeb_report(cfg: RunConfig, cs, nm) -> FidelityReport:
+def _fidelity_report(cfg: RunConfig, estimator: str, cs, nm, cap: int,
+                     traj_seed: int, boot_seed: int, score) -> FidelityReport:
+    """Bootstrap interval of the per-shot score(c, ideal probabilities, bits).
+
+    Circuit i of cs runs its trajectories from seed traj_seed + i; circuits
+    are simulated one at a time, so cs may be a generator.
+    """
     spt = max(1, -(-cfg.shots // cfg.trajectories))
     rows = []
-    total = 0
     for i, c in enumerate(cs):
-        ideal = statevector.run(c, cap=cfg.xeb_cap)
+        ideal = statevector.run(c, cap=cap)
         probs = ideal.probabilities()
         res = statevector.run_trajectories(
-            c, nm, cfg.trajectories, seed=cfg.seed + 1000 + i, shots_per_traj=spt,
+            c, nm, cfg.trajectories, seed=traj_seed + i, shots_per_traj=spt,
             ideal=ideal)
-        vals = np.array([2.0 ** c.n * probs[int(x, 2)] - 1.0
-                         for x in res.samples])
-        rows.append(vals)
-        total += vals.size
+        rows.append(np.array([score(c, probs, x) for x in res.samples]))
     ci = bootstrap_ci(ShotTable(tuple(rows)), method="aggregate",
-                      r=cfg.resamples, seed=cfg.seed + 101)
-    return FidelityReport("xeb", float(ci.estimate), float(ci.lo),
-                          float(ci.hi), total,
+                      r=cfg.resamples, seed=boot_seed)
+    return FidelityReport(estimator, float(ci.estimate), float(ci.lo),
+                          float(ci.hi), sum(r.size for r in rows),
                           {"trajectories": cfg.trajectories, "shots_per_traj": spt})
 
 
-def _mb_report(cfg: RunConfig, cs, nm) -> FidelityReport:
-    spt = max(1, -(-cfg.shots // cfg.trajectories))
-    rows = []
-    total = 0
-    for i, c in enumerate(cs):
-        mirror = circuits.build_mirror(c, seed=cfg.seed + 2000 + i)
-        res = statevector.run_trajectories(
-            mirror, nm, cfg.trajectories, seed=cfg.seed + 3000 + i,
-            shots_per_traj=spt)
-        vals = np.array([1.0 if x == mirror.initial_bits else 0.0
-                         for x in res.samples])
-        rows.append(vals)
-        total += vals.size
-    ci = bootstrap_ci(ShotTable(tuple(rows)), method="aggregate",
-                      r=cfg.resamples, seed=cfg.seed + 102)
-    return FidelityReport("mb", float(ci.estimate), float(ci.lo),
-                          float(ci.hi), total,
-                          {"trajectories": cfg.trajectories, "shots_per_traj": spt})
+def _xeb_score(c, probs, x) -> float:
+    return 2.0 ** c.n * probs[int(x, 2)] - 1.0
+
+
+def _mb_score(c, probs, x) -> float:
+    return 1.0 if x == c.initial_bits else 0.0
 
 
 def cmd_fidelity(cfg: RunConfig) -> list[Path]:
@@ -275,10 +245,16 @@ def cmd_fidelity(cfg: RunConfig) -> list[Path]:
                   "eps_2q": cfg.noise_eps2q, "eps_mem": cfg.noise_mem,
                   "p_spam": cfg.spam, "instances": cfg.instances,
                   "seed": cfg.seed}
+        mirrors = (circuits.build_mirror(c, seed=cfg.seed + 2000 + i)
+                   for i, c in enumerate(cs))
+        runs = (("xeb", cs, cfg.xeb_cap, 1000, 101, _xeb_score),
+                ("mb", mirrors, statevector.DEFAULT_CAP, 3000, 102, _mb_score))
         reports: list[FidelityReport] = []
-        for name, report in (("xeb", _xeb_report), ("mb", _mb_report)):
+        for name, run_cs, cap, traj_seed, boot_seed, score in runs:
             try:
-                reports.append(report(cfg, cs, nm))
+                reports.append(_fidelity_report(cfg, name, run_cs, nm, cap,
+                                                cfg.seed + traj_seed,
+                                                cfg.seed + boot_seed, score))
             except CapacityError as exc:  # keep the other estimators
                 print(f"rcsw fidelity: skipped {name} at n={n}, d={d}: {exc}",
                       file=sys.stderr)
@@ -311,7 +287,7 @@ def cmd_mps(cfg: RunConfig) -> list[Path]:
              for chi in cfg.chi
              for b in cfg.blocks
              for i in range(cfg.instances)]
-    rows = _pool_map(one, items)
+    rows = [one(item) for item in items]
     return [_write_csv(Path(cfg.out) / "mps_runs.csv", MPS_CSV_HEADER, rows)]
 
 
@@ -433,7 +409,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = config_from_args(args)
-        _max_workers()  # a bad RCSW_THREADS fails here, before any work
     except ValueError as exc:
         print(f"rcsw {args.command}: error: {exc}", file=sys.stderr)
         return 2

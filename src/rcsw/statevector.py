@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, Layer, PAULIS
+from .circuits import PAULIS, Circuit, Layer, layer_matrices
 from .errors import CapacityError
 
 DEFAULT_CAP = 26  # qubits; 2^26 complex128 amplitudes is 1 GiB
@@ -128,15 +128,11 @@ class _OneQubitLayer:
     dephased = False
 
     def __init__(self, lay: Layer, n: int):
-        mats: list[np.ndarray | None] = [None] * n
-        for g in lay.gates:
-            m = g.matrix()
-            mats[g.q] = m if mats[g.q] is None else m @ mats[g.q]
         self.blocks = []
         if lay.gates:
+            mats = layer_matrices(lay, n)
             for hi in range(n, 0, -_BLOCK):
-                ops = [PAULIS["I"] if m is None else m for m in mats[max(0, hi - _BLOCK):hi]]
-                self.blocks.append(functools.reduce(_kron, ops))
+                self.blocks.append(functools.reduce(_kron, mats[max(0, hi - _BLOCK):hi]))
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         for k in self.blocks:

@@ -10,13 +10,14 @@ for nonzero coupling angles.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..circuits import Circuit, uzz_matrix
+from ..circuits import PAULIS, Circuit, uzz_matrix
 
-_SVD_TOL = 1e-12
+_RANK_TOL = 1e-12
 
 
 @dataclass
@@ -70,15 +71,17 @@ def _basis_vector(bit: str) -> np.ndarray:
 def _schmidt_split(theta: float) -> tuple[np.ndarray, np.ndarray]:
     """Split the entangler across its two wires.
 
-    Returns (A[out_a, in_a, k], B[k, out_b, in_b]) with k the bond index;
-    the bond dimension is the Schmidt rank (2 away from theta = 0 mod 2pi).
+    Returns (A[out_a, in_a, k], B[k, out_b, in_b]) with k the bond index,
+    from the operator-Schmidt form UZZ(theta) = cos(theta/2) I x I
+    - i sin(theta/2) Z x Z.  A term whose weight is at most _RANK_TOL of
+    the larger one is dropped, so the bond dimension is 2 away from
+    theta = 0 mod pi.
     """
-    g = uzz_matrix(theta).reshape(2, 2, 2, 2)  # [oa, ob, ia, ib]
-    m = g.transpose(0, 2, 1, 3).reshape(4, 4)  # [(oa ia), (ob ib)]
-    u, s, vh = np.linalg.svd(m)
-    r = max(1, int((s > _SVD_TOL * s[0]).sum()))
-    a = (u[:, :r] * np.sqrt(s[:r])).reshape(2, 2, r)
-    b = (np.sqrt(s[:r])[:, None] * vh[:r]).reshape(r, 2, 2)
+    terms = ((math.cos(0.5 * theta), PAULIS["I"]), (-1j * math.sin(0.5 * theta), PAULIS["Z"]))
+    top = max(abs(w) for w, _ in terms)
+    kept = [(w, p) for w, p in terms if abs(w) > _RANK_TOL * top]
+    a = np.stack([w * p for w, p in kept], axis=2)
+    b = np.stack([p for _, p in kept])
     return a, b
 
 

@@ -142,6 +142,35 @@ def run_trajectories_reference(c: Circuit, nm: NoiseModel, n_traj: int, seed,
     return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps, samples)
 
 
+def pauli_pair_conjugate_reference(theta: float, p0: str, p1: str
+                                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit factors of UZZ(theta) (P0 x P1) UZZ(theta)^dag, the phase on
+    the first, found by scanning all 16 candidate pairs.  The reference for
+    the closed-form frame correction in ``rcsw.circuits``."""
+    g = uzz_matrix(theta)
+    m = g @ np.kron(PAULIS[p0], PAULIS[p1]) @ g.conj().T
+    for a in "IXYZ":
+        for b in "IXYZ":
+            cand = np.kron(PAULIS[a], PAULIS[b])
+            overlap = np.trace(cand.conj().T @ m) / 4.0
+            if abs(abs(overlap) - 1.0) < 1e-10:
+                return PAULIS[a] * overlap, PAULIS[b]
+    raise RuntimeError("conjugated operator is not a Pauli pair")
+
+
+def schmidt_split_svd_reference(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The entangler split by an SVD of its 4x4 operator-Schmidt matrix,
+    dropping singular values at most 1e-12 of the largest.  The reference for
+    the closed-form split in ``rcsw.tn.network``."""
+    g = uzz_matrix(theta).reshape(2, 2, 2, 2)  # [oa, ob, ia, ib]
+    m = g.transpose(0, 2, 1, 3).reshape(4, 4)  # [(oa ia), (ob ib)]
+    u, s, vh = np.linalg.svd(m)
+    r = max(1, int((s > 1e-12 * s[0]).sum()))
+    a = (u[:, :r] * np.sqrt(s[:r])).reshape(2, 2, r)
+    b = (np.sqrt(s[:r])[:, None] * vh[:r]).reshape(r, 2, 2)
+    return a, b
+
+
 def rg_circuit(n: int, d: int, seed: int) -> Circuit:
     cg = graphs.sample_colored_graph(n, d, seed=seed)
     return build_rg_circuit(cg, seed=seed + 1)

@@ -8,12 +8,13 @@ from hypothesis import given, settings, strategies as st
 from rcsw import circuits, graphs
 from rcsw.circuits import (
     Circuit, Layer, OneQubitGate, TwoQubitGate,
-    build_2d_circuit, build_mirror, build_rg_circuit, build_transport_rb,
-    circuit_from_qasm, deserialize, export_qasm, haar_su2, rz_matrix,
-    serialize, su2_decompose, su2_matrix, u1q_matrix, uzz_matrix,
+    build_2d_circuit, build_brickwork_circuit, build_instance, build_mirror,
+    build_rg_circuit, build_transport_rb, circuit_from_qasm, deserialize,
+    export_qasm, haar_su2, layer_matrices, rz_matrix, serialize, su2_decompose,
+    su2_matrix, u1q_matrix, uzz_matrix,
 )
 from rcsw.errors import ParseError
-from helpers import dense_unitary, phase_aligned
+from helpers import dense_unitary, pauli_pair_conjugate_reference, phase_aligned
 
 
 class TestSu2:
@@ -129,6 +130,83 @@ class TestBuilders:
         idx = int(t.initial_bits, 2)
         out = u[:, idx]
         assert abs(out[idx]) == pytest.approx(1.0, abs=1e-10)
+
+
+def _with_zz_angles(c: Circuit, angles) -> Circuit:
+    """c with its ZZ angles replaced, cycling through angles gate by gate."""
+    it = iter(angles * c.n_2q)
+    layers = tuple(lay if lay.kind == "1q" else Layer("2q", tuple(
+        TwoQubitGate(g.q0, g.q1, next(it)) for g in lay.gates)) for lay in c.layers)
+    return Circuit(n=c.n, layers=layers, ensemble=c.ensemble, seed=c.seed)
+
+
+def _two_gates_on_qubit_0() -> Circuit:
+    c = build_instance("rg", 4, 2, 1)
+    first = Layer("1q", c.layers[0].gates + (OneQubitGate(0, 0.4, 1.1, -0.3),))
+    return Circuit(n=c.n, layers=(first,) + c.layers[1:], ensemble="rg", seed=1)
+
+
+class TestMirrorAlgebra:
+    """The closed-form frame correction against the 16-candidate scan."""
+
+    @pytest.mark.parametrize("theta", [-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi])
+    def test_correction_matches_scan(self, theta):
+        g = uzz_matrix(theta)
+        for p0 in "IXYZ":
+            for p1 in "IXYZ":
+                c0, c1 = circuits._frame_correction(theta, p0, p1)
+                o0, o1 = pauli_pair_conjugate_reference(theta, p0, p1)
+                conj = g @ np.kron(circuits.PAULIS[p0], circuits.PAULIS[p1]) @ g.conj().T
+                assert np.allclose(np.kron(c0, c1), np.kron(o0, o1), atol=1e-12, rtol=0)
+                assert np.allclose(np.kron(c0, c1), conj, atol=1e-12, rtol=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rejects_other_angles(self, seed):
+        c = _with_zz_angles(build_instance("rg", 6, 3, seed), [0.7])
+        with pytest.raises(ValueError, match="0.7"):
+            build_mirror(c, seed=seed)
+
+    @pytest.mark.parametrize("name", ["rg", "2d", "brickwork", "quarter-turns"])
+    def test_mirror_matches_scan_built(self, name, monkeypatch):
+        c = {"rg": lambda: build_instance("rg", 6, 3, 4),
+             "2d": lambda: build_instance("2d", 6, 4, 5),
+             "brickwork": lambda: build_brickwork_circuit(6, 4, 6),
+             "quarter-turns": lambda: _with_zz_angles(
+                 build_instance("rg", 6, 5, 7),
+                 [math.pi / 2, -math.pi / 2, math.pi, 0.0, -math.pi, 1.5 * math.pi]),
+             }[name]()
+        got = build_mirror(c, seed=11)
+        monkeypatch.setattr(circuits, "_frame_correction", pauli_pair_conjugate_reference)
+        want = build_mirror(c, seed=11)
+        assert got.initial_bits == want.initial_bits
+        ug, uw = dense_unitary(got), dense_unitary(want)
+        assert np.max(np.abs(phase_aligned(uw, ug) - uw)) < 1e-12
+        assert np.max(np.abs(phase_aligned(uw, np.eye(2 ** c.n)) - uw)) < 1e-12
+
+    def test_two_gates_on_one_qubit(self):
+        c = _two_gates_on_qubit_0()
+        h = c.depth
+        m = build_mirror(c, seed=3)
+
+        def forward(circ):
+            return dense_unitary(Circuit(n=c.n, layers=circ.layers[:2 * h] + (Layer("1q", ()),)))
+
+        uc, um = forward(c), forward(m)
+        assert np.max(np.abs(phase_aligned(uc, um) - uc)) < 1e-12
+        t = build_transport_rb(c, seed=7)
+        for src, lay in zip(c.layers[0:-1:2], t.layers[0:-1:2]):
+            want = layer_matrices(src, c.n)
+            for g in lay.gates:
+                assert np.max(np.abs(phase_aligned(want[g.q], g.matrix()) - want[g.q])) < 1e-12
+        u = dense_unitary(t)
+        idx = int(t.initial_bits, 2)
+        assert abs(u[idx, idx]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_layer_matrices_compose_in_gate_order(self):
+        a, b = OneQubitGate(1, 0.3, 0.5, 0.7), OneQubitGate(1, 1.1, 0.4, -0.2)
+        mats = layer_matrices(Layer("1q", (a, b)), 3)
+        assert np.array_equal(mats[1], b.matrix() @ a.matrix())
+        assert np.array_equal(mats[0], np.eye(2)) and np.array_equal(mats[2], np.eye(2))
 
 
 class TestSerialization:

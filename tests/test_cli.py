@@ -225,23 +225,6 @@ class TestConfig:
             cli.main([])
         assert exc.value.code != 0
 
-    def test_threads_env_respected(self, monkeypatch):
-        monkeypatch.setenv("RCSW_THREADS", "1")
-        assert cli._max_workers() == 1
-        monkeypatch.setenv("RCSW_THREADS", "3")
-        assert cli._max_workers() == 3
-
-    def test_thread_count_does_not_change_results(self, tmp_path, monkeypatch):
-        args = ["mps", "--n", "8", "--d", "4", "--instances", "2",
-                "--chi", "4", "--blocks", "2", "--seed", "4"]
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        monkeypatch.setenv("RCSW_THREADS", "4")
-        run_cli(args + ["--out", str(out1)])
-        monkeypatch.setenv("RCSW_THREADS", "1")
-        run_cli(args + ["--out", str(out2)])
-        assert (out1 / "mps_runs.csv").read_bytes() == \
-            (out2 / "mps_runs.csv").read_bytes()
-
 
 @pytest.mark.parametrize("argv", [
     ["fidelity", "--trajectories", "0"],
@@ -258,14 +241,6 @@ def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"rcsw {argv[0]}: error: ") and err.count("\n") == 1
-    assert not out.exists()
-
-
-def test_non_integer_threads_exit_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("RCSW_THREADS", "two")
-    out = tmp_path / "never"
-    assert cli.main(["cost", "--n", "6", "--d", "3", "--out", str(out)]) == 2
-    assert "RCSW_THREADS" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -1,13 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import analyze_merges_reference, rg_circuit
+from helpers import analyze_merges_reference, rg_circuit, schmidt_split_svd_reference
 from rcsw.circuits import (
     Circuit,
     Layer,
     OneQubitGate,
+    TwoQubitGate,
     build_brickwork_circuit,
     build_mirror,
     build_transport_rb,
@@ -23,6 +26,7 @@ from rcsw.tn import (
     optimize_order,
     slice_tree,
 )
+from rcsw.tn import network
 from rcsw.tn.tree import analyze_merges, leg_sets
 
 
@@ -168,6 +172,30 @@ def test_stats_recompute_matches_cached():
     assert again.flops == tree.stats.flops
     assert again.width == tree.stats.width
     assert tree.stats.flops >= 2.0 ** tree.stats.max_rank
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-13, math.pi / 2, math.pi, 0.7])
+def test_closed_form_split_matches_svd(theta, monkeypatch):
+    a, b = network._schmidt_split(theta)
+    ra, rb = schmidt_split_svd_reference(theta)
+    assert a.shape == ra.shape and b.shape == rb.shape
+    gate = np.einsum("aik,kbj->abij", a, b).reshape(4, 4)
+    want = np.einsum("aik,kbj->abij", ra, rb).reshape(4, 4)
+    assert np.max(np.abs(gate - want)) < 1e-12
+    base = rg_circuit(6, 3, seed=2)
+    c = Circuit(n=6, layers=tuple(
+        lay if lay.kind == "1q" else
+        Layer("2q", tuple(TwoQubitGate(g.q0, g.q1, theta) for g in lay.gates))
+        for lay in base.layers))
+    bits = "011010"
+    tn = circuit_to_tn(c, bitstring_out=bits)
+    tree = optimize_order(tn, budget=2, seed=0)
+    monkeypatch.setattr(network, "_schmidt_split", schmidt_split_svd_reference)
+    ref = circuit_to_tn(c, bitstring_out=bits)
+    assert tn.dims == ref.dims and tn.indices == ref.indices
+    amp, ref_amp = execute_tree(tn, tree), execute_tree(ref, tree)
+    assert abs(amp - ref_amp) < 1e-12
+    assert abs(amp - amplitude_oracle(c, bits)) < 1e-12
 
 
 # ------------------------------------------------------------- execute
