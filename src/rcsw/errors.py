@@ -2,7 +2,12 @@
 
 
 class ParityError(ValueError):
-    """Raised when n * degree is odd and no regular graph can exist."""
+    """Raised on a node-count parity no request can satisfy.
+
+    Either n * degree is odd, so no regular graph exists, or n is odd when a
+    proper degree-edge-coloring is asked for: every color class would have
+    to be a perfect matching, and an odd node count has none.
+    """
 
 
 class DegreeError(ValueError):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .errors import DegreeError, ParityError, ParseError, RejectSignal
@@ -172,17 +171,28 @@ def _has_suitable_pair(stubs, edges) -> bool:
     return False
 
 
+def _require_even(n: int, d: int):
+    if n % 2:
+        raise ParityError(
+            f"n = {n} is odd: a {d}-regular graph on an odd number of nodes has "
+            f"no perfect matching, so it has no proper {d}-edge-coloring")
+
+
 def edge_color(g: RegularGraph, max_attempts: int = 64, seed=0) -> ColoredGraph:
     """Properly color g's edges with exactly g.degree colors.
 
     Peels one perfect matching per color.  Random edge weights steer the
     matching search so retries explore different decompositions; if every
     attempt stalls (the graph may have chromatic index d+1) RejectSignal is
-    raised and the caller should resample the graph.
+    raised and the caller should resample the graph.  An odd node count
+    raises ParityError before any attempt.
     """
+    _require_even(g.n, g.degree)
     rng = np.random.default_rng(seed)
+    eu = [u for u, _ in g.edges]
+    ev = [v for _, v in g.edges]
     for _ in range(max_attempts):
-        colors = _try_peel_matchings(g, rng)
+        colors = _try_peel_matchings(g.n, g.degree, eu, ev, rng)
         if colors is not None:
             return ColoredGraph(g, tuple(colors))
     raise RejectSignal(
@@ -190,35 +200,392 @@ def edge_color(g: RegularGraph, max_attempts: int = 64, seed=0) -> ColoredGraph:
     )
 
 
-def _try_peel_matchings(g: RegularGraph, rng: np.random.Generator):
-    edge_index = {e: i for i, e in enumerate(g.edges)}
-    remaining = list(g.edges)
-    colors = [-1] * len(g.edges)
-    for color in range(g.degree):
-        if not remaining:
-            return None
-        target = len({u for e in remaining for u in e}) // 2
-        gg = nx.Graph()
-        gg.add_nodes_from(range(g.n))
-        for u, v in remaining:
-            gg.add_edge(u, v, weight=float(rng.random()))
-        matching = nx.max_weight_matching(gg, maxcardinality=True)
-        if len(matching) < target:
+def _try_peel_matchings(n: int, d: int, eu: list[int], ev: list[int],
+                        rng: np.random.Generator):
+    # One draw per remaining edge, in edge order.  Each draw is exactly
+    # k * 2**-53 and the matcher gets the integer k, so it finds the true
+    # optimum, which is unique almost surely.  After c perfect matchings the
+    # rest is (d - c)-regular, so every node still has an edge.
+    remaining = list(range(len(eu)))
+    colors = [-1] * len(eu)
+    for color in range(d):
+        weights = (rng.random(len(remaining)) * 2.0 ** 53).astype(np.int64).tolist()
+        matched = _max_weight_matching(
+            n, [eu[e] for e in remaining], [ev[e] for e in remaining], weights)
+        if 2 * len(matched) < n:
             return None  # stalled; remaining graph has no perfect matching
-        matched = {(min(u, v), max(u, v)) for u, v in matching}
-        for e in matched:
-            colors[edge_index[e]] = color
-        remaining = [e for e in remaining if e not in matched]
-    if remaining:
-        return None
+        for i in matched:
+            colors[remaining[i]] = color
+        taken = set(matched)
+        remaining = [e for i, e in enumerate(remaining) if i not in taken]
     return colors
 
 
+def _max_weight_matching(n: int, eu: list[int], ev: list[int],
+                         w: list[int]) -> list[int]:
+    """Maximum-weight matching among the maximum-cardinality matchings.
+
+    Edmonds' primal-dual blossom method (Galil, ACM Comput. Surv. 18, 23
+    (1986)) over nodes 0..n-1 and edges k = (eu[k], ev[k]) with integer
+    weights w[k] >= 0.  Vertex duals are kept doubled and the slack of edge
+    k is dual[u] + dual[v] - 2 w[k], so every dual update is an exact
+    integer.  Returns the indices of the matched edges, sorted.
+
+    Edge k has endpoints 2k (eu[k]) and 2k+1 (ev[k]); ``p ^ 1`` is the other
+    end.  Ids 0..n-1 are vertices (trivial blossoms) and n..2n-1 are
+    non-trivial blossoms.
+    """
+    m = len(eu)
+    if m == 0:
+        return []
+    endpoint = [0] * (2 * m)
+    endpoint[0::2] = eu
+    endpoint[1::2] = ev
+    w2 = [2 * x for x in w]
+    # nbrs[v]: (edge, neighbour, v's endpoint) for each edge at v
+    nbrs: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for k in range(m):
+        nbrs[eu[k]].append((k, ev[k], 2 * k))
+        nbrs[ev[k]].append((k, eu[k], 2 * k + 1))
+    # mate[v]: remote endpoint of v's matched edge, or -1
+    mate = [-1] * n
+    # label[b]: 0 free, 1 S, 2 T (5 marks a breadcrumb in scan_blossom);
+    # for a vertex inside a T-blossom, 2 iff reached from outside it
+    label = [0] * (2 * n)
+    # labelend[b]: remote endpoint of the edge b got its label through
+    labelend = [-1] * (2 * n)
+    inblossom = list(range(n))  # top-level blossom of each vertex
+    blossomparent = [-1] * (2 * n)
+    # blossomchilds[b]: sub-blossoms from the base round the cycle;
+    # blossomendps[b][i]: endpoint in child i of the edge to child i+1
+    blossomchilds: list = [None] * (2 * n)
+    blossomendps: list = [None] * (2 * n)
+    blossombase = list(range(n)) + [-1] * n
+    # bestedge[b]: least-slack edge to a different S-blossom (b an S-blossom)
+    # or from an S-vertex (b free or inside a T-blossom), -1 if none
+    bestedge = [-1] * (2 * n)
+    # blossombestedges[b]: least-slack edges to neighbouring S-blossoms
+    blossombestedges: list = [None] * (2 * n)
+    unused = list(range(n, 2 * n))
+    # dualvar[v] = 2 u(v) for vertices; dualvar[b] = z(b) for blossoms
+    dualvar = [max(w)] * n + [0] * n
+    allowedge = [False] * m  # edge known to have zero slack
+    queue: list[int] = []
+
+    def slack(k):
+        return dualvar[endpoint[2 * k]] + dualvar[endpoint[2 * k + 1]] - w2[k]
+
+    def leaves(b):
+        if b < n:
+            return [b]
+        out, stack = [], [b]
+        while stack:
+            t = stack.pop()
+            if t < n:
+                out.append(t)
+            else:
+                stack.extend(blossomchilds[t])
+        return out
+
+    def assign_label(v, t, p):
+        # label the top-level blossom of v with t, reached through endpoint p
+        while True:
+            b = inblossom[v]
+            label[v] = label[b] = t
+            labelend[v] = labelend[b] = p
+            bestedge[v] = bestedge[b] = -1
+            if t == 1:
+                queue.extend(leaves(b))
+                return
+            # a T-blossom's base mate becomes S
+            pm = mate[blossombase[b]]
+            v, t, p = endpoint[pm], 1, pm ^ 1
+
+    def scan_blossom(v, u):
+        # trace back from v and u alternately: the base of a new blossom,
+        # or -1 for an augmenting path
+        path = []
+        base = -1
+        while v != -1:
+            b = inblossom[v]
+            if label[b] & 4:
+                base = blossombase[b]
+                break
+            path.append(b)
+            label[b] = 5
+            if labelend[b] == -1:
+                v = -1  # reached a single vertex
+            else:
+                v = endpoint[labelend[inblossom[endpoint[labelend[b]]]]]
+            if u != -1:
+                v, u = u, v
+        for b in path:
+            label[b] = 1
+        return base
+
+    def add_blossom(base, k):
+        v, u = endpoint[2 * k], endpoint[2 * k + 1]
+        bb, bv, bu = inblossom[base], inblossom[v], inblossom[u]
+        b = unused.pop()
+        blossombase[b] = base
+        blossomparent[b] = -1
+        blossomparent[bb] = b
+        path, endps = [], []
+        while bv != bb:
+            blossomparent[bv] = b
+            path.append(bv)
+            endps.append(labelend[bv])
+            bv = inblossom[endpoint[labelend[bv]]]
+        path.append(bb)
+        path.reverse()
+        endps.reverse()
+        endps.append(2 * k)
+        while bu != bb:
+            blossomparent[bu] = b
+            path.append(bu)
+            endps.append(labelend[bu] ^ 1)
+            bu = inblossom[endpoint[labelend[bu]]]
+        blossomchilds[b] = path
+        blossomendps[b] = endps
+        label[b] = 1
+        labelend[b] = labelend[bb]
+        dualvar[b] = 0
+        for x in leaves(b):
+            if label[inblossom[x]] == 2:
+                queue.append(x)  # a T-vertex turns S inside the new blossom
+            inblossom[x] = b
+        bestto: dict[int, int] = {}
+        for sub in path:
+            nb = blossombestedges[sub]
+            if nb is None:
+                nb = [k for x in leaves(sub) for k, _, _ in nbrs[x]]
+            for e in nb:
+                j = endpoint[2 * e + 1]
+                if inblossom[j] == b:
+                    j = endpoint[2 * e]
+                bj = inblossom[j]
+                if bj != b and label[bj] == 1:
+                    cur = bestto.get(bj, -1)
+                    if cur == -1 or slack(e) < slack(cur):
+                        bestto[bj] = e
+            blossombestedges[sub] = None
+            bestedge[sub] = -1
+        blossombestedges[b] = best = list(bestto.values())
+        bestedge[b] = min(best, key=slack) if best else -1
+
+    def expand_blossom(b, endstage):
+        for s in blossomchilds[b]:
+            blossomparent[s] = -1
+            if s < n:
+                inblossom[s] = s
+            elif endstage and dualvar[s] == 0:
+                expand_blossom(s, endstage)
+            else:
+                for x in leaves(s):
+                    inblossom[x] = s
+        if not endstage and label[b] == 2:
+            # relabel the sub-blossoms on the even path from the entry
+            # child to the base; the odd side keeps only reached vertices
+            childs, endps = blossomchilds[b], blossomendps[b]
+            entry = inblossom[endpoint[labelend[b] ^ 1]]
+            j = childs.index(entry)
+            if j & 1:
+                j -= len(childs)
+                jstep, trick = 1, 0
+            else:
+                jstep, trick = -1, 1
+            p = labelend[b]
+            while j != 0:
+                label[endpoint[p ^ 1]] = 0
+                label[endpoint[endps[j - trick] ^ trick ^ 1]] = 0
+                assign_label(endpoint[p ^ 1], 2, p)
+                allowedge[endps[j - trick] >> 1] = True
+                j += jstep
+                p = endps[j - trick] ^ trick
+                allowedge[p >> 1] = True
+                j += jstep
+            bv = childs[j]
+            label[endpoint[p ^ 1]] = label[bv] = 2
+            labelend[endpoint[p ^ 1]] = labelend[bv] = p
+            bestedge[bv] = -1
+            j += jstep
+            while childs[j] != entry:
+                bv = childs[j]
+                j += jstep
+                if label[bv] == 1:
+                    continue  # labelled S through a neighbour meanwhile
+                reached = [x for x in leaves(bv) if label[x] != 0]
+                if reached:
+                    x = reached[0]
+                    label[x] = 0
+                    label[endpoint[mate[blossombase[bv]]]] = 0
+                    assign_label(x, 2, labelend[x])
+        label[b] = labelend[b] = -1
+        blossomchilds[b] = blossomendps[b] = blossombestedges[b] = None
+        blossombase[b] = -1
+        bestedge[b] = -1
+        unused.append(b)
+
+    def augment_blossom(b, v):
+        # swap matched and unmatched edges on the path from v to b's base
+        t = v
+        while blossomparent[t] != b:
+            t = blossomparent[t]
+        if t >= n:
+            augment_blossom(t, v)
+        childs, endps = blossomchilds[b], blossomendps[b]
+        # go round the even-length side to the base; going backwards, the
+        # edge to child j is endps[j - 1] read from its other end
+        i = j = childs.index(t)
+        if i & 1:
+            j -= len(childs)
+            jstep, trick = 1, 0
+        else:
+            jstep, trick = -1, 1
+        while j != 0:
+            j += jstep
+            t = childs[j]
+            p = endps[j - trick] ^ trick
+            if t >= n:
+                augment_blossom(t, endpoint[p])
+            j += jstep
+            t = childs[j]
+            if t >= n:
+                augment_blossom(t, endpoint[p ^ 1])
+            mate[endpoint[p]] = p ^ 1
+            mate[endpoint[p ^ 1]] = p
+        blossomchilds[b] = childs[i:] + childs[:i]
+        blossomendps[b] = endps[i:] + endps[:i]
+        blossombase[b] = blossombase[blossomchilds[b][0]]
+
+    def augment_matching(k):
+        for s, p in ((endpoint[2 * k], 2 * k + 1), (endpoint[2 * k + 1], 2 * k)):
+            while True:
+                bs = inblossom[s]
+                if bs >= n:
+                    augment_blossom(bs, s)
+                mate[s] = p
+                if labelend[bs] == -1:
+                    break  # reached a single vertex
+                bt = inblossom[endpoint[labelend[bs]]]
+                s = endpoint[labelend[bt]]
+                j = endpoint[labelend[bt] ^ 1]
+                if bt >= n:
+                    augment_blossom(bt, j)
+                mate[j] = labelend[bt]
+                p = labelend[bt] ^ 1
+
+    for _ in range(n):
+        # a stage: grow alternating trees from every single vertex until
+        # one augmentation, adjusting duals whenever the trees are stuck
+        label[:] = [0] * (2 * n)
+        bestedge[:] = [-1] * (2 * n)
+        blossombestedges[n:] = [None] * n
+        allowedge[:] = [False] * m
+        queue.clear()
+        for v in range(n):
+            if mate[v] == -1 and label[inblossom[v]] == 0:
+                assign_label(v, 1, -1)
+        augmented = False
+        while True:
+            while queue and not augmented:
+                v = queue.pop()
+                bv = inblossom[v]
+                dv = dualvar[v]
+                for k, u, pr in nbrs[v]:
+                    bu = inblossom[u]
+                    if bv == bu:
+                        continue
+                    if not allowedge[k]:
+                        kslack = dv + dualvar[u] - w2[k]
+                        if kslack <= 0:
+                            allowedge[k] = True
+                    if allowedge[k]:
+                        if label[bu] == 0:
+                            assign_label(u, 2, pr)
+                        elif label[bu] == 1:
+                            base = scan_blossom(v, u)
+                            if base >= 0:
+                                add_blossom(base, k)
+                                bv = inblossom[v]
+                            else:
+                                augment_matching(k)
+                                augmented = True
+                                break
+                        elif label[u] == 0:
+                            label[u] = 2  # reached inside a T-blossom
+                            labelend[u] = pr
+                    elif label[bu] == 1:
+                        e = bestedge[bv]
+                        if e == -1 or kslack < (dualvar[endpoint[2 * e]]
+                                                + dualvar[endpoint[2 * e + 1]] - w2[e]):
+                            bestedge[bv] = k
+                    elif label[u] == 0:
+                        e = bestedge[u]
+                        if e == -1 or kslack < (dualvar[endpoint[2 * e]]
+                                                + dualvar[endpoint[2 * e + 1]] - w2[e]):
+                            bestedge[u] = k
+            if augmented:
+                break
+            # no augmenting path over tight edges: the least dual change
+            # that tightens an edge (delta2, delta3) or empties a T-blossom
+            # dual (delta4); with none left, the matching is optimal
+            tops = set(inblossom)
+            lab = [label[b] for b in inblossom]
+            deltatype, delta, deltaedge = -1, 0, -1
+            for v in range(n):
+                if lab[v] == 0 and bestedge[v] != -1:
+                    d = slack(bestedge[v])
+                    if deltatype == -1 or d < delta:
+                        deltatype, delta, deltaedge = 2, d, bestedge[v]
+            for b in tops:
+                lb = label[b]
+                if lb == 1:
+                    e = bestedge[b]
+                    if e != -1:
+                        d = slack(e) // 2  # even: both ends are S
+                        if deltatype == -1 or d < delta:
+                            deltatype, delta, deltaedge = 3, d, e
+                elif lb == 2 and b >= n and (deltatype == -1 or dualvar[b] < delta):
+                    deltatype, delta, deltaedge = 4, dualvar[b], b
+            if deltatype == -1:
+                break
+            dualvar[:n] = [x - delta if lv == 1 else x + delta if lv == 2 else x
+                           for x, lv in zip(dualvar, lab)]
+            for b in tops:
+                if b >= n:
+                    if label[b] == 1:
+                        dualvar[b] += delta
+                    elif label[b] == 2:
+                        dualvar[b] -= delta
+            if deltatype == 4:
+                expand_blossom(deltaedge, False)
+            else:
+                allowedge[deltaedge] = True
+                i = endpoint[2 * deltaedge]
+                if label[inblossom[i]] != 1:
+                    i = endpoint[2 * deltaedge + 1]
+                queue.append(i)
+        if not augmented:
+            break
+        for b in range(n, 2 * n):
+            if (blossomparent[b] == -1 and blossombase[b] >= 0 and label[b] == 1
+                    and dualvar[b] == 0):
+                expand_blossom(b, True)
+    return sorted(mate[v] >> 1 for v in range(n) if mate[v] != -1 and mate[v] & 1)
+
+
 def sample_colored_graph(n: int, d: int, seed) -> ColoredGraph:
-    """Sample graphs until one admits a proper d-coloring; returns the coloring."""
+    """Sample graphs until one admits a proper d-coloring; returns the coloring.
+
+    An odd n raises ParityError before any graph is drawn.
+    """
+    _require_even(n, d)
     base = np.random.SeedSequence(seed)
-    for child in base.spawn(256):
-        g_seed, c_seed = child.spawn(2)
+    for _ in range(256):
+        # one child at a time: the same children as spawn(256), without
+        # building the 255 that a first success never uses
+        g_seed, c_seed = base.spawn(1)[0].spawn(2)
         g = sample_regular_graph(n, d, g_seed)
         try:
             return edge_color(g, seed=c_seed)

@@ -69,9 +69,11 @@ def _greedy_merges(legs: list[int], live: int, rng,
                    noise: float) -> list[tuple[int, int]]:
     """Merge the neighbour pair sharing the most live legs, repeatedly.
 
-    Merging a and b changes the log2 size by -2 * log2_size(a & b): the
-    shared legs close and no others open, so the score only counts shared
-    legs (the linear-size greedy of Gray & Kourtis, arXiv:2002.01935).
+    The score is -2 * log2_size(a & b), optionally plus Gaussian noise: it
+    counts only the live legs a and b share and ignores how large a and b
+    are.  It is not the linear-size score of Gray & Kourtis
+    (arXiv:2002.01935), size(a ^ b) - size(a) - size(b) in entries; that
+    score is an open roadmap item.
     """
     n_leaves = len(legs)
     node = dict(enumerate(legs))

@@ -171,6 +171,36 @@ def schmidt_split_svd_reference(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def edge_color_networkx_reference(g: graphs.RegularGraph, max_attempts: int = 64,
+                                  seed=0) -> tuple[int, ...] | None:
+    """``graphs.edge_color``'s colors, each matching found by networkx's
+    ``max_weight_matching`` on the float draws; None where it would raise
+    RejectSignal.  The reference for the blossom matcher in ``rcsw.graphs``."""
+    import networkx as nx
+
+    rng = np.random.default_rng(seed)
+    edge_index = {e: i for i, e in enumerate(g.edges)}
+    for _ in range(max_attempts):
+        remaining = list(g.edges)
+        colors = [-1] * len(g.edges)
+        for color in range(g.degree):
+            target = len({u for e in remaining for u in e}) // 2
+            gg = nx.Graph()
+            gg.add_nodes_from(range(g.n))
+            for u, v in remaining:
+                gg.add_edge(u, v, weight=float(rng.random()))
+            matching = nx.max_weight_matching(gg, maxcardinality=True)
+            if len(matching) < target:
+                break  # stalled; remaining graph has no perfect matching
+            matched = {(min(u, v), max(u, v)) for u, v in matching}
+            for e in matched:
+                colors[edge_index[e]] = color
+            remaining = [e for e in remaining if e not in matched]
+        else:
+            return tuple(colors)
+    return None
+
+
 def rg_circuit(n: int, d: int, seed: int) -> Circuit:
     cg = graphs.sample_colored_graph(n, d, seed=seed)
     return build_rg_circuit(cg, seed=seed + 1)

@@ -253,9 +253,10 @@ def test_partition_method_removed():
 
 
 def test_import_defers_scipy_submodules():
-    # fidelity, cost and mps runs never call the fits, quadratures or binomials
+    # fidelity, cost and mps runs never call the fits, quadratures or binomials;
+    # networkx is only the tests' matching oracle
     code = ("import sys, rcsw.cli; print(sorted(m for m in ('scipy.stats', "
-            "'scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+            "'scipy.integrate', 'scipy.optimize', 'networkx') if m in sys.modules))")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

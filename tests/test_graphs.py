@@ -8,12 +8,43 @@ from hypothesis import given, settings, strategies as st
 from rcsw import graphs
 from rcsw.errors import DegreeError, ParityError, ParseError, RejectSignal
 
+from helpers import edge_color_networkx_reference
+
 
 def petersen_edges():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     return outer + spokes + inner
+
+
+def best_matching_brute_force(n, edges, w):
+    """(cardinality, weight) of the best matching, enumerating every matching."""
+    adj = [[] for _ in range(n)]
+    for k, (u, v) in enumerate(edges):
+        adj[u].append((v, k))
+        adj[v].append((u, k))
+    used = [False] * n
+    best = (0, 0)
+
+    def recurse(v, card, weight):
+        nonlocal best
+        while v < n and used[v]:
+            v += 1
+        if v == n:
+            best = max(best, (card, weight))
+            return
+        used[v] = True
+        recurse(v + 1, card, weight)  # v stays single
+        for u, k in adj[v]:
+            if not used[u]:
+                used[u] = True
+                recurse(v + 1, card + 1, weight + w[k])
+                used[u] = False
+        used[v] = False
+
+    recurse(0, 0, 0)
+    return best
 
 
 def has_proper_3_coloring(edges):
@@ -117,10 +148,78 @@ class TestEdgeColor:
         b = graphs.edge_color(g, seed=4)
         assert a.colors == b.colors
 
+    def test_odd_n_raises_parity_up_front(self):
+        # a d-regular graph on an odd node count has no perfect matching
+        cycle = graphs.RegularGraph(9, 2, tuple((i, (i + 1) % 9) for i in range(9)))
+        with pytest.raises(ParityError):
+            graphs.edge_color(cycle, seed=0)
+        with pytest.raises(ParityError):
+            graphs.sample_colored_graph(11, 4, seed=0)
+
+    @pytest.mark.parametrize("n,d", [(12, 10), (16, 8), (24, 6), (36, 12)])
+    def test_matches_networkx_oracle(self, n, d):
+        for seed in range(50):
+            g = graphs.sample_regular_graph(n, d, seed)
+            want = edge_color_networkx_reference(g, seed=seed)
+            if want is None:
+                with pytest.raises(RejectSignal):
+                    graphs.edge_color(g, seed=seed)
+            else:
+                assert graphs.edge_color(g, seed=seed).colors == want, seed
+
+    def test_sample_colored_graph_takes_first_colorable_child(self):
+        # seed 50's first child graph is rejected, its second is colored
+        for seed in (0, 50):
+            for child in np.random.SeedSequence(seed).spawn(256):
+                g_seed, c_seed = child.spawn(2)
+                try:
+                    want = graphs.edge_color(graphs.sample_regular_graph(12, 3, g_seed),
+                                             seed=c_seed)
+                    break
+                except RejectSignal:
+                    continue
+            assert graphs.sample_colored_graph(12, 3, seed) == want
+
     def test_sample_colored_graph_survives_rejection(self):
         cg = graphs.sample_colored_graph(12, 3, seed=77)
         assert cg.graph.n == 12
         assert len(cg.layers()) == 3
+
+
+class TestMaxWeightMatching:
+    def check(self, n, edges, w):
+        got = graphs._max_weight_matching(
+            n, [u for u, _ in edges], [v for _, v in edges], list(w))
+        nodes = [x for k in got for x in edges[k]]
+        assert len(nodes) == len(set(nodes)) == 2 * len(got)
+        assert (len(got), sum(w[k] for k in got)) == best_matching_brute_force(n, edges, w)
+        return len(got)
+
+    def test_graphs_without_perfect_matching(self):
+        rng = np.random.default_rng(0)
+        triangles = [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]
+        odd_cycle = [(i, (i + 1) % 7) for i in range(7)]
+        two_pentagons = [e for e in petersen_edges() if e[1] - e[0] != 5]  # no spokes
+        for n, edges, card in ((6, triangles, 2), (7, odd_cycle, 3),
+                               (10, two_pentagons, 4)):
+            for _ in range(20):
+                w = rng.integers(0, 2**53, size=len(edges)).tolist()
+                assert self.check(n, edges, w) == card
+
+    def test_random_graphs_match_brute_force(self):
+        rng = np.random.default_rng(1)
+        for trial in range(120):
+            n = int(rng.integers(1, 11))
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < (0.2, 0.5, 0.9)[trial % 3]]
+            high = 2**53 if trial % 2 else 4  # small weights force ties and zeros
+            self.check(n, edges, rng.integers(0, high, size=len(edges)).tolist())
+
+    def test_petersen(self):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            w = rng.integers(0, 2**53, size=15).tolist()
+            assert self.check(10, petersen_edges(), w) == 5
 
 
 class TestGrid:
