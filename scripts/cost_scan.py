@@ -38,8 +38,7 @@ def main():
                     c = build_instance(ensemble, n, args.depth, s)
                 except ValueError:
                     continue
-                tree = optimize_order(circuit_to_tn(c), budget=args.budget,
-                                      method="greedy", seed=s)
+                tree = optimize_order(circuit_to_tn(c), budget=args.budget, seed=s)
                 dens.append(summarize(c, tree, seed=s).c_density)
             if dens:
                 print(f"{ensemble:>8} {n:>4} {args.depth:>3} "

@@ -36,7 +36,6 @@ from .errors import CapacityError, InfeasibleBudget
 from .estimators import GateCountParams, gate_counting
 from .mps import MPS_CSV_HEADER, evolve
 from .tn import CSV_HEADER, circuit_to_tn, optimize_order, slice_tree, summarize
-from .tn.order import METHODS
 
 BOOT_CSV_HEADER = "n_jobs,n_per,k,p_aggregate,p_double"
 COST_SUMMARY_HEADER = "ensemble,N,d,c_median,c_min,c_max,n_instances,seed0"
@@ -60,7 +59,6 @@ class RunConfig:
     blocks: tuple[int, ...] = (2,)
     width_budget: int | None = None
     budget: int = 4
-    method: str = "greedy"
     out: str = "results"
     trajectories: int = 32
     shots: int = 256
@@ -78,10 +76,10 @@ class RunConfig:
     def __post_init__(self):
         if self.ensemble not in ("rg", "2d"):
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
         if self.instances < 1 or self.budget < 1 or self.shots < 1:
             raise ValueError("instances, budget, and shots must be positive")
+        if self.width_budget is not None and self.width_budget < 1:
+            raise ValueError("width budget must be at least 1")
         if self.trajectories < 1:
             raise ValueError("trajectories must be positive")
         if self.resamples < 100:
@@ -175,14 +173,15 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
         s = cfg.seed + i
         c = circuits.build_instance(cfg.ensemble, n, d, s)
         net = circuit_to_tn(c)
-        tree = optimize_order(net, budget=cfg.budget, method=cfg.method, seed=s)
+        tree = optimize_order(net, budget=cfg.budget, seed=s)
         sliced = None
         if cfg.width_budget is not None:
             try:
                 sliced = slice_tree(net, tree, 2.0 ** cfg.width_budget,
                                     budget=max(1, cfg.budget // 2), seed=s + 1)
-            except InfeasibleBudget:
-                sliced = None
+            except InfeasibleBudget as exc:  # keep the unsliced columns
+                print(f"rcsw cost: slicing skipped at n={n}, d={d}, seed={s}: "
+                      f"{exc}", file=sys.stderr)
         return summarize(c, tree, sliced_tree=sliced, seed=s)
 
     items = [(n, d, i) for n, d in _grid(cfg) for i in range(cfg.instances)]
@@ -350,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     circuit_flags(c)
     c.add_argument("--budget", type=int, default=4,
                    help="contraction-order search budget")
-    c.add_argument("--method", choices=METHODS, default="greedy")
     c.add_argument("--width-budget", type=int, default=None,
                    help="log2 of the sliced width budget; omit to skip slicing")
     common(c)

@@ -1,12 +1,12 @@
 """Contraction-order search.
 
 Several candidate generators feed a best-of selection: two deterministic
-sweeps (time order, which can never do worse than a statevector pass over
-the circuit, and wire-major order, which is the right shape for chain-like
-circuits), randomized greedy pairing that merges the neighbours sharing
-the most live legs, and simulated-annealing refinement of the greedy trees
-by subtree rotations.  The greedy walks neighbours in ascending id order,
-so each tie-break draw goes to the same pair on every run.  Budgets are
+sweeps (gate-level time order, which can never do worse than a
+statevector pass over the circuit, and wire-major order, which is the
+right shape for chain-like circuits) and randomized greedy pairing that
+merges the neighbours sharing the most live legs, run over the leaves and
+over whole gates.  The greedy walks neighbours in ascending id order, so
+each tie-break draw goes to the same pair on every run.  Budgets are
 spent as independently seeded trials, so a larger budget only ever
 improves the returned tree.
 """
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
 import operator
 from collections import defaultdict
 
@@ -23,8 +22,6 @@ import numpy as np
 from .network import TensorNetwork
 from .tree import (ContractionTree, leg_sets, live_mask, log2_size, mask_indices,
                    walk_merges)
-
-METHODS = ("greedy", "annealed")
 
 
 class _MergeList:
@@ -50,10 +47,6 @@ def _chain(order: list[int], n_leaves: int) -> list[tuple[int, int]]:
     out = _MergeList(n_leaves)
     out.chain(order)
     return out.merges
-
-
-def _time_order(tn: TensorNetwork) -> list[int]:
-    return list(range(tn.n_tensors))
 
 
 def _wire_major_order(tn: TensorNetwork) -> list[int]:
@@ -130,96 +123,6 @@ def _greedy_merges(legs: list[int], live: int, rng,
     return merges
 
 
-class _TreeState:
-    """Mutable rooted tree with incremental leg and cost bookkeeping."""
-
-    def __init__(self, n_leaves, merges, legs, live):
-        self.n_leaves = n_leaves
-        self.live = live
-        self.children: dict[int, tuple[int, int]] = {}
-        self.legs: dict[int, int] = {t: legs[t] for t in range(n_leaves)}
-        self.cost: dict[int, float] = {}
-        nxt = n_leaves
-        for a, b in merges:
-            self.children[nxt] = (a, b)
-            self._refresh(nxt)
-            nxt += 1
-        self.root = nxt - 1
-        self.total = sum(self.cost.values())
-
-    def _refresh(self, p):
-        a, b = self.children[p]
-        la, lb = self.legs[a], self.legs[b]
-        self.legs[p] = la ^ lb
-        self.cost[p] = 8.0 * 2.0 ** (log2_size(la ^ lb, self.live)
-                                     + log2_size(la & lb, self.live))
-    def rotate(self, p, rng, temperature) -> bool:
-        a, b = self.children[p]
-        inner = [c for c in (a, b) if c in self.children]
-        if not inner:
-            return False
-        x = inner[rng.integers(len(inner))]
-        other = b if x == a else a
-        c, d = self.children[x]
-        keep, move = (c, d) if rng.random() < 0.5 else (d, c)
-        # (keep . move) . other  ->  keep . (move . other)
-        old = self.cost[p] + self.cost[x]
-        old_legs = self.legs[x]
-        self.children[x] = (move, other)
-        self.children[p] = (keep, x)
-        self._refresh(x)
-        self._refresh(p)
-        delta = self.cost[p] + self.cost[x] - old
-        if delta <= 0 or rng.random() < math.exp(-delta / (temperature * old + 1e-300)):
-            self.total += delta
-            return True
-        self.children[x] = (c, d)
-        self.children[p] = (a, b)
-        self.legs[x] = old_legs
-        self._refresh(x)
-        self._refresh(p)
-        self.total += self.cost[p] + self.cost[x] - old
-        return False
-
-    def merge_list(self) -> list[tuple[int, int]]:
-        merges = []
-        out_id: dict[int, int] = {}
-        stack = [(self.root, False)]
-        while stack:
-            nodeid, ready = stack.pop()
-            if nodeid < self.n_leaves:
-                continue
-            if ready:
-                a, b = self.children[nodeid]
-                ia = a if a < self.n_leaves else out_id[a]
-                ib = b if b < self.n_leaves else out_id[b]
-                merges.append((ia, ib))
-                out_id[nodeid] = self.n_leaves + len(merges) - 1
-            else:
-                stack.append((nodeid, True))
-                for ch in self.children[nodeid]:
-                    stack.append((ch, False))
-        return merges
-
-
-def _anneal_merges(n_leaves, merges, legs, live, rng,
-                   sweeps: int = 24) -> list[tuple[int, int]]:
-    state = _TreeState(n_leaves, merges, legs, live)
-    internal = [p for p in state.children]
-    best = state.merge_list()
-    best_total = state.total
-    temperature = 1.0
-    for _ in range(sweeps):
-        for _ in range(len(internal)):
-            p = internal[rng.integers(len(internal))]
-            state.rotate(p, rng, temperature)
-        if state.total < best_total:
-            best_total = state.total
-            best = state.merge_list()
-        temperature *= 0.98
-    return best
-
-
 def _gate_groups(tn: TensorNetwork) -> dict[tuple, list[int]]:
     """Tensors of each gate, keyed (two-qubit layer position, pair) in time order."""
     groups: dict[tuple, list[int]] = defaultdict(list)
@@ -237,19 +140,18 @@ def _expand_groups(qmerges, groups, n_leaves) -> list[tuple[int, int]]:
     return out.merges
 
 
-def optimize_order(tn: TensorNetwork, budget: int = 8, method: str = "greedy",
-                   seed=0, sliced: tuple[int, ...] = ()) -> ContractionTree:
+def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
+                   sliced: tuple[int, ...] = ()) -> ContractionTree:
     """Search for a cheap contraction order.
 
     budget counts randomized trials; the deterministic sweep orders are
     always evaluated as well, so the result never costs more than a
-    statevector-style pass.  Split networks also search gate-level orders
-    with halves pre-merged, so splitting gates cannot hurt beyond the
-    pre-merge cost itself.  With sliced indices given, the search prices
-    them at dimension 1 and the returned stats describe one slice task.
+    statevector-style pass.  The time sweep runs over whole gates, and on
+    a split network every trial is also run over whole gates (halves
+    pre-merged), so splitting gates cannot hurt beyond the pre-merge cost
+    itself.  With sliced indices given, the search prices them at
+    dimension 1 and the returned stats describe one slice task.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
     t_count = tn.n_tensors
     legs = leg_sets(tn.indices)
     if t_count == 0:
@@ -263,20 +165,15 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, method: str = "greedy",
     groups = list(_gate_groups(tn).values())
     split = len(groups) < t_count  # gates cut in two halves
     qlegs = [functools.reduce(operator.xor, (legs[t] for t in g)) for g in groups]
-    candidates = [_chain(_time_order(tn), t_count),
+    candidates = [_expand_groups(_chain(range(len(groups)), len(groups)),
+                                 groups, t_count),
                   _chain(_wire_major_order(tn), t_count)]
-    if split:
-        candidates.append(_expand_groups(_chain(range(len(groups)), len(groups)),
-                                         groups, t_count))
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     for t, child in enumerate(ss.spawn(max(budget, 0))):
         rng = np.random.default_rng(child)
         noise = 0.0 if t == 0 else float(rng.choice([0.2, 0.5, 1.0]))
-        merges = _greedy_merges(legs, live, rng, noise)
-        if method == "annealed":
-            merges = _anneal_merges(t_count, merges, legs, live, rng)
-        candidates.append(merges)
+        candidates.append(_greedy_merges(legs, live, rng, noise))
         if split:
             qrng = np.random.default_rng(child)
             qmerges = _greedy_merges(qlegs, live, qrng, noise)

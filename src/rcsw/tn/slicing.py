@@ -17,10 +17,12 @@ from .order import optimize_order
 from .tree import (ContractionTree, index_mask, leg_sets, live_mask, mask_indices,
                    walk_merges)
 
+REOPT_EVERY = 4  # slices between re-optimizations of the tree
+MAX_SLICES = 60  # slice count at which the budget is declared infeasible
+
 
 def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
-               budget: int = 4, seed=0, reopt_every: int = 4,
-               max_slices: int = 60) -> ContractionTree:
+               budget: int = 4, seed=0) -> ContractionTree:
     """Slice indices until every per-task intermediate fits the budget.
 
     Returns a tree whose stats describe one task plus the task-count
@@ -33,7 +35,7 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
     full = live_mask(tn.dims)
     sliced = list(tree.sliced)
     merges = list(tree.merges)
-    seeds = iter(np.random.SeedSequence(seed).spawn(max_slices + 1))
+    seeds = iter(np.random.SeedSequence(seed).spawn(MAX_SLICES + 1))
     since_reopt = 0
     while True:
         cut = index_mask(sliced)
@@ -41,9 +43,9 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
         walk = walk_merges(merges, legs, live)
         if 2.0 ** walk.log2_width <= width_budget:
             break
-        if len(sliced) >= max_slices:
+        if len(sliced) >= MAX_SLICES:
             raise InfeasibleBudget(
-                f"{max_slices} slices did not reach width {width_budget}")
+                f"{MAX_SLICES} slices did not reach width {width_budget}")
         # only the first widest node's unsliced legs are tried, so a step
         # costs at most its rank in trials
         candidates = walk.widest & ~cut
@@ -57,10 +59,9 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
                 best = (key, i)
         sliced.append(best[1])
         since_reopt += 1
-        if since_reopt >= reopt_every:
+        if since_reopt >= REOPT_EVERY:
             since_reopt = 0
-            merges = list(optimize_order(tn, budget=budget, method="greedy",
-                                         seed=next(seeds),
+            merges = list(optimize_order(tn, budget=budget, seed=next(seeds),
                                          sliced=tuple(sliced)).merges)
     out = ContractionTree(tn.n_tensors, merges, sliced=tuple(sliced))
     return out.attach_stats(legs, tn.dims)

@@ -88,8 +88,7 @@ def test_04_cost_density_saturation():
         dens = []
         for i in range(3):
             c = build_instance("rg", n, 16, 800 + i)
-            tree = optimize_order(circuit_to_tn(c), budget=2, method="greedy",
-                                  seed=800 + i)
+            tree = optimize_order(circuit_to_tn(c), budget=2, seed=800 + i)
             cd = summarize(c, tree, seed=800 + i).c_density
             dens.append(cd)
             in_range &= 0.75 <= cd <= 1.0 + 6.0 / n
@@ -111,7 +110,7 @@ def test_05_rank_bounds_sandwich():
         d = int(rng.integers(3, 9))
         c = build_instance("rg", n, d, 9000 + t)
         net = circuit_to_tn(c)
-        tree = optimize_order(net, budget=1, method="greedy", seed=t)
+        tree = optimize_order(net, budget=1, seed=t)
         lc = light_cone_order(net)
         upper = n * (1.0 - 2.0 ** (-d)) + 2.0
         violations += tree.stats.max_rank < lower_bound_rank(n, d) - 1e-9
@@ -130,7 +129,7 @@ def test_06_gate_rank_cost_separation():
         for d in depths:
             c = circuits.build_brickwork_circuit(40, d, 1300 + d)
             net = circuit_to_tn(c, split_rank=rank)
-            tree = optimize_order(net, budget=2, method="greedy", seed=d)
+            tree = optimize_order(net, budget=2, seed=d)
             costs.append(tree.stats.log2_total)
         slopes[rank] = float(np.polyfit(depths, costs, 1)[0])
     ratio = slopes[2] / slopes[4]
@@ -149,7 +148,7 @@ def test_07_slicing_contract():
     for n, d, seed in ((16, 4, 1402), (24, 4, 1403), (36, 4, 1400)):
         c = build_instance("rg", n, d, seed)
         net = circuit_to_tn(c)
-        tree = optimize_order(net, budget=2, method="greedy", seed=seed)
+        tree = optimize_order(net, budget=2, seed=seed)
         st = slice_tree(net, tree, W, budget=2, seed=seed + 1)
         monotone &= st.stats.log2_total >= tree.stats.log2_total - 1e-9
         if tree.stats.width <= W:
@@ -160,7 +159,7 @@ def test_07_slicing_contract():
     for d in (5, 6, 7, 8):
         c = build_instance("rg", 36, d, 1400)
         net = circuit_to_tn(c)
-        tree = optimize_order(net, budget=2, method="greedy", seed=1400)
+        tree = optimize_order(net, budget=2, seed=1400)
         try:
             st = slice_tree(net, tree, W, budget=2, seed=1401)
         except InfeasibleBudget:
@@ -192,7 +191,7 @@ def test_08_contraction_matches_statevector():
         sv = statevector.run(c)
         x = format(int(rng.integers(0, 2 ** c.n)), f"0{c.n}b")
         net = circuit_to_tn(c, bitstring_out=x)
-        tree = optimize_order(net, budget=1, method="greedy", seed=t)
+        tree = optimize_order(net, budget=1, seed=t)
         st = slice_tree(net, tree, 2.0 ** 5, budget=1, seed=t)
         ref = sv.amplitudes[int(x, 2)]
         worst = max(worst, abs(execute_tree(net, tree) - ref),

@@ -1,4 +1,5 @@
 """End-to-end checks of the batch command line."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -79,13 +80,20 @@ class TestCost:
         _, rows = read_csv(out / "cost_rows.csv")
         assert rows[0].split(",")[6] != ""
 
-    def test_infeasible_width_budget_leaves_column_empty(self, tmp_path):
-        out = tmp_path / "cost_inf"
-        run_cli(["cost", "--n", "8", "--d", "4", "--instances", "1",
-                 "--seed", "3", "--budget", "2", "--width-budget", "0",
-                 "--out", str(out)])
+    def test_infeasible_width_budget_leaves_column_empty(self, tmp_path, capsys):
+        # 60 slices do not bring this circuit down to width 2
+        args = ["cost", "--n", "12", "--d", "6", "--instances", "1",
+                "--seed", "3", "--budget", "2"]
+        out, plain = tmp_path / "cost_inf", tmp_path / "cost_plain"
+        run_cli(args + ["--width-budget", "1", "--out", str(out)])
+        assert capsys.readouterr().err == (
+            "rcsw cost: slicing skipped at n=12, d=6, seed=3: "
+            "60 slices did not reach width 2.0\n")
         _, rows = read_csv(out / "cost_rows.csv")
         assert rows[0].split(",")[6] == ""
+        run_cli(args + ["--out", str(plain)])
+        for name in ("cost_rows.csv", "cost_summary.csv"):
+            assert (out / name).read_bytes() == (plain / name).read_bytes()
 
 
 class TestFidelity:
@@ -234,8 +242,11 @@ class TestConfig:
     ["cost", "--n", "13", "--d", "4"],
     ["cost", "--n", "8", "--d", "8"],
     ["mps", "--n", "8", "--blocks", "20"],
+    ["cost", "--n", "12", "--d", "4", "--width-budget", "0"],
+    ["cost", "--n", "12", "--d", "4", "--width-budget", "-3"],
 ], ids=["zero-trajectories", "fidelity-resamples", "coverage-resamples",
-        "odd-n-odd-degree", "odd-n", "degree-not-below-n", "too-many-blocks"])
+        "odd-n-odd-degree", "odd-n", "degree-not-below-n", "too-many-blocks",
+        "zero-width-budget", "negative-width-budget"])
 def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(argv + ["--out", str(out)]) == 2
@@ -244,12 +255,12 @@ def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_partition_method_removed():
+def test_method_flag_removed():
+    # the order search has no method switch; the old default is rejected too
     with pytest.raises(SystemExit) as exc:
-        cli.main(["cost", "--method", "partition"])
+        cli.main(["cost", "--method", "greedy"])
     assert exc.value.code == 2
-    with pytest.raises(ValueError, match="method"):
-        cli.RunConfig(command="cost", method="partition")
+    assert "method" not in {f.name for f in dataclasses.fields(cli.RunConfig)}
 
 
 def test_import_defers_scipy_submodules():

@@ -168,8 +168,9 @@ class TestEdgeColor:
                 assert graphs.edge_color(g, seed=seed).colors == want, seed
 
     def test_sample_colored_graph_takes_first_colorable_child(self):
-        # seed 50's first child graph is rejected, its second is colored
-        for seed in (0, 50):
+        # for seeds 50 and 134 the first child graph is rejected and the
+        # second is colored
+        for seed in (0, 50, 134):
             for child in np.random.SeedSequence(seed).spawn(256):
                 g_seed, c_seed = child.spawn(2)
                 try:
@@ -179,11 +180,6 @@ class TestEdgeColor:
                 except RejectSignal:
                     continue
             assert graphs.sample_colored_graph(12, 3, seed) == want
-
-    def test_sample_colored_graph_survives_rejection(self):
-        cg = graphs.sample_colored_graph(12, 3, seed=77)
-        assert cg.graph.n == 12
-        assert len(cg.layers()) == 3
 
 
 class TestMaxWeightMatching:

@@ -26,7 +26,7 @@ from rcsw.tn import (
     optimize_order,
     slice_tree,
 )
-from rcsw.tn import network
+from rcsw.tn import network, slicing
 from rcsw.tn.tree import analyze_merges, leg_sets
 
 
@@ -292,8 +292,8 @@ def test_rank2_split_never_costlier_than_rank4():
 def test_budget_monotone():
     c = rg_circuit(10, 4, seed=18)
     tn = circuit_to_tn(c)
-    costs = [optimize_order(tn, budget=b, method="annealed",
-                            seed=5).stats.total_flops for b in (1, 3, 6)]
+    costs = [optimize_order(tn, budget=b, seed=5).stats.total_flops
+             for b in (1, 3, 6)]
     assert costs[0] >= costs[1] >= costs[2]
 
 
@@ -302,15 +302,8 @@ def test_methods_agree_on_amplitude():
     bits = "11001010"
     tn = circuit_to_tn(c, bitstring_out=bits)
     expect = amplitude_oracle(c, bits)
-    for method in ("greedy", "annealed"):
-        tree = optimize_order(tn, budget=2, method=method, seed=2)
-        assert abs(execute_tree(tn, tree) - expect) < 1e-10
-
-
-def test_unknown_method_rejected():
-    tn = circuit_to_tn(rg_circuit(6, 3, seed=19))
-    with pytest.raises(ValueError, match="partition"):
-        optimize_order(tn, budget=1, method="partition")
+    tree = optimize_order(tn, budget=2, seed=2)
+    assert abs(execute_tree(tn, tree) - expect) < 1e-10
 
 
 def test_order_deterministic():
@@ -389,14 +382,15 @@ def test_sliced_execution_matches():
     assert abs(execute_tree(tn, out) - amplitude_oracle(c, bits)) < 1e-10
 
 
-def test_slice_infeasible_budgets():
+def test_slice_infeasible_budgets(monkeypatch):
     c = rg_circuit(8, 4, seed=27)
     tn = circuit_to_tn(c)
     tree = optimize_order(tn, budget=1, seed=0)
     with pytest.raises(InfeasibleBudget):
         slice_tree(tn, tree, width_budget=1.0)
     with pytest.raises(InfeasibleBudget):
-        slice_tree(tn, tree, width_budget=4.0, max_slices=2)
+        monkeypatch.setattr(slicing, "MAX_SLICES", 2)
+        slice_tree(tn, tree, width_budget=4.0)
 
 
 @given(st.integers(min_value=0, max_value=10))
