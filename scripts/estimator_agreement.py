@@ -10,7 +10,7 @@ import numpy as np
 
 from rcsw import circuits, statevector
 from rcsw.circuits import build_instance
-from rcsw.estimators import GateCountParams, gate_counting
+from rcsw.estimators import GateCountParams, gate_counting, xeb
 from rcsw.statevector import NoiseModel
 
 
@@ -33,25 +33,21 @@ def main():
     print(f"N = {args.n}, eps_2q = {args.eps2q}, eps_mem = {args.eps_mem}")
     print(f"{'d':>3} {'F_direct':>9} {'F_xeb':>8} {'F_mb':>8} {'F_gc':>8}")
     for d in args.depths:
-        direct, xeb, mb = [], [], []
+        direct, xebs, mb = [], [], []
         for i in range(args.instances):
             s = args.seed + i
             c = build_instance("rg", args.n, d, s)
-            ideal = statevector.run(c)
-            probs = ideal.probabilities()
             res = statevector.run_trajectories(
                 c, nm, args.trajectories, seed=s + 100,
-                shots_per_traj=args.shots, ideal=ideal)
+                shots_per_traj=args.shots)
             direct.append(res.fidelity)
-            xeb.extend(2.0 ** c.n * probs[int(x, 2)] - 1.0
-                       for x in res.samples)
+            xebs.extend(xeb(res.samples, res.ideal.probabilities(), c.n).rescaled - 1.0)
             mirror = circuits.build_mirror(c, seed=s + 200)
             mres = statevector.run_trajectories(
                 mirror, nm, args.trajectories, seed=s + 300,
                 shots_per_traj=args.shots)
-            mb.extend(1.0 if x == mirror.initial_bits else 0.0
-                      for x in mres.samples)
-        print(f"{d:>3} {np.mean(direct):>9.4f} {np.mean(xeb):>8.4f} "
+            mb.extend(np.array(mres.samples) == mirror.initial_bits)
+        print(f"{d:>3} {np.mean(direct):>9.4f} {np.mean(xebs):>8.4f} "
               f"{np.mean(mb):>8.4f} {gate_counting(gc, args.n, d):>8.4f}")
 
 

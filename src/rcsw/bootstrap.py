@@ -1,17 +1,17 @@
 """Bootstrap confidence intervals and resampling-count distributions.
 
-Shot-level observables arrive grouped by circuit.  Aggregate resampling
-pools every shot and resamples the pool; double resampling first resamples
-circuits, then shots within each chosen circuit, which widens the interval
-when the per-circuit means genuinely differ.  Intervals are reflected
-percentile intervals at one sigma.  The analytic distributions of how
-often a fixed shot is drawn under each scheme are exposed for direct
-comparison with Monte Carlo frequencies, and a synthetic experiment model
-drives coverage studies of both interval constructions.
+Shot-level observables arrive grouped by circuit, with the same number
+of shots for every circuit.  Aggregate resampling pools every shot and
+resamples the pool; double resampling first resamples circuits, then shots
+within each chosen circuit, which widens the interval when the per-circuit
+means genuinely differ.  Intervals are reflected percentile intervals at
+one sigma.  The analytic distributions of how often a fixed shot is drawn
+under each scheme are exposed for direct comparison with Monte Carlo
+frequencies, and a synthetic experiment model drives coverage studies of
+both interval constructions.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,34 +26,36 @@ COVERAGE_CSV_HEADER = "model,mu,method,coverage,n_experiments,seed"
 
 @dataclass(frozen=True)
 class ShotTable:
-    """Per-circuit arrays of shot-level observable values."""
+    """Shot-level observable values, one row per circuit, equal shots per circuit."""
 
-    circuits: tuple
+    circuits: np.ndarray  # (circuits, shots)
 
     def __post_init__(self):
         if len(self.circuits) == 0:
             raise EmptyTable("shot table has no circuits")
-        arrays = tuple(np.asarray(c, dtype=float) for c in self.circuits)
-        for i, arr in enumerate(arrays):
+        rows = [np.asarray(c, dtype=float) for c in self.circuits]
+        for i, arr in enumerate(rows):
             if arr.ndim != 1 or arr.size == 0:
                 raise EmptyTable(f"circuit {i} has no shots")
             if not np.isfinite(arr).all():
                 raise ValueError(f"circuit {i} contains non-finite values")
-        object.__setattr__(self, "circuits", arrays)
+        if len({arr.size for arr in rows}) > 1:
+            raise ValueError("every circuit needs the same number of shots")
+        object.__setattr__(self, "circuits", np.stack(rows))
 
     @classmethod
     def from_matrix(cls, mat) -> "ShotTable":
         mat = np.asarray(mat, dtype=float)
         if mat.ndim != 2:
             raise ValueError("expected a circuits x shots matrix")
-        return cls(tuple(mat))
+        return cls(mat)
 
     @property
     def n_circuits(self) -> int:
         return len(self.circuits)
 
     def pooled(self) -> np.ndarray:
-        return np.concatenate(self.circuits)
+        return self.circuits.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -76,49 +78,39 @@ class BootCI:
         return self.lo <= value <= self.hi
 
 
-def _resample_aggregate(pooled: np.ndarray, r: int, rng) -> np.ndarray:
+def _resample_aggregate(pooled: np.ndarray, r: int, rng, statistic=np.mean) -> np.ndarray:
     m = pooled.size
     out = np.empty(r)
     chunk = max(1, int(5_000_000 // max(m, 1)))
     for start in range(0, r, chunk):
         stop = min(r, start + chunk)
         idx = rng.integers(0, m, size=(stop - start, m))
-        out[start:stop] = pooled[idx].mean(axis=1)
+        out[start:stop] = statistic(pooled[idx], axis=1)
     return out
 
 
-def _resample_double(table: ShotTable, r: int, rng) -> np.ndarray:
-    sizes = {c.size for c in table.circuits}
-    j = table.n_circuits
-    if len(sizes) == 1:
-        mat = np.stack(table.circuits)
-        p = mat.shape[1]
-        out = np.empty(r)
-        chunk = max(1, int(2_000_000 // max(j * p, 1)))
-        for start in range(0, r, chunk):
-            stop = min(r, start + chunk)
-            ids = rng.integers(0, j, size=(stop - start, j))
-            cols = rng.integers(0, p, size=(stop - start, j, p))
-            out[start:stop] = mat[ids[:, :, None], cols].mean(axis=(1, 2))
-        return out
+def _resample_double(table: ShotTable, r: int, rng, statistic=np.mean) -> np.ndarray:
+    mat = table.circuits
+    j, p = mat.shape
     out = np.empty(r)
-    for i in range(r):
-        ids = rng.integers(0, j, size=j)
-        parts = [table.circuits[c][rng.integers(0, table.circuits[c].size,
-                                                size=table.circuits[c].size)]
-                 for c in ids]
-        out[i] = np.concatenate(parts).mean()
+    chunk = max(1, int(2_000_000 // max(j * p, 1)))
+    for start in range(0, r, chunk):
+        stop = min(r, start + chunk)
+        ids = rng.integers(0, j, size=(stop - start, j))
+        cols = rng.integers(0, p, size=(stop - start, j, p))
+        out[start:stop] = statistic(mat[ids[:, :, None], cols], axis=(1, 2))
     return out
 
 
-def bootstrap_ci(table: ShotTable, statistic=None, method: str = "aggregate",
+def bootstrap_ci(table: ShotTable, statistic=np.mean, method: str = "aggregate",
                  r: int = 1000, seed=0) -> BootCI:
-    """Bootstrap the pooled statistic (mean unless given) of a shot table.
+    """Bootstrap the pooled statistic of a shot table.
 
     Aggregate resampling treats shots as one pool; double resampling draws
     circuits with replacement and then shots within each drawn circuit.
-    The returned interval reflects the raw one-sigma quantiles about the
-    point estimate.
+    statistic reduces along the axis it is given, as np.mean and np.median
+    do, so a chunk of resamples is reduced in one call.  The returned
+    interval reflects the raw one-sigma quantiles about the point estimate.
     """
     if method not in ("aggregate", "double"):
         raise ValueError(f"unknown method {method!r}")
@@ -126,26 +118,11 @@ def bootstrap_ci(table: ShotTable, statistic=None, method: str = "aggregate",
         raise ValueError("need at least 100 resamples")
     pooled = table.pooled()
     rng = np.random.default_rng(seed)
-    if statistic is None:
-        fhat = float(pooled.mean())
-        if method == "aggregate":
-            boots = _resample_aggregate(pooled, r, rng)
-        else:
-            boots = _resample_double(table, r, rng)
+    fhat = float(statistic(pooled))
+    if method == "aggregate":
+        boots = _resample_aggregate(pooled, r, rng, statistic)
     else:
-        fhat = float(statistic(pooled))
-        boots = np.empty(r)
-        m = pooled.size
-        j = table.n_circuits
-        for i in range(r):
-            if method == "aggregate":
-                boots[i] = statistic(pooled[rng.integers(0, m, size=m)])
-            else:
-                ids = rng.integers(0, j, size=j)
-                parts = [table.circuits[c][rng.integers(
-                    0, table.circuits[c].size, size=table.circuits[c].size)]
-                    for c in ids]
-                boots[i] = statistic(np.concatenate(parts))
+        boots = _resample_double(table, r, rng, statistic)
     q_lo, q_hi = np.percentile(boots, [_SIGMA_LO, _SIGMA_HI])
     return BootCI(estimate=fhat, lo=2.0 * fhat - q_hi, hi=2.0 * fhat - q_lo,
                   q_lo=float(q_lo), q_hi=float(q_hi), method=method, r=r)

@@ -33,7 +33,7 @@ from .bootstrap import (
     p_double,
 )
 from .errors import CapacityError, InfeasibleBudget
-from .estimators import GateCountParams, gate_counting
+from .estimators import GateCountParams, gate_counting, xeb
 from .mps import MPS_CSV_HEADER, evolve
 from .tn import CSV_HEADER, circuit_to_tn, optimize_order, slice_tree, summarize
 
@@ -96,9 +96,13 @@ class RunConfig:
         top = min(self.n, default=1)
         if self.command == "mps" and not 1 <= min(self.blocks) <= max(self.blocks) <= top:
             raise ValueError(f"block counts must lie in [1, {top}]")
-        for name in ("noise_eps2q", "noise_mem", "spam"):
+        for name in ("noise_eps2q", "noise_mem", "spam", "base_eps"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+        if self.mu < 0.0 or self.gates < 0 or self.max_k < 0:
+            raise ValueError("mu, gates, and max_k must be nonnegative")
+        if self.circuits < 1 or self.n_jobs < 1 or self.n_per < 1:
+            raise ValueError("circuits, n_jobs, and n_per must be positive")
 
 
 @dataclass(frozen=True)
@@ -168,8 +172,9 @@ def cmd_generate(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_cost(cfg: RunConfig) -> list[Path]:
-    def one(item):
-        n, d, i = item
+    items = [(n, d, i) for n, d in _grid(cfg) for i in range(cfg.instances)]
+    summaries = []
+    for n, d, i in items:
         s = cfg.seed + i
         c = circuits.build_instance(cfg.ensemble, n, d, s)
         net = circuit_to_tn(c)
@@ -182,10 +187,7 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
             except InfeasibleBudget as exc:  # keep the unsliced columns
                 print(f"rcsw cost: slicing skipped at n={n}, d={d}, seed={s}: "
                       f"{exc}", file=sys.stderr)
-        return summarize(c, tree, sliced_tree=sliced, seed=s)
-
-    items = [(n, d, i) for n, d in _grid(cfg) for i in range(cfg.instances)]
-    summaries = [one(item) for item in items]
+        summaries.append(summarize(c, tree, sliced_tree=sliced, seed=s))
     out = Path(cfg.out)
     rows_path = _write_csv(out / "cost_rows.csv", CSV_HEADER,
                            (s.csv_row() for s in summaries))
@@ -200,8 +202,8 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
 
 
 def _fidelity_report(cfg: RunConfig, estimator: str, cs, nm, cap: int,
-                     traj_seed: int, boot_seed: int, score) -> FidelityReport:
-    """Bootstrap interval of the per-shot score(c, ideal probabilities, bits).
+                     traj_seed: int, boot_seed: int, scores) -> FidelityReport:
+    """Bootstrap interval of the per-shot scores(c, trajectory result).
 
     Circuit i of cs runs its trajectories from seed traj_seed + i; circuits
     are simulated one at a time, so cs may be a generator.
@@ -209,12 +211,10 @@ def _fidelity_report(cfg: RunConfig, estimator: str, cs, nm, cap: int,
     spt = max(1, -(-cfg.shots // cfg.trajectories))
     rows = []
     for i, c in enumerate(cs):
-        ideal = statevector.run(c, cap=cap)
-        probs = ideal.probabilities()
         res = statevector.run_trajectories(
             c, nm, cfg.trajectories, seed=traj_seed + i, shots_per_traj=spt,
-            ideal=ideal)
-        rows.append(np.array([score(c, probs, x) for x in res.samples]))
+            cap=cap)
+        rows.append(scores(c, res))
     ci = bootstrap_ci(ShotTable(tuple(rows)), method="aggregate",
                       r=cfg.resamples, seed=boot_seed)
     return FidelityReport(estimator, float(ci.estimate), float(ci.lo),
@@ -222,12 +222,12 @@ def _fidelity_report(cfg: RunConfig, estimator: str, cs, nm, cap: int,
                           {"trajectories": cfg.trajectories, "shots_per_traj": spt})
 
 
-def _xeb_score(c, probs, x) -> float:
-    return 2.0 ** c.n * probs[int(x, 2)] - 1.0
+def _xeb_scores(c, res) -> np.ndarray:
+    return xeb(res.samples, res.ideal.probabilities(), c.n).rescaled - 1.0
 
 
-def _mb_score(c, probs, x) -> float:
-    return 1.0 if x == c.initial_bits else 0.0
+def _mb_scores(c, res) -> np.ndarray:
+    return (np.array(res.samples) == c.initial_bits).astype(float)
 
 
 def cmd_fidelity(cfg: RunConfig) -> list[Path]:
@@ -246,14 +246,15 @@ def cmd_fidelity(cfg: RunConfig) -> list[Path]:
                   "seed": cfg.seed}
         mirrors = (circuits.build_mirror(c, seed=cfg.seed + 2000 + i)
                    for i, c in enumerate(cs))
-        runs = (("xeb", cs, cfg.xeb_cap, 1000, 101, _xeb_score),
-                ("mb", mirrors, statevector.DEFAULT_CAP, 3000, 102, _mb_score))
+        runs = (("xeb", cs, min(cfg.xeb_cap, statevector.DEFAULT_CAP), 1000, 101,
+                 _xeb_scores),
+                ("mb", mirrors, statevector.DEFAULT_CAP, 3000, 102, _mb_scores))
         reports: list[FidelityReport] = []
-        for name, run_cs, cap, traj_seed, boot_seed, score in runs:
+        for name, run_cs, cap, traj_seed, boot_seed, scores in runs:
             try:
                 reports.append(_fidelity_report(cfg, name, run_cs, nm, cap,
                                                 cfg.seed + traj_seed,
-                                                cfg.seed + boot_seed, score))
+                                                cfg.seed + boot_seed, scores))
             except CapacityError as exc:  # keep the other estimators
                 print(f"rcsw fidelity: skipped {name} at n={n}, d={d}: {exc}",
                       file=sys.stderr)
@@ -275,18 +276,13 @@ def cmd_fidelity(cfg: RunConfig) -> list[Path]:
 def cmd_mps(cfg: RunConfig) -> list[Path]:
     cs = {(n, d, i): circuits.build_instance(cfg.ensemble, n, d, cfg.seed + i)
           for n, d in _grid(cfg) for i in range(cfg.instances)}
-
-    def one(item):
-        n, d, i, chi, b = item
-        _, rep = evolve(cs[n, d, i], chi, int(b), seed=cfg.seed + i)
-        return rep.csv_row()
-
-    items = [(n, d, i, chi, b)
-             for n, d in _grid(cfg)
-             for chi in cfg.chi
-             for b in cfg.blocks
-             for i in range(cfg.instances)]
-    rows = [one(item) for item in items]
+    rows = []
+    for n, d in _grid(cfg):
+        for chi in cfg.chi:
+            for b in cfg.blocks:
+                for i in range(cfg.instances):
+                    rep = evolve(cs[n, d, i], chi, int(b), seed=cfg.seed + i)[1]
+                    rows.append(rep.csv_row())
     return [_write_csv(Path(cfg.out) / "mps_runs.csv", MPS_CSV_HEADER, rows)]
 
 

@@ -63,10 +63,6 @@ class MpsState:
     counters: MpsCounters = field(default_factory=MpsCounters)
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
-
-    @property
     def max_bond(self) -> int:
         return max(t.shape[2] for t in self.tensors)
 

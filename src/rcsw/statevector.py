@@ -250,6 +250,7 @@ class TrajectoryResult:
     fidelity: float
     stderr: float
     overlaps: np.ndarray
+    ideal: StateVector  # the noiseless output the overlaps are taken with
     samples: list[str] = field(default_factory=list)
 
 
@@ -289,27 +290,21 @@ def _dephasing_phases(n: int, phi: float) -> np.ndarray:
 
 
 def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
-                     shots_per_traj: int = 0, cap: int = DEFAULT_CAP,
-                     ideal=None) -> TrajectoryResult:
+                     shots_per_traj: int = 0, cap: int = DEFAULT_CAP) -> TrajectoryResult:
     """Quantum-trajectory noise simulation.
 
     Each trajectory applies the ideal circuit with randomly inserted Pauli
     errors; the fidelity estimate is the mean squared overlap with the ideal
-    state, which is simulated here unless given as ``ideal`` (a StateVector
-    or amplitude array of ``c``'s noiseless output).  With shots_per_traj > 0,
-    bitstrings sampled from each noisy trajectory are pooled in trajectory
-    order, giving draws from the noisy output distribution.
+    state, which is simulated from the same compiled layers and returned as
+    ``ideal``.  With shots_per_traj > 0, bitstrings sampled from each noisy
+    trajectory are pooled in trajectory order, giving draws from the noisy
+    output distribution.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     if shots_per_traj < 0:
         raise ValueError("shots_per_traj must be nonnegative")
     _check_cap(c.n, cap)
-    if ideal is None:
-        ideal = run(c, cap=cap)
-    ideal = ideal.amplitudes if isinstance(ideal, StateVector) else np.asarray(ideal)
-    if ideal.shape != (2 ** c.n,):
-        raise ValueError("ideal state has wrong dimension")
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
     errors = [_draw_errors(c, nm, rng) for rng in rngs]
     forks: dict[int, list[int]] = {}
@@ -317,6 +312,7 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
         if e:
             forks.setdefault(min(e), []).append(t)
     layers = _compile(c)
+    ideal = _run_layers(_initial_state(c, None), layers)
     dephase = (_dephasing_phases(c.n, nm.dephasing_angle(c.n) * nm.mem_sign)
                if nm.eps_mem > 0.0 else None)
     overlaps = np.empty(n_traj)
@@ -339,4 +335,4 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
             finish(t, clean, clean_overlap)
     stderr = float(np.std(overlaps, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
     return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps,
-                            [x for s in shots for x in s])
+                            StateVector(c.n, ideal), [x for s in shots for x in s])

@@ -25,8 +25,6 @@ class SimpleCostModel:
     2d: density = amp * min(1, slope * d / sqrt(n)), a function of the
     scale-free depth d / sqrt(n) alone.  rg: density = min(1, rate*(d -
     offset)), clipped at 0, saturating for d past offset + 1/rate.
-    spatial_dim records the surface-scaling exponent (n^((D-1)/D)) the 2d
-    form specializes.
     """
 
     geometry: str
@@ -34,7 +32,6 @@ class SimpleCostModel:
     slope: float = 0.35
     rate: float = 0.125
     offset: float = 2.0
-    spatial_dim: int = 2
 
     def __post_init__(self):
         if self.geometry not in ("2d", "rg"):

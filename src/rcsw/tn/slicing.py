@@ -9,6 +9,8 @@ the sliced network can differ from the unsliced one.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import InfeasibleBudget
@@ -45,7 +47,8 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
             break
         if len(sliced) >= MAX_SLICES:
             raise InfeasibleBudget(
-                f"{MAX_SLICES} slices did not reach width {width_budget}")
+                f"{MAX_SLICES} slices did not reach width "
+                f"2^{math.log2(width_budget):g}")
         # only the first widest node's unsliced legs are tried, so a step
         # costs at most its rank in trials
         candidates = walk.widest & ~cut

@@ -139,7 +139,8 @@ def run_trajectories_reference(c: Circuit, nm: NoiseModel, n_traj: int, seed,
         if shots_per_traj > 0:
             samples.extend(sample(StateVector(c.n, state), shots_per_traj, rng))
     stderr = float(np.std(overlaps, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
-    return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps, samples)
+    return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps,
+                            StateVector(c.n, ideal), samples)
 
 
 def pauli_pair_conjugate_reference(theta: float, p0: str, p1: str

@@ -173,11 +173,10 @@ def test_custom_statistic_path():
         assert ci.lo <= ci.hi
 
 
-def test_ragged_double_resampling():
+def test_ragged_table_rejected():
     rng = np.random.default_rng(13)
-    table = ShotTable((rng.normal(size=10), rng.normal(size=25)))
-    ci = bootstrap_ci(table, method="double", r=200, seed=14)
-    assert np.isfinite(ci.lo) and np.isfinite(ci.hi)
+    with pytest.raises(ValueError, match="same number of shots"):
+        ShotTable((rng.normal(size=10), rng.normal(size=25)))
 
 
 def test_experiment_model_validation():

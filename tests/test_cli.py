@@ -88,7 +88,7 @@ class TestCost:
         run_cli(args + ["--width-budget", "1", "--out", str(out)])
         assert capsys.readouterr().err == (
             "rcsw cost: slicing skipped at n=12, d=6, seed=3: "
-            "60 slices did not reach width 2.0\n")
+            "60 slices did not reach width 2^1\n")
         _, rows = read_csv(out / "cost_rows.csv")
         assert rows[0].split(",")[6] == ""
         run_cli(args + ["--out", str(plain)])
@@ -244,9 +244,18 @@ class TestConfig:
     ["mps", "--n", "8", "--blocks", "20"],
     ["cost", "--n", "12", "--d", "4", "--width-budget", "0"],
     ["cost", "--n", "12", "--d", "4", "--width-budget", "-3"],
+    ["coverage", "--circuits", "0"],
+    ["coverage", "--gates", "-1"],
+    ["coverage", "--mu", "-0.5"],
+    ["coverage", "--base-eps", "2"],
+    ["bootstrap", "--n-jobs", "0"],
+    ["bootstrap", "--n-per", "0"],
+    ["bootstrap", "--max-k", "-1"],
 ], ids=["zero-trajectories", "fidelity-resamples", "coverage-resamples",
         "odd-n-odd-degree", "odd-n", "degree-not-below-n", "too-many-blocks",
-        "zero-width-budget", "negative-width-budget"])
+        "zero-width-budget", "negative-width-budget", "zero-circuits",
+        "negative-gates", "negative-mu", "base-eps-above-one", "zero-n-jobs",
+        "zero-n-per", "negative-max-k"])
 def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(argv + ["--out", str(out)]) == 2

@@ -1,0 +1,34 @@
+"""Smoke tests of the experiment scripts: each runs at a small size and
+prints its header line."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("argv,first_line", [
+    (["cost_scan.py", "--sizes", "8", "16", "--depth", "4", "--instances", "2",
+      "--budget", "1"],
+     "ensemble    N   d  C_median    C_max"),
+    (["estimator_agreement.py", "--n", "6", "--depths", "2", "4", "--instances", "2",
+      "--trajectories", "8", "--shots", "2"],
+     "N = 6, eps_2q = 0.008, eps_mem = 0.001"),
+    (["chi_extrapolation.py", "--n", "8", "--depth", "4", "--instances", "2",
+      "--chis", "2", "4"],
+     "N = 8, d = 4, 2 circuits"),
+    (["coverage_sweep.py", "--mus", "0.0", "0.3", "--experiments", "5",
+      "--circuits", "5", "--shots", "10", "--resamples", "100"],
+     "observable = xeb, base_eps = 0.002, n_gates = 100, nominal = 0.6827"),
+], ids=["cost_scan", "estimator_agreement", "chi_extrapolation", "coverage_sweep"])
+def test_script_runs(argv, first_line):
+    src = str(ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[0].strip() == first_line

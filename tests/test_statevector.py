@@ -241,18 +241,14 @@ class TestTrajectories:
         assert len(res.samples) == 24
         assert all(len(s) == 6 for s in res.samples)
 
-    def test_given_ideal_state(self):
+    def test_ideal_is_the_noiseless_run(self):
+        from dataclasses import replace
         c = rg_circuit(6, 3, 8)
-        nm = NoiseModel(eps_2q=0.05)
-        sv = run(c)
-        base = run_trajectories(c, nm, n_traj=6, seed=1, shots_per_traj=2)
-        for ideal in (sv, sv.amplitudes):
-            res = run_trajectories(c, nm, n_traj=6, seed=1, shots_per_traj=2,
-                                   ideal=ideal)
-            assert res.samples == base.samples
-            assert np.array_equal(res.overlaps, base.overlaps)
-        with pytest.raises(ValueError):
-            run_trajectories(c, nm, n_traj=2, seed=1, ideal=sv.amplitudes[:32])
+        bits = "".join("01"[q % 2] for q in range(c.n))
+        nm = NoiseModel(eps_2q=0.05, eps_mem=3e-3)
+        for circ in (c, build_mirror(c, seed=3), replace(c, initial_bits=bits)):
+            res = run_trajectories(circ, nm, n_traj=6, seed=1, shots_per_traj=2)
+            assert np.array_equal(res.ideal.amplitudes, run(circ).amplitudes)
 
     def test_rejects_no_trajectories(self):
         with pytest.raises(ValueError, match="n_traj"):
