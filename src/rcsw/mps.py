@@ -165,11 +165,17 @@ def _svd(mat: np.ndarray):
         return scipy.linalg.svd(mat, full_matrices=False, lapack_driver="gesvd")
 
 
+def _qr(state: MpsState, mat: np.ndarray):
+    state.flops += 8.0 * mat.shape[0] * mat.shape[1] * min(mat.shape)
+    return np.linalg.qr(mat)
+
+
 def _shift_right(state: MpsState, j: int):
     arr = state.tensors[j]
     l, p, r = arr.shape
-    q, rm = np.linalg.qr(arr.reshape(l * p, r))
+    q, rm = _qr(state, arr.reshape(l * p, r))
     state.tensors[j] = q.reshape(l, p, q.shape[1])
+    state.flops += 8.0 * rm.shape[0] * state.tensors[j + 1].size
     state.tensors[j + 1] = np.tensordot(rm, state.tensors[j + 1], axes=(1, 0))
     state.center = j + 1
 
@@ -177,8 +183,9 @@ def _shift_right(state: MpsState, j: int):
 def _shift_left(state: MpsState, j: int):
     arr = state.tensors[j]
     l, p, r = arr.shape
-    q, rm = np.linalg.qr(arr.reshape(l, p * r).conj().T)
+    q, rm = _qr(state, arr.reshape(l, p * r).conj().T)
     state.tensors[j] = q.conj().T.reshape(q.shape[1], p, r)
+    state.flops += 8.0 * state.tensors[j - 1].size * rm.shape[0]
     state.tensors[j - 1] = np.tensordot(
         state.tensors[j - 1], rm.conj().T, axes=(2, 0))
     state.center = j - 1
@@ -277,11 +284,6 @@ def _z_signs(state: MpsState, q: int) -> tuple[int, np.ndarray]:
     s = len(state.blocks[pos])
     bits = (np.arange(2 ** s) >> (s - 1 - t)) & 1
     return pos, 1.0 - 2.0 * bits
-
-
-def _qr(state: MpsState, mat: np.ndarray):
-    state.flops += 8.0 * mat.shape[0] * mat.shape[1] * min(mat.shape)
-    return np.linalg.qr(mat)
 
 
 def _apply_zz(state: MpsState, theta: float, qa: int, qb: int):

@@ -8,24 +8,12 @@ from __future__ import annotations
 
 from itertools import product
 
-import numpy as np
-
 from ..errors import CapacityError
-from .network import TensorNetwork
+from .network import TensorNetwork, contract_pair
 from .tree import ContractionTree, analyze_merges, leg_sets
 
 DEFAULT_CAP = 26  # log2 of the largest tensor the executor will allocate
 _TASK_CAP = 2 ** 22
-
-
-def _contract_pair(a, ids_a, b, ids_b):
-    shared = [i for i in ids_a if i in ids_b]
-    ax_a = [ids_a.index(i) for i in shared]
-    ax_b = [ids_b.index(i) for i in shared]
-    out = np.tensordot(a, b, axes=(ax_a, ax_b))
-    ids_out = tuple(i for i in ids_a if i not in shared) + \
-        tuple(i for i in ids_b if i not in shared)
-    return out, ids_out
 
 
 def _run_once(arrays, indices, merges):
@@ -34,7 +22,7 @@ def _run_once(arrays, indices, merges):
     for a, b in merges:
         ta, ids_a = node.pop(a)
         tb, ids_b = node.pop(b)
-        node[nxt] = _contract_pair(ta, ids_a, tb, ids_b)
+        node[nxt] = contract_pair(ta, ids_a, tb, ids_b)
         nxt += 1
     (_, (arr, ids)), = ((k, v) for k, v in node.items())
     if ids:
@@ -46,7 +34,7 @@ def execute_tree(tn: TensorNetwork, tree: ContractionTree,
                  cap: int = DEFAULT_CAP) -> complex:
     """Contract the network along the tree, exactly."""
     legs = leg_sets(tn.indices)
-    stats = analyze_merges(tree.merges, legs, tn.dims, tree.sliced)
+    stats = analyze_merges(tree.merges, legs, tree.sliced)
     if stats.width > 2.0 ** cap:
         raise CapacityError(
             f"largest intermediate {stats.width:.3g} exceeds 2^{cap}")
@@ -64,7 +52,7 @@ def execute_tree(tn: TensorNetwork, tree: ContractionTree,
             if i in positions:
                 positions[i].append((t, ax))
     total = 0.0 + 0.0j
-    for values in product(*(range(tn.dims[i]) for i in tree.sliced)):
+    for values in product((0, 1), repeat=len(tree.sliced)):
         arrays = list(tn.arrays)
         for i, v in zip(tree.sliced, values):
             for t, ax in positions[i]:

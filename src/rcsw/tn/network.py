@@ -1,21 +1,23 @@
 """Circuit to tensor-network mapping.
 
 A layered circuit with fixed input and output bitstrings becomes a closed
-network: each two-qubit gate is either kept as one rank-4 tensor or
-Schmidt-split across the two wires into a pair of rank-3 tensors, and all
-single-qubit gates and boundary states are absorbed into the neighboring
-gate tensors.  The diagonal-plus-rotation structure of the entangler gives
-the split exactly two nonzero Schmidt values, so index dimensions stay at 2
-for nonzero coupling angles.
+network: each two-qubit gate is Schmidt-split across the two wires into a
+pair of wire-local tensors, which split_rank=4 contracts back into one
+rank-4 tensor, and all single-qubit gates and boundary states are absorbed
+into the neighboring gate tensors.  The diagonal-plus-rotation structure of
+the entangler gives the split at most two nonzero Schmidt values, so every
+index has dimension 2: a bond of Schmidt rank 1 (theta = 0 mod pi) is not
+emitted at all.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..circuits import PAULIS, Circuit, uzz_matrix
+from ..circuits import PAULIS, Circuit
 
 _RANK_TOL = 1e-12
 
@@ -24,9 +26,9 @@ _RANK_TOL = 1e-12
 class TensorNetwork:
     """Closed network: every index appears in exactly two tensors.
 
-    arrays[t] has one axis per entry of indices[t]; dims maps index id to
-    dimension.  scalar carries factors from wires that never meet a
-    two-qubit gate and from fully absorbed tensors.  provenance[t] is
+    arrays[t] has one axis of dimension 2 per entry of indices[t].  scalar
+    carries factors from wires that never meet a two-qubit gate and from
+    fully absorbed tensors.  provenance[t] is
     (two_qubit_layer_position, (q0, q1), half) with half one of "a", "b",
     "ab", recording where the tensor came from.
     """
@@ -34,7 +36,6 @@ class TensorNetwork:
     n: int
     arrays: list[np.ndarray] = field(default_factory=list)
     indices: list[tuple[int, ...]] = field(default_factory=list)
-    dims: dict[int, int] = field(default_factory=dict)
     scalar: complex = 1.0 + 0.0j
     provenance: list[tuple] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
@@ -54,12 +55,26 @@ class TensorNetwork:
         for t, (arr, ids) in enumerate(zip(self.arrays, self.indices)):
             if arr.ndim != len(ids):
                 raise ValueError(f"tensor {t} axes do not match its index list")
-            for ax, i in enumerate(ids):
-                if arr.shape[ax] != self.dims[i]:
-                    raise ValueError(f"tensor {t} axis {ax} disagrees with dims")
+            for ax, d in enumerate(arr.shape):
+                if d != 2:
+                    raise ValueError(f"tensor {t} axis {ax} has dimension {d}, not 2")
         bad = [i for i, c in self.index_count().items() if c != 2]
         if bad:
             raise ValueError(f"indices {bad} do not appear in exactly 2 tensors")
+
+
+def contract_pair(a, ids_a, b, ids_b):
+    """Contract two tensors over their shared indices.
+
+    The result keeps a's remaining axes, then b's, in their original order.
+    """
+    shared = [i for i in ids_a if i in ids_b]
+    ax_a = [ids_a.index(i) for i in shared]
+    ax_b = [ids_b.index(i) for i in shared]
+    out = np.tensordot(a, b, axes=(ax_a, ax_b))
+    ids_out = tuple(i for i in ids_a if i not in shared) + \
+        tuple(i for i in ids_b if i not in shared)
+    return out, ids_out
 
 
 def _basis_vector(bit: str) -> np.ndarray:
@@ -75,7 +90,7 @@ def _schmidt_split(theta: float) -> tuple[np.ndarray, np.ndarray]:
     from the operator-Schmidt form UZZ(theta) = cos(theta/2) I x I
     - i sin(theta/2) Z x Z.  A term whose weight is at most _RANK_TOL of
     the larger one is dropped, so the bond dimension is 2 away from
-    theta = 0 mod pi.
+    theta = 0 mod pi and 1 there, where circuit_to_tn emits no bond.
     """
     terms = ((math.cos(0.5 * theta), PAULIS["I"]), (-1j * math.sin(0.5 * theta), PAULIS["Z"]))
     top = max(abs(w) for w, _ in terms)
@@ -89,10 +104,11 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
                   split_rank: int = 2) -> TensorNetwork:
     """Closed network for the amplitude <x|C|0...0> (or <x|C|initial_bits>).
 
-    split_rank=2 Schmidt-splits every two-qubit gate into two wire-local
-    tensors; split_rank=4 keeps one rank-4 tensor per gate.  Either way the
-    single-qubit layers and both boundary states are absorbed, so the
-    network has exactly one (split: two) tensor per two-qubit gate.
+    split_rank=2 keeps the two wire-local halves of every two-qubit gate;
+    split_rank=4 contracts them over their bond into one rank-4 tensor.
+    Either way the single-qubit layers and both boundary states are
+    absorbed, so the network has exactly one (split: two) tensor per
+    two-qubit gate, fewer where a tensor reduces to a scalar.
     """
     if split_rank not in (2, 4):
         raise ValueError("split_rank must be 2 or 4")
@@ -105,14 +121,7 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
     tn = TensorNetwork(n=c.n)
     tn.meta = {"split_rank": split_rank, "depth": c.depth,
                "ensemble": c.ensemble, "out": bitstring_out}
-    next_id = 0
-
-    def fresh(dim: int) -> int:
-        nonlocal next_id
-        i = next_id
-        next_id += 1
-        tn.dims[i] = dim
-        return i
+    fresh = itertools.count().__next__  # index ids in creation order
 
     # per-wire running state: open index into the last tensor on the wire
     # (None before any gate) and the pending single-qubit matrix or vector
@@ -127,45 +136,26 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
             continue
         for g in lay.gates:
             qa, qb = g.q0, g.q1
-            if split_rank == 2:
-                a3, b3 = _schmidt_split(g.theta)
-                bond = fresh(a3.shape[2])
-                for q, raw, role in ((qa, a3, "a"), (qb, b3, "b")):
-                    mat = raw if role == "a" else np.moveaxis(raw, 0, 2)
-                    # mat is [out, in, bond] either way
-                    if open_idx[q] is None:
-                        arr = np.einsum("oik,i->ok", mat, pend[q])
-                        out = fresh(2)
-                        ids = (out, bond)
-                    else:
-                        arr = np.einsum("oik,ij->ojk", mat, pend[q])
-                        out = fresh(2)
-                        ids = (out, open_idx[q], bond)
-                    tn.arrays.append(np.ascontiguousarray(arr))
-                    tn.indices.append(ids)
-                    tn.provenance.append((pos_2q, (qa, qb), role))
-                    open_idx[q] = out
-                    pend[q] = np.eye(2, dtype=complex)
-            else:
-                arr = uzz_matrix(g.theta).reshape(2, 2, 2, 2)  # [oa, ob, ia, ib]
-                ids_tail: list[int] = []
-                if open_idx[qa] is None:
-                    arr = np.einsum("abij,i->abj", arr, pend[qa])
-                else:
-                    arr = np.einsum("abij,ik->abkj", arr, pend[qa])
-                    ids_tail.append(open_idx[qa])
-                if open_idx[qb] is None:
-                    arr = np.einsum("ab...j,j->ab...", arr, pend[qb])
-                else:
-                    arr = np.einsum("ab...j,jk->ab...k", arr, pend[qb])
-                    ids_tail.append(open_idx[qb])
-                oa, ob = fresh(2), fresh(2)
-                tn.arrays.append(np.ascontiguousarray(arr))
-                tn.indices.append(tuple([oa, ob] + ids_tail))
-                tn.provenance.append((pos_2q, (qa, qb), "ab"))
-                open_idx[qa], open_idx[qb] = oa, ob
-                pend[qa] = np.eye(2, dtype=complex)
-                pend[qb] = np.eye(2, dtype=complex)
+            a3, b3 = _schmidt_split(g.theta)
+            bond = (fresh(),) if a3.shape[2] > 1 else ()
+            halves = []
+            for q, mat in ((qa, a3), (qb, np.moveaxis(b3, 0, 2))):
+                # mat is [out, in, bond]; absorb the pending gate or input
+                arr = np.einsum("oik,i...->o...k", mat, pend[q])
+                if not bond:
+                    arr = arr[..., 0]
+                prev = () if open_idx[q] is None else (open_idx[q],)
+                open_idx[q] = fresh()
+                halves.append((np.ascontiguousarray(arr),
+                               (open_idx[q],) + prev + bond))
+                pend[q] = np.eye(2, dtype=complex)
+            roles = ("a", "b")
+            if split_rank == 4:
+                halves, roles = [contract_pair(*halves[0], *halves[1])], ("ab",)
+            for (arr, ids), role in zip(halves, roles):
+                tn.arrays.append(arr)
+                tn.indices.append(ids)
+                tn.provenance.append((pos_2q, (qa, qb), role))
         pos_2q += 1
 
     # close the top: project every wire on its output bit
@@ -181,7 +171,6 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
                                          axes=([0], [ax]))
         # tensordot leaves the remaining axes in their original order
         tn.indices[target] = tn.indices[target][:ax] + tn.indices[target][ax + 1:]
-        del tn.dims[open_idx[q]]
 
     # fold tensors reduced to scalars into the global factor
     keep = [t for t in range(tn.n_tensors) if tn.indices[t]]

@@ -20,7 +20,7 @@ from collections import defaultdict
 import numpy as np
 
 from .network import TensorNetwork
-from .tree import (ContractionTree, leg_sets, live_mask, log2_size, mask_indices,
+from .tree import (ContractionTree, index_mask, leg_sets, log2_size, mask_indices,
                    walk_merges)
 
 
@@ -149,15 +149,15 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
     statevector-style pass.  The time sweep runs over whole gates, and on
     a split network every trial is also run over whole gates (halves
     pre-merged), so splitting gates cannot hurt beyond the pre-merge cost
-    itself.  With sliced indices given, the search prices them at
-    dimension 1 and the returned stats describe one slice task.
+    itself.  With sliced indices given, the search fixes each to one
+    value and the returned stats describe one slice task.
     """
     t_count = tn.n_tensors
     legs = leg_sets(tn.indices)
     if t_count == 0:
         tree = ContractionTree(0, [], sliced=tuple(sliced))
-        return tree.attach_stats(legs, tn.dims)
-    live = live_mask(tn.dims, sliced)
+        return tree.attach_stats(legs)
+    live = ~index_mask(sliced)
 
     def priced(merges):
         return walk_merges(merges, legs, live).flops
@@ -181,7 +181,7 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
 
     best = min(candidates, key=priced)
     tree = ContractionTree(t_count, best, sliced=tuple(sliced))
-    return tree.attach_stats(legs, tn.dims)
+    return tree.attach_stats(legs)
 
 
 def light_cone_order(tn: TensorNetwork,
@@ -196,7 +196,7 @@ def light_cone_order(tn: TensorNetwork,
     Split-gate halves are pre-merged so transients stay within the bound.
     """
     if tn.n_tensors == 0:
-        return ContractionTree(0, []).attach_stats([], tn.dims)
+        return ContractionTree(0, []).attach_stats([])
     depth = tn.meta.get("depth", 0)
     groups = _gate_groups(tn)
 
@@ -267,4 +267,4 @@ def light_cone_order(tn: TensorNetwork,
         done.add(key)
 
     tree = ContractionTree(tn.n_tensors, out.merges)
-    return tree.attach_stats(leg_sets(tn.indices), tn.dims)
+    return tree.attach_stats(leg_sets(tn.indices))

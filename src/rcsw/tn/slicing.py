@@ -1,7 +1,7 @@
 """Index slicing under a width budget.
 
 Fixing (slicing) an index turns one contraction into independent tasks,
-one per index value, each over a network where that index has dimension 1.
+one per index value, each over a network with that index fixed.
 Slicing never reduces total work for a fixed tree; it trades memory for a
 task-count multiplier.  Indices are chosen greedily by per-slice width
 reduction, re-optimizing the tree at intervals because the best order for
@@ -16,8 +16,7 @@ import numpy as np
 from ..errors import InfeasibleBudget
 from .network import TensorNetwork
 from .order import optimize_order
-from .tree import (ContractionTree, index_mask, leg_sets, live_mask, mask_indices,
-                   walk_merges)
+from .tree import ContractionTree, index_mask, leg_sets, mask_indices, walk_merges
 
 REOPT_EVERY = 4  # slices between re-optimizations of the tree
 MAX_SLICES = 60  # slice count at which the budget is declared infeasible
@@ -34,14 +33,12 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
     if width_budget < 2:
         raise InfeasibleBudget("width budget below a single binary index")
     legs = leg_sets(tn.indices)
-    full = live_mask(tn.dims)
     sliced = list(tree.sliced)
     merges = list(tree.merges)
     seeds = iter(np.random.SeedSequence(seed).spawn(MAX_SLICES + 1))
     since_reopt = 0
     while True:
-        cut = index_mask(sliced)
-        live = full & ~cut
+        live = ~index_mask(sliced)
         walk = walk_merges(merges, legs, live)
         if 2.0 ** walk.log2_width <= width_budget:
             break
@@ -51,7 +48,7 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
                 f"2^{math.log2(width_budget):g}")
         # only the first widest node's unsliced legs are tried, so a step
         # costs at most its rank in trials
-        candidates = walk.widest & ~cut
+        candidates = walk.widest & live
         if not candidates:
             raise InfeasibleBudget("no index left to slice in oversized nodes")
         best = None
@@ -67,4 +64,4 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
             merges = list(optimize_order(tn, budget=budget, seed=next(seeds),
                                          sliced=tuple(sliced)).merges)
     out = ContractionTree(tn.n_tensors, merges, sliced=tuple(sliced))
-    return out.attach_stats(legs, tn.dims)
+    return out.attach_stats(legs)

@@ -4,37 +4,55 @@ A tree over a closed network is a list of pairwise merges in static
 single-assignment form: leaves are numbered 0..T-1 and merge step s
 produces node T+s.  A leg set is a Python int with bit i set for index i.
 Because every index appears in exactly two tensors, the legs of a merged
-node are the XOR of its children's legs.  Every index has dimension 2, or
-1 at a Schmidt rank of 1 or when sliced, so the log2 size of a leg set is
-the number of its legs inside the ``live`` mask of dimension-2 indices;
+node are the XOR of its children's legs.  Every index has dimension 2 and
+a sliced index has one fixed value per task, so the log2 size of a leg set
+is the number of its legs inside the ``live`` mask ``~index_mask(sliced)``;
 ``log2_size`` is the one pricing rule the order search and the slicer use.
 Costs use 8*S*K real FLOPs for a complex contraction producing S entries
-from a contracted dimension K.
+from a contracted dimension K; every such term is 8 * 2^k, so FLOP totals
+are exact Python ints.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 
 @dataclass
 class TreeStats:
-    flops: float
-    width: float               # largest node size, leaves included
-    max_rank: float            # log2 of the largest node size
-    log2_flops: float
-    sliced_multiplier: float   # product of sliced index dimensions
-    total_flops: float         # sliced_multiplier * flops
+    """Cost of one slice task and the number of tasks."""
+
+    flops: int        # FLOPs of one task
+    log2_width: int   # log2 of the largest node, leaves included
+    n_sliced: int     # sliced indices; 2^n_sliced tasks
+
+    @property
+    def width(self) -> int:
+        return 1 << self.log2_width
+
+    @property
+    def max_rank(self) -> float:
+        return float(self.log2_width)
+
+    @property
+    def log2_flops(self) -> float:
+        return math.log2(self.flops) if self.flops > 0 else 0.0
+
+    @property
+    def sliced_multiplier(self) -> int:
+        return 1 << self.n_sliced
+
+    @property
+    def total_flops(self) -> int:
+        return self.flops << self.n_sliced
 
     @property
     def log2_total(self) -> float:
         return math.log2(self.total_flops) if self.total_flops > 0 else 0.0
-
-    @property
-    def log2_width(self) -> float:
-        return math.log2(self.width) if self.width > 0 else 0.0
 
 
 def index_mask(ids) -> int:
@@ -60,21 +78,6 @@ def leg_sets(indices: list[tuple[int, ...]]) -> list[int]:
     return [index_mask(ids) for ids in indices]
 
 
-def live_mask(dims: dict[int, int], sliced=()) -> int:
-    """Bitmask of the indices priced at dimension 2.
-
-    Every index has dimension 2, or 1 at a Schmidt rank of 1; a sliced index
-    is priced at 1 as well.  Any other dimension is rejected.
-    """
-    live = 0
-    for i, d in dims.items():
-        if d == 2:
-            live |= 1 << i
-        elif d != 1:
-            raise ValueError(f"index {i} has dimension {d}; only 1 and 2 are priced")
-    return live & ~index_mask(sliced)
-
-
 def log2_size(legs: int, live: int) -> int:
     """log2 of the number of entries of a tensor with these legs."""
     return (legs & live).bit_count()
@@ -83,7 +86,7 @@ def log2_size(legs: int, live: int) -> int:
 class Walk(NamedTuple):
     """Cost of one merge list at one ``live`` mask."""
 
-    flops: float
+    flops: int
     log2_width: int   # log2 of the largest node, leaves included
     widest: int       # legs of the first node of that size, leaves first
 
@@ -93,13 +96,13 @@ def walk_merges(merges, legs: list[int], live: int) -> Walk:
     node = dict(enumerate(legs))
     widest = max(legs, key=lambda ls: log2_size(ls, live), default=0)
     best = log2_size(widest, live)
-    flops = 0.0
+    flops = 0
     nxt = len(legs)
     for a, b in merges:
         la, lb = node.pop(a), node.pop(b)
         parent = la ^ lb
         k = log2_size(parent, live)
-        flops += 8.0 * 2.0 ** (k + log2_size(la & lb, live))
+        flops += 8 << (k + log2_size(la & lb, live))
         if k > best:
             best, widest = k, parent
         node[nxt] = parent
@@ -109,26 +112,18 @@ def walk_merges(merges, legs: list[int], live: int) -> Walk:
     return Walk(flops, best, widest)
 
 
-def analyze_merges(merges, legs: list[int], dims: dict[int, int],
-                   sliced: tuple[int, ...] = ()) -> TreeStats:
+def analyze_merges(merges, legs: list[int], sliced: tuple[int, ...] = ()) -> TreeStats:
     """Walk a merge list and price it.
 
-    Sliced indices are priced at dimension 1 (one fixed value per task);
-    the stats then describe a single task and the total carries the
-    task-count multiplier.
+    Sliced indices have one fixed value per task; the stats then describe a
+    single task and the total carries the task-count multiplier.
     """
-    full = live_mask(dims)
     cut = index_mask(sliced)
-    walk = walk_merges(merges, legs, full & ~cut)
-    mult = 2.0 ** log2_size(cut, full)
-    return TreeStats(
-        flops=walk.flops,
-        width=2.0 ** walk.log2_width,
-        max_rank=float(walk.log2_width),
-        log2_flops=math.log2(walk.flops) if walk.flops > 0 else 0.0,
-        sliced_multiplier=mult,
-        total_flops=mult * walk.flops,
-    )
+    stray = cut & ~functools.reduce(operator.or_, legs, 0)
+    if stray:
+        raise ValueError(f"sliced indices {mask_indices(stray)} are on no tensor")
+    walk = walk_merges(merges, legs, ~cut)
+    return TreeStats(walk.flops, walk.log2_width, cut.bit_count())
 
 
 @dataclass
@@ -151,12 +146,8 @@ class ContractionTree:
                     raise ValueError(f"merge {s} reuses or forward-references {x}")
                 seen.add(x)
 
-    def analyze(self, legs, dims, sliced=None) -> TreeStats:
-        use = self.sliced if sliced is None else tuple(sliced)
-        return analyze_merges(self.merges, legs, dims, use)
-
-    def attach_stats(self, legs, dims) -> "ContractionTree":
-        self.stats = self.analyze(legs, dims)
+    def attach_stats(self, legs) -> "ContractionTree":
+        self.stats = analyze_merges(self.merges, legs, self.sliced)
         return self
 
     def to_json(self) -> str:
@@ -178,4 +169,4 @@ class ContractionTree:
 
 def analyze_tree(tree: ContractionTree, tn) -> TreeStats:
     """Recompute a tree's stats directly from its network."""
-    return tree.analyze(leg_sets(tn.indices), tn.dims)
+    return analyze_merges(tree.merges, leg_sets(tn.indices), tree.sliced)

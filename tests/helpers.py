@@ -207,51 +207,36 @@ def rg_circuit(n: int, d: int, seed: int) -> Circuit:
     return build_rg_circuit(cg, seed=seed + 1)
 
 
-def analyze_merges_reference(merges, legs, dims, sliced=()) -> TreeStats:
+def analyze_merges_reference(merges, legs, sliced=()) -> TreeStats:
     """Price a merge list over frozenset leg sets, one index at a time.
 
     The reference for the bitset pricing in ``rcsw.tn.tree``.
     """
     sliced_set = frozenset(sliced)
 
-    def dim(i: int) -> int:
-        return 1 if i in sliced_set else dims[i]
-
-    def size(ls: frozenset[int]) -> float:
-        s = 1.0
+    def size(ls: frozenset[int]) -> int:
+        s = 1
         for i in ls:
-            s *= dim(i)
+            s *= 1 if i in sliced_set else 2
         return s
 
-    if not legs and not merges:
-        return TreeStats(flops=0.0, width=1.0, max_rank=0.0, log2_flops=0.0,
-                         sliced_multiplier=1.0, total_flops=0.0)
     node: dict[int, frozenset[int]] = {t: ls for t, ls in enumerate(legs)}
-    width = max((size(ls) for ls in legs), default=1.0)
-    flops = 0.0
+    width = max((size(ls) for ls in legs), default=1)
+    flops = 0
     nxt = len(legs)
     for a, b in merges:
         la, lb = node.pop(a), node.pop(b)
         parent = la ^ lb
         s = size(parent)
         k = size(la & lb)
-        flops += 8.0 * s * k
+        flops += 8 * s * k
         width = max(width, s)
         node[nxt] = parent
         nxt += 1
-    if len(node) != 1 or next(iter(node.values())):
+    if len(node) > 1 or any(node.values()):
         raise ValueError("merge list does not contract the network to a scalar")
-    mult = 1.0
-    for i in sliced_set:
-        mult *= dims[i]
-    return TreeStats(
-        flops=flops,
-        width=width,
-        max_rank=math.log2(width) if width > 0 else 0.0,
-        log2_flops=math.log2(flops) if flops > 0 else 0.0,
-        sliced_multiplier=mult,
-        total_flops=mult * flops,
-    )
+    return TreeStats(flops=flops, log2_width=width.bit_length() - 1,
+                     n_sliced=len(sliced_set))
 
 
 def apply_zz_full_merge_reference(state: mps.MpsState, theta: float, qa: int, qb: int):

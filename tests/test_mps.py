@@ -125,6 +125,26 @@ def test_flops_positive_and_report_csv():
     assert row.startswith("8,4,4,4x[2],")
 
 
+def test_flops_count_every_qr(monkeypatch):
+    # moving the orthogonality center takes QRs too; flops_est counts them
+    c = rg_circuit(10, 6, seed=12)
+    calls = {"numpy": 0, "counted": 0, "shifts": 0}
+    numpy_qr, counted_qr, shift_left = np.linalg.qr, mps._qr, mps._shift_left
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(np.linalg, "qr", spy("numpy", numpy_qr))
+    monkeypatch.setattr(mps, "_qr", spy("counted", counted_qr))
+    monkeypatch.setattr(mps, "_shift_left", spy("shifts", shift_left))
+    evolve(c, 4, 4, seed=12)
+    assert calls["shifts"] > 0
+    assert calls["counted"] == calls["numpy"]
+
+
 def test_evolve_validation():
     c = rg_circuit(6, 3, seed=13)
     with pytest.raises(ValueError):

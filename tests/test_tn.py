@@ -40,7 +40,7 @@ def test_network_tensor_count_split2():
     c = rg_circuit(6, 3, seed=0)
     tn = circuit_to_tn(c, split_rank=2)
     assert tn.n_tensors == 6 * 3
-    assert all(d == 2 for d in tn.dims.values())
+    assert all(set(arr.shape) == {2} for arr in tn.arrays)
     tn.validate()
 
 
@@ -63,7 +63,14 @@ def test_network_zero_angle_gates_have_unit_bonds():
     c = rg_circuit(6, 3, seed=1)
     t = build_transport_rb(c, seed=2)
     tn = circuit_to_tn(t, bitstring_out=t.initial_bits, split_rank=2)
-    assert min(tn.dims.values()) == 1
+    # every entangler of a transport circuit has angle 0, so Schmidt rank 1
+    assert all(g.theta == 0.0 for lay in t.two_qubit_layers() for g in lay.gates)
+    halves: dict[tuple, list[set]] = {}
+    for ids, (pos, pair, _) in zip(tn.indices, tn.provenance):
+        halves.setdefault((pos, pair), []).append(set(ids))
+    pairs = [h for h in halves.values() if len(h) == 2]
+    assert pairs and all(not (a & b) for a, b in pairs)  # no bond
+    assert all(set(arr.shape) == {2} for arr in tn.arrays)
     tn.validate()
 
 
@@ -87,15 +94,14 @@ def test_network_records_meta():
 
 def test_analyze_two_tensor_contraction():
     legs = leg_sets([(0,), (0,)])
-    stats = analyze_merges([(0, 1)], legs, {0: 2})
+    stats = analyze_merges([(0, 1)], legs)
     assert stats.flops == 16.0  # 8 * S(1) * K(2)
     assert stats.width == 2.0
 
 
 def test_analyze_chain_of_three():
     legs = leg_sets([(0,), (0, 1), (1,)])
-    dims = {0: 2, 1: 2}
-    stats = analyze_merges([(0, 1), (3, 2)], legs, dims)
+    stats = analyze_merges([(0, 1), (3, 2)], legs)
     # (A.B): S=2, K=2 -> 32; then with C: S=1, K=2 -> 16
     assert stats.flops == 48.0
     assert stats.width == 4.0  # the two-leg leaf is the largest tensor
@@ -104,13 +110,34 @@ def test_analyze_chain_of_three():
 def test_analyze_rejects_open_root():
     legs = leg_sets([(0,), (0, 1)])
     with pytest.raises(ValueError):
-        analyze_merges([(0, 1)], legs, {0: 2, 1: 2})
+        analyze_merges([(0, 1)], legs)
 
 
-def test_analyze_rejects_dimension_three():
+def test_analyze_flops_are_exact_integers():
+    # 8 * 2^61 + 8 * 2^1: a float sum rounds this to exactly 2^64
+    legs = leg_sets([range(61), range(60), (60,)])
+    stats = analyze_merges([(0, 1), (3, 2)], legs)
+    assert stats.flops == (1 << 64) + 16
+    assert stats.log2_width == 61
+
+
+def test_analyze_rejects_sliced_index_on_no_tensor():
     legs = leg_sets([(0,), (0,)])
+    with pytest.raises(ValueError, match=r"sliced indices \[5\] are on no tensor"):
+        analyze_merges([(0, 1)], legs, sliced=(0, 5))
+    c = rg_circuit(4, 3, seed=0)
+    tn = circuit_to_tn(c)
+    tree = optimize_order(tn, budget=1, seed=0)
+    stray = ContractionTree(tn.n_tensors, list(tree.merges), sliced=(10 ** 3,))
+    with pytest.raises(ValueError, match="on no tensor"):
+        execute_tree(tn, stray)
+
+
+def test_validate_rejects_dimension_three():
+    tn = network.TensorNetwork(n=1, arrays=[np.ones(3), np.ones(3)],
+                               indices=[(0,), (0,)])
     with pytest.raises(ValueError, match="dimension 3"):
-        analyze_merges([(0, 1)], legs, {0: 3})
+        tn.validate()
 
 
 def _random_merges(n_leaves, rng):
@@ -131,17 +158,16 @@ def test_bitset_pricing_matches_frozenset_reference():
             circuit_to_tn(base, split_rank=4),
             circuit_to_tn(build_transport_rb(base, seed=31), split_rank=2),
             circuit_to_tn(build_brickwork_circuit(6, 5, seed=32), split_rank=2)]
-    assert min(nets[2].dims.values()) == 1  # zero-angle bonds priced at 1
     for tn in nets:
-        ids = sorted(tn.dims)
+        ids = sorted(set().union(*tn.indices))
         for trial in range(6):
             merges = (_random_merges(tn.n_tensors, rng) if trial % 2
                       else optimize_order(tn, budget=1, seed=trial).merges)
             k = int(rng.integers(0, 6))
             sliced = tuple(int(i) for i in rng.choice(ids, size=k, replace=False))
-            got = analyze_merges(merges, leg_sets(tn.indices), tn.dims, sliced)
+            got = analyze_merges(merges, leg_sets(tn.indices), sliced)
             ref = analyze_merges_reference(
-                merges, [frozenset(x) for x in tn.indices], tn.dims, sliced)
+                merges, [frozenset(x) for x in tn.indices], sliced)
             assert got == ref
 
 
@@ -192,7 +218,8 @@ def test_closed_form_split_matches_svd(theta, monkeypatch):
     tree = optimize_order(tn, budget=2, seed=0)
     monkeypatch.setattr(network, "_schmidt_split", schmidt_split_svd_reference)
     ref = circuit_to_tn(c, bitstring_out=bits)
-    assert tn.dims == ref.dims and tn.indices == ref.indices
+    assert tn.indices == ref.indices
+    assert [a.shape for a in tn.arrays] == [a.shape for a in ref.arrays]
     amp, ref_amp = execute_tree(tn, tree), execute_tree(ref, tree)
     assert abs(amp - ref_amp) < 1e-12
     assert abs(amp - amplitude_oracle(c, bits)) < 1e-12
@@ -235,10 +262,10 @@ def test_execute_sliced_equals_unsliced():
     tn = circuit_to_tn(c, bitstring_out="10100101")
     tree = optimize_order(tn, budget=2, seed=0)
     plain = execute_tree(tn, tree)
-    pick = sorted(tn.dims)[:3]
+    pick = sorted(set().union(*tn.indices))[:3]
     sliced = ContractionTree(tn.n_tensors, list(tree.merges),
                              sliced=tuple(pick))
-    sliced.attach_stats(leg_sets(tn.indices), tn.dims)
+    sliced.attach_stats(leg_sets(tn.indices))
     assert abs(execute_tree(tn, sliced) - plain) < 1e-10
 
 
@@ -368,7 +395,7 @@ def test_slice_reduces_width_and_costs_more():
     assert out.stats.width <= budget
     assert len(out.sliced) >= 1
     # same-tree guarantee: slicing its own merge list cannot win
-    base = analyze_merges(out.merges, leg_sets(tn.indices), tn.dims, ())
+    base = analyze_merges(out.merges, leg_sets(tn.indices))
     assert out.stats.total_flops >= base.total_flops * (1 - 1e-9)
 
 
