@@ -10,7 +10,7 @@ import numpy as np
 
 from rcsw import circuits, statevector
 from rcsw.circuits import build_instance
-from rcsw.estimators import GateCountParams, gate_counting, xeb
+from rcsw.estimators import GateCountParams, gate_counting, mb_hits, xeb
 from rcsw.statevector import NoiseModel
 
 
@@ -41,12 +41,12 @@ def main():
                 c, nm, args.trajectories, seed=s + 100,
                 shots_per_traj=args.shots)
             direct.append(res.fidelity)
-            xebs.extend(xeb(res.samples, res.ideal.probabilities(), c.n).rescaled - 1.0)
+            xebs.extend(xeb(res.samples, res.ideal.probabilities()).rescaled - 1.0)
             mirror = circuits.build_mirror(c, seed=s + 200)
             mres = statevector.run_trajectories(
                 mirror, nm, args.trajectories, seed=s + 300,
                 shots_per_traj=args.shots)
-            mb.extend(np.array(mres.samples) == mirror.initial_bits)
+            mb.extend(mb_hits(mres.samples, mirror.initial_bits))
         print(f"{d:>3} {np.mean(direct):>9.4f} {np.mean(xebs):>8.4f} "
               f"{np.mean(mb):>8.4f} {gate_counting(gc, args.n, d):>8.4f}")
 

@@ -78,18 +78,18 @@ class BootCI:
         return self.lo <= value <= self.hi
 
 
-def _resample_aggregate(pooled: np.ndarray, r: int, rng, statistic=np.mean) -> np.ndarray:
+def _resample_aggregate(pooled: np.ndarray, r: int, rng) -> np.ndarray:
     m = pooled.size
     out = np.empty(r)
     chunk = max(1, int(5_000_000 // max(m, 1)))
     for start in range(0, r, chunk):
         stop = min(r, start + chunk)
         idx = rng.integers(0, m, size=(stop - start, m))
-        out[start:stop] = statistic(pooled[idx], axis=1)
+        out[start:stop] = pooled[idx].mean(axis=1)
     return out
 
 
-def _resample_double(table: ShotTable, r: int, rng, statistic=np.mean) -> np.ndarray:
+def _resample_double(table: ShotTable, r: int, rng) -> np.ndarray:
     mat = table.circuits
     j, p = mat.shape
     out = np.empty(r)
@@ -98,19 +98,18 @@ def _resample_double(table: ShotTable, r: int, rng, statistic=np.mean) -> np.nda
         stop = min(r, start + chunk)
         ids = rng.integers(0, j, size=(stop - start, j))
         cols = rng.integers(0, p, size=(stop - start, j, p))
-        out[start:stop] = statistic(mat[ids[:, :, None], cols], axis=(1, 2))
+        out[start:stop] = mat[ids[:, :, None], cols].mean(axis=(1, 2))
     return out
 
 
-def bootstrap_ci(table: ShotTable, statistic=np.mean, method: str = "aggregate",
+def bootstrap_ci(table: ShotTable, method: str = "aggregate",
                  r: int = 1000, seed=0) -> BootCI:
-    """Bootstrap the pooled statistic of a shot table.
+    """Bootstrap the pooled mean of a shot table.
 
     Aggregate resampling treats shots as one pool; double resampling draws
     circuits with replacement and then shots within each drawn circuit.
-    statistic reduces along the axis it is given, as np.mean and np.median
-    do, so a chunk of resamples is reduced in one call.  The returned
-    interval reflects the raw one-sigma quantiles about the point estimate.
+    Each chunk of resamples is averaged in one call.  The returned interval
+    reflects the raw one-sigma quantiles about the point estimate.
     """
     if method not in ("aggregate", "double"):
         raise ValueError(f"unknown method {method!r}")
@@ -118,11 +117,11 @@ def bootstrap_ci(table: ShotTable, statistic=np.mean, method: str = "aggregate",
         raise ValueError("need at least 100 resamples")
     pooled = table.pooled()
     rng = np.random.default_rng(seed)
-    fhat = float(statistic(pooled))
+    fhat = float(pooled.mean())
     if method == "aggregate":
-        boots = _resample_aggregate(pooled, r, rng, statistic)
+        boots = _resample_aggregate(pooled, r, rng)
     else:
-        boots = _resample_double(table, r, rng, statistic)
+        boots = _resample_double(table, r, rng)
     q_lo, q_hi = np.percentile(boots, [_SIGMA_LO, _SIGMA_HI])
     return BootCI(estimate=fhat, lo=2.0 * fhat - q_hi, hi=2.0 * fhat - q_lo,
                   q_lo=float(q_lo), q_hi=float(q_hi), method=method, r=r)

@@ -33,7 +33,7 @@ from .bootstrap import (
     p_double,
 )
 from .errors import CapacityError, InfeasibleBudget
-from .estimators import GateCountParams, gate_counting, xeb
+from .estimators import GateCountParams, gate_counting, mb_hits, xeb
 from .mps import MPS_CSV_HEADER, evolve
 from .tn import CSV_HEADER, circuit_to_tn, optimize_order, slice_tree, summarize
 
@@ -99,8 +99,8 @@ class RunConfig:
         for name in ("noise_eps2q", "noise_mem", "spam", "base_eps"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.mu < 0.0 or self.gates < 0 or self.max_k < 0:
-            raise ValueError("mu, gates, and max_k must be nonnegative")
+        if min(self.mu, self.gates, self.max_k, self.xeb_cap) < 0:
+            raise ValueError("mu, gates, max_k, and xeb_cap must be nonnegative")
         if self.circuits < 1 or self.n_jobs < 1 or self.n_per < 1:
             raise ValueError("circuits, n_jobs, and n_per must be positive")
 
@@ -223,11 +223,11 @@ def _fidelity_report(cfg: RunConfig, estimator: str, cs, nm, cap: int,
 
 
 def _xeb_scores(c, res) -> np.ndarray:
-    return xeb(res.samples, res.ideal.probabilities(), c.n).rescaled - 1.0
+    return xeb(res.samples, res.ideal.probabilities()).rescaled - 1.0
 
 
 def _mb_scores(c, res) -> np.ndarray:
-    return (np.array(res.samples) == c.initial_bits).astype(float)
+    return mb_hits(res.samples, c.initial_bits)
 
 
 def cmd_fidelity(cfg: RunConfig) -> list[Path]:

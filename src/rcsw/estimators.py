@@ -23,38 +23,38 @@ class XebResult:
     rescaled: np.ndarray  # 2^n * P(x_j) per sample
 
 
-def _prob_lookup(probs):
-    if callable(probs):
-        return probs
-    arr = np.asarray(probs, dtype=float)
-    return lambda bits: float(arr[int(bits, 2)])
+def _outcomes(samples, size: int) -> np.ndarray:
+    """samples as an array of outcome indices, each in [0, size)."""
+    x = np.asarray(samples)
+    if x.size == 0:
+        raise EmptySamples("need at least one sample")
+    if x.dtype.kind not in "iu" or x.min() < 0 or x.max() >= size:
+        raise ValueError(f"samples must be integer outcome indices in [0, {size})")
+    return x
 
 
-def xeb(samples: list[str], probs, n: int | None = None) -> XebResult:
-    """Linear cross-entropy fidelity estimate from sampled bitstrings.
+def xeb(samples, probs) -> XebResult:
+    """Linear cross-entropy fidelity estimate: the mean of 2^n P(x_j), minus one.
 
-    probs may be an array of length 2^n indexed by the bitstring value or a
-    callable bitstring -> probability.  The estimate is linear in the
-    empirical sample distribution: mean of 2^n P(x_j), minus one.
+    samples are the outcome indices x_j; probs, indexed by outcome, is the
+    ideal output distribution, of length 2^n.
     """
-    if len(samples) == 0:
-        raise EmptySamples("xeb needs at least one sample")
-    if n is None:
-        n = len(samples[0])
-    if any(len(s) != n for s in samples):
-        raise ValueError("all samples must have the same width")
-    lookup = _prob_lookup(probs)
-    rescaled = np.array([2 ** n * lookup(s) for s in samples])
-    return XebResult(float(rescaled.mean() - 1.0), len(samples), rescaled)
+    probs = np.asarray(probs, dtype=float)
+    n = probs.size.bit_length() - 1
+    if probs.ndim != 1 or probs.size != 2 ** n:
+        raise ValueError(f"probs must have length 2^n, got {probs.size}")
+    x = _outcomes(samples, probs.size)
+    rescaled = 2 ** n * probs[x]
+    return XebResult(float(rescaled.mean() - 1.0), x.size, rescaled)
 
 
-def mb_return_probability(samples: list[str], target_bits: str) -> float:
-    """Fraction of samples equal to the mirror circuit's initial bitstring."""
-    if len(samples) == 0:
-        raise EmptySamples("return probability needs at least one sample")
-    if any(len(s) != len(target_bits) for s in samples):
-        raise ValueError("sample width does not match target bitstring")
-    return sum(1 for s in samples if s == target_bits) / len(samples)
+def mb_hits(samples, initial_bits: str) -> np.ndarray:
+    """Per-shot mirror return indicator, whose mean is the return probability.
+
+    A shot scores 1.0 where its outcome index is int(initial_bits, 2).
+    """
+    x = _outcomes(samples, 2 ** len(initial_bits))
+    return (x == int(initial_bits, 2)).astype(float)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Dense statevector simulation with optional stochastic noise trajectories.
 
-Qubit 0 is the most significant bit of the amplitude index, so the
-amplitude of bitstring "b0 b1 ... b_{n-1}" sits at index int(bits, 2).
+Qubit 0 is the most significant bit of the amplitude index, so bitstring
+"b0 b1 ... b_{n-1}" is the index int(bits, 2): its amplitude sits there,
+and a measured outcome is that index.
 
 Noisy and noiseless runs share one layer loop over a compiled circuit.  A
 1q layer is applied as Kronecker blocks of up to _BLOCK qubits, each one
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -199,14 +200,12 @@ def run(c: Circuit, initial=None, cap: int = DEFAULT_CAP) -> StateVector:
     return StateVector(c.n, _run_layers(_initial_state(c, initial), _compile(c)))
 
 
-def sample(sv: StateVector, shots: int, seed) -> list[str]:
-    """Draw bitstrings from the measurement distribution."""
+def sample(sv: StateVector, shots: int, seed) -> np.ndarray:
+    """Draw outcome indices from the measurement distribution."""
     rng = np.random.default_rng(seed)
-    p = sv.probabilities()
-    cum = np.cumsum(p)
+    cum = np.cumsum(sv.probabilities())
     cum /= cum[-1]
-    idx = np.searchsorted(cum, rng.random(shots), side="right")
-    return [format(int(i), f"0{sv.n}b") for i in idx]
+    return np.searchsorted(cum, rng.random(shots), side="right")
 
 
 @dataclass
@@ -251,7 +250,7 @@ class TrajectoryResult:
     stderr: float
     overlaps: np.ndarray
     ideal: StateVector  # the noiseless output the overlaps are taken with
-    samples: list[str] = field(default_factory=list)
+    samples: np.ndarray  # int64 outcome indices, in trajectory order
 
 
 def _draw_errors(c: Circuit, nm: NoiseModel, rng: np.random.Generator) -> dict:
@@ -296,9 +295,9 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
     Each trajectory applies the ideal circuit with randomly inserted Pauli
     errors; the fidelity estimate is the mean squared overlap with the ideal
     state, which is simulated from the same compiled layers and returned as
-    ``ideal``.  With shots_per_traj > 0, bitstrings sampled from each noisy
-    trajectory are pooled in trajectory order, giving draws from the noisy
-    output distribution.
+    ``ideal``.  With shots_per_traj > 0, outcome indices sampled from each
+    noisy trajectory are pooled in trajectory order, giving draws from the
+    noisy output distribution.
     """
     if n_traj < 1:
         raise ValueError("n_traj must be at least 1")
@@ -316,7 +315,7 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
     dephase = (_dephasing_phases(c.n, nm.dephasing_angle(c.n) * nm.mem_sign)
                if nm.eps_mem > 0.0 else None)
     overlaps = np.empty(n_traj)
-    shots: list[list[str]] = [[] for _ in range(n_traj)]
+    shots = [np.empty(0, dtype=np.int64)] * n_traj
 
     def finish(t: int, psi: np.ndarray, overlap=None):
         overlaps[t] = abs(np.vdot(ideal, psi)) ** 2 if overlap is None else overlap
@@ -335,4 +334,4 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
             finish(t, clean, clean_overlap)
     stderr = float(np.std(overlaps, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
     return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps,
-                            StateVector(c.n, ideal), [x for s in shots for x in s])
+                            StateVector(c.n, ideal), np.concatenate(shots))

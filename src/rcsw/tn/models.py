@@ -120,8 +120,8 @@ def summarize(c: Circuit, tree: ContractionTree,
     """Cost summary of an optimized tree, densities per two-qubit gate."""
     if tree.stats is None:
         raise ValueError("tree has no attached stats")
-    n_gates = max(c.n_2q, 1)
-    n_eff = math.log2(tree.stats.total_flops / n_gates)
+    flops = tree.stats.total_flops  # can be 0 when no two-qubit gate is sampled
+    n_eff = math.log2(flops / max(c.n_2q, 1)) if flops else 0.0
     sliced_cost = None
     n_slices = 0
     if sliced_tree is not None:

@@ -131,16 +131,16 @@ def run_trajectories_reference(c: Circuit, nm: NoiseModel, n_traj: int, seed,
     ideal = apply_circuit_reference(initial_state_reference(c), c)
     seeds = np.random.SeedSequence(seed).spawn(n_traj)
     overlaps = np.empty(n_traj)
-    samples: list[str] = []
+    samples = [np.empty(0, dtype=np.int64)]
     for t in range(n_traj):
         rng = np.random.default_rng(seeds[t])
         state = noisy_trajectory_reference(c, nm, rng)
         overlaps[t] = abs(np.vdot(ideal, state)) ** 2
         if shots_per_traj > 0:
-            samples.extend(sample(StateVector(c.n, state), shots_per_traj, rng))
+            samples.append(sample(StateVector(c.n, state), shots_per_traj, rng))
     stderr = float(np.std(overlaps, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
     return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps,
-                            StateVector(c.n, ideal), samples)
+                            StateVector(c.n, ideal), np.concatenate(samples))
 
 
 def pauli_pair_conjugate_reference(theta: float, p0: str, p1: str

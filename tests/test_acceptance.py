@@ -55,12 +55,12 @@ def test_02_estimator_agreement():
         res = statevector.run_trajectories(c, nm, n_traj, seed=s + 50,
                                            shots_per_traj=spt)
         F.extend(res.overlaps)
-        X.extend(2.0 ** n * probs[int(x, 2)] - 1.0 for x in res.samples)
+        X.extend(2.0 ** n * probs[x] - 1.0 for x in res.samples)
         half = build_instance("rg", n, d // 2, s + 9000)
         mirror = circuits.build_mirror(half, seed=s + 70)
         mres = statevector.run_trajectories(mirror, nm, n_traj, seed=s + 90,
                                             shots_per_traj=spt)
-        M.extend(1.0 if x == mirror.initial_bits else 0.0
+        M.extend(1.0 if x == int(mirror.initial_bits, 2) else 0.0
                  for x in mres.samples)
     f, x, m = float(np.mean(F)), float(np.mean(X)), float(np.mean(M))
     gap = max(abs(f - x), abs(f - m), abs(x - m))

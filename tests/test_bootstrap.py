@@ -163,16 +163,6 @@ def test_single_circuit_methods_agree():
     assert wd == pytest.approx(wa, rel=0.25)
 
 
-def test_custom_statistic_path():
-    rng = np.random.default_rng(11)
-    table = ShotTable.from_matrix(rng.exponential(size=(5, 40)))
-    for method in ("aggregate", "double"):
-        ci = bootstrap_ci(table, statistic=np.median, method=method,
-                          r=150, seed=12)
-        assert ci.estimate == pytest.approx(float(np.median(table.pooled())))
-        assert ci.lo <= ci.hi
-
-
 def test_ragged_table_rejected():
     rng = np.random.default_rng(13)
     with pytest.raises(ValueError, match="same number of shots"):

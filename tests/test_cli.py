@@ -95,6 +95,18 @@ class TestCost:
         for name in ("cost_rows.csv", "cost_summary.csv"):
             assert (out / name).read_bytes() == (plain / name).read_bytes()
 
+    def test_circuit_without_two_qubit_gates_reads_zero(self, tmp_path):
+        # a depth-1 2d patch of 2 or 4 qubits samples no ZZ gate: 0 FLOPs
+        for n in ("2", "4"):
+            out = tmp_path / f"cost_n{n}"
+            run_cli(["cost", "--ensemble", "2d", "--n", n, "--d", "1", "--seed", "0",
+                     "--out", str(out)])
+            _, rows = read_csv(out / "cost_rows.csv")
+            cols = rows[0].split(",")
+            assert cols[4] == "0.0000" and cols[8] == "0.000000"  # log2_flops, C_density
+            _, srows = read_csv(out / "cost_summary.csv")
+            assert srows == [f"2d,{n},1,0.0,0.0,0.0,1,0"]
+
 
 class TestFidelity:
     def test_noiseless_mirror_is_unity(self, tmp_path):
@@ -134,6 +146,17 @@ class TestFidelity:
         assert capsys.readouterr().err.splitlines() == [
             "rcsw fidelity: skipped xeb at n=6, d=4: "
             "6 qubits exceeds the dense cap of 4"]
+
+    def test_small_run_matches_recorded_csv(self, tmp_path):
+        # recorded before outcomes became integer indices; the text must not move
+        out = tmp_path / "fid_pinned"
+        run_cli(["fidelity", "--n", "6", "--d", "3", "--instances", "2",
+                 "--trajectories", "8", "--noise-eps2q", "1e-2", "--out", str(out)])
+        assert (out / "fidelity.csv").read_text() == (
+            "ensemble,N,d,estimator,value,ci_low,ci_high,n_samples,seed\n"
+            "rg,6,3,xeb,0.8157302359341416,0.7550446568678585,0.8734539760728004,512,0\n"
+            "rg,6,3,mb,0.9609375,0.951171875,0.96875,512,0\n"
+            "rg,6,3,gc,0.8929639755384502,,,0,0\n")
 
 
 class TestMps:
@@ -237,6 +260,7 @@ class TestConfig:
 @pytest.mark.parametrize("argv", [
     ["fidelity", "--trajectories", "0"],
     ["fidelity", "--resamples", "50"],
+    ["fidelity", "--xeb-cap", "-1"],
     ["coverage", "--resamples", "50"],
     ["cost", "--n", "13", "--d", "3"],
     ["cost", "--n", "13", "--d", "4"],
@@ -251,11 +275,11 @@ class TestConfig:
     ["bootstrap", "--n-jobs", "0"],
     ["bootstrap", "--n-per", "0"],
     ["bootstrap", "--max-k", "-1"],
-], ids=["zero-trajectories", "fidelity-resamples", "coverage-resamples",
-        "odd-n-odd-degree", "odd-n", "degree-not-below-n", "too-many-blocks",
-        "zero-width-budget", "negative-width-budget", "zero-circuits",
-        "negative-gates", "negative-mu", "base-eps-above-one", "zero-n-jobs",
-        "zero-n-per", "negative-max-k"])
+], ids=["zero-trajectories", "fidelity-resamples", "negative-xeb-cap",
+        "coverage-resamples", "odd-n-odd-degree", "odd-n", "degree-not-below-n",
+        "too-many-blocks", "zero-width-budget", "negative-width-budget",
+        "zero-circuits", "negative-gates", "negative-mu", "base-eps-above-one",
+        "zero-n-jobs", "zero-n-per", "negative-max-k"])
 def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(argv + ["--out", str(out)]) == 2
