@@ -27,8 +27,7 @@ def main():
     args = ap.parse_args()
 
     nm = NoiseModel(eps_2q=args.eps2q, eps_mem=args.eps_mem)
-    gc = GateCountParams(eps_1q=0.0, eps_2q=args.eps2q, p_spam=0.0,
-                         eps_mem=args.eps_mem)
+    gc = GateCountParams(eps_2q=args.eps2q, p_spam=0.0, eps_mem=args.eps_mem)
 
     print(f"N = {args.n}, eps_2q = {args.eps2q}, eps_mem = {args.eps_mem}")
     print(f"{'d':>3} {'F_direct':>9} {'F_xeb':>8} {'F_mb':>8} {'F_gc':>8}")

@@ -50,10 +50,6 @@ class ShotTable:
             raise ValueError("expected a circuits x shots matrix")
         return cls(mat)
 
-    @property
-    def n_circuits(self) -> int:
-        return len(self.circuits)
-
     def pooled(self) -> np.ndarray:
         return self.circuits.reshape(-1)
 

@@ -15,13 +15,11 @@ import cmath
 import json
 import math
 import numbers
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import graphs
-from .errors import ParseError
 
 _I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -179,6 +177,15 @@ def _haar_layer(n: int, rng: np.random.Generator) -> Layer:
     ))
 
 
+def _haar_zz_layers(n: int, edge_layers, rng: np.random.Generator) -> tuple[Layer, ...]:
+    """A Haar layer, then per edge list a layer of UZZ(pi/2) gates and a Haar layer."""
+    layers = [_haar_layer(n, rng)]
+    for edges in edge_layers:
+        layers.append(Layer("2q", tuple(TwoQubitGate(u, v, math.pi / 2.0) for u, v in edges)))
+        layers.append(_haar_layer(n, rng))
+    return tuple(layers)
+
+
 def build_rg_circuit(cg: graphs.ColoredGraph, seed) -> Circuit:
     """Random-geometry circuit: one two-qubit layer per color class.
 
@@ -186,15 +193,9 @@ def build_rg_circuit(cg: graphs.ColoredGraph, seed) -> Circuit:
     independent Haar-random SU(2) gates on every qubit.
     """
     rng = np.random.default_rng(seed)
-    n = cg.graph.n
-    layers: list[Layer] = [_haar_layer(n, rng)]
-    for color_edges in cg.layers():
-        gates = tuple(TwoQubitGate(u, v, math.pi / 2.0) for u, v in color_edges)
-        layers.append(Layer("2q", gates))
-        layers.append(_haar_layer(n, rng))
     return Circuit(
-        n=n,
-        layers=tuple(layers),
+        n=cg.graph.n,
+        layers=_haar_zz_layers(cg.graph.n, cg.layers(), rng),
         ensemble="rg",
         seed=_seed_int(seed),
         graph=graphs.graph_to_json(cg),
@@ -210,13 +211,9 @@ def build_brickwork_circuit(n: int, d: int, seed) -> Circuit:
     rng = np.random.default_rng(seed)
     even = [(q, q + 1) for q in range(0, n - 1, 2)]
     odd = [(q, q + 1) for q in range(1, n - 1, 2)]
-    layers: list[Layer] = [_haar_layer(n, rng)]
-    for j in range(d):
-        edges = even if j % 2 == 0 else odd
-        gates = tuple(TwoQubitGate(u, v, math.pi / 2.0) for u, v in edges)
-        layers.append(Layer("2q", gates))
-        layers.append(_haar_layer(n, rng))
-    return Circuit(n=n, layers=tuple(layers), ensemble="1d", seed=_seed_int(seed))
+    edge_layers = [even if j % 2 == 0 else odd for j in range(d)]
+    return Circuit(n=n, layers=_haar_zz_layers(n, edge_layers, rng), ensemble="1d",
+                   seed=_seed_int(seed))
 
 
 def build_2d_circuit(gs: graphs.GridSample, d: int, seed) -> Circuit:
@@ -229,15 +226,9 @@ def build_2d_circuit(gs: graphs.GridSample, d: int, seed) -> Circuit:
         raise ValueError("depth must be positive")
     rng = np.random.default_rng(seed)
     class_layers = gs.layers()
-    layers: list[Layer] = [_haar_layer(gs.n, rng)]
-    for j in range(d):
-        edges = class_layers[j % 4]
-        gates = tuple(TwoQubitGate(u, v, math.pi / 2.0) for u, v in edges)
-        layers.append(Layer("2q", gates))
-        layers.append(_haar_layer(gs.n, rng))
     return Circuit(
         n=gs.n,
-        layers=tuple(layers),
+        layers=_haar_zz_layers(gs.n, [class_layers[j % 4] for j in range(d)], rng),
         ensemble="2d",
         seed=_seed_int(seed),
         graph={
@@ -350,41 +341,6 @@ def build_mirror(c: Circuit, seed) -> Circuit:
     )
 
 
-def build_transport_rb(c: Circuit, initial_bits: str | None = None, seed=0) -> Circuit:
-    """Transport-only analog: zero out every ZZ angle, restore the 1Q frame.
-
-    All two-qubit gates become UZZ(0) so the transport and idling structure
-    of c is kept while the entangling action is removed.  The final
-    single-qubit layer is replaced by the per-qubit inverse of the cumulative
-    product of all earlier single-qubit gates, so the ideal circuit returns
-    the initial bitstring.  Gate counts match the source circuit.
-    """
-    rng = np.random.default_rng(seed)
-    if initial_bits is None:
-        initial_bits = "".join(str(b) for b in rng.integers(0, 2, size=c.n))
-    one_q = [layer_matrices(lay, c.n) for lay in c.layers[0::2]]
-    two_q = c.two_qubit_layers()
-    cumulative = [_I2] * c.n
-    for mats in one_q[:-1]:
-        cumulative = [m @ cm for m, cm in zip(mats, cumulative)]
-    final = [m.conj().T for m in cumulative]
-
-    layers: list[Layer] = []
-    for k, mats in enumerate(one_q[:-1]):
-        layers.append(_one_q_layer_from_matrices(mats))
-        gates = tuple(TwoQubitGate(g.q0, g.q1, 0.0) for g in two_q[k].gates)
-        layers.append(Layer("2q", gates))
-    layers.append(_one_q_layer_from_matrices(final))
-    return Circuit(
-        n=c.n,
-        layers=tuple(layers),
-        ensemble="transport_rb",
-        seed=_seed_int(seed),
-        graph=c.graph,
-        initial_bits=initial_bits,
-    )
-
-
 def circuit_to_json(c: Circuit) -> dict:
     doc: dict = {
         "n": c.n,
@@ -417,46 +373,6 @@ def serialize(c: Circuit) -> str:
     return json.dumps(circuit_to_json(c), sort_keys=True)
 
 
-def circuit_from_json(doc: dict) -> Circuit:
-    try:
-        layers = []
-        for i, lay in enumerate(doc["layers"]):
-            kind = lay["type"]
-            if kind == "1q":
-                gates = tuple(OneQubitGate(int(g["q"]), float(g["psi"]),
-                                           float(g["theta"]), float(g["phi"]))
-                              for g in lay["gates"])
-            elif kind == "2q":
-                gates = tuple(TwoQubitGate(int(g["q0"]), int(g["q1"]),
-                                           float(g["theta"]))
-                              for g in lay["gates"])
-            else:
-                raise ParseError(f"layers[{i}]: unknown type {kind!r}")
-            layers.append(Layer(kind, gates))
-        return Circuit(
-            n=int(doc["n"]),
-            layers=tuple(layers),
-            ensemble=str(doc.get("ensemble", "custom")),
-            seed=doc.get("seed"),
-            graph=doc.get("graph"),
-            initial_bits=doc.get("initial_bits"),
-        )
-    except ParseError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad circuit document: {exc}") from exc
-
-
-def deserialize(text: str) -> Circuit:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON at line {exc.lineno} col {exc.colno}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError("top-level JSON value must be an object")
-    return circuit_from_json(doc)
-
-
 _QASM_HEADER = """OPENQASM 2.0;
 include "qelib1.inc";
 // u1q(theta, phi) = exp(-i theta/2 (X cos phi + Y sin phi)), up to global phase
@@ -472,7 +388,7 @@ def export_qasm(c: Circuit) -> str:
     """One-way QASM 2.0 text with the native gates defined in the header.
 
     Initial bits are prepared with leading X gates.  Angles are printed with
-    full precision so the text round-trips through circuit_from_qasm.
+    full precision so re-reading the text reproduces the circuit exactly.
     """
     lines = [_QASM_HEADER.format(n=c.n)]
     if c.initial_bits is not None:
@@ -489,83 +405,3 @@ def export_qasm(c: Circuit) -> str:
                 lines.append(f"zzp({g.theta!r}) q[{g.q0}],q[{g.q1}];")
     lines.append("measure q -> m;")
     return "\n".join(lines) + "\n"
-
-
-_QASM_STMT = re.compile(
-    r"^(x|u1q|rz|zzp)\s*(?:\(([^)]*)\))?\s*q\[(\d+)\]\s*(?:,\s*q\[(\d+)\])?$"
-)
-
-
-def circuit_from_qasm(text: str) -> Circuit:
-    """Read back the restricted dialect written by export_qasm.
-
-    Native gates (u1q, rz, zzp, x) are mapped exactly, including global
-    phase conventions, so re-simulation reproduces the original amplitudes.
-    """
-    n = None
-    bits: list[str] | None = None
-    pending_u1q: dict[int, tuple[float, float]] = {}
-    one_q_gates: list[OneQubitGate] = []
-    layers: list[Layer] = []
-    two_buffer: list[TwoQubitGate] = []
-
-    def flush_1q():
-        nonlocal one_q_gates
-        layers.append(Layer("1q", tuple(one_q_gates)))
-        one_q_gates = []
-
-    def flush_2q():
-        nonlocal two_buffer
-        layers.append(Layer("2q", tuple(two_buffer)))
-        two_buffer = []
-
-    mode = "1q"
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("//")[0].strip()
-        if not line or line.startswith(("OPENQASM", "include", "gate", "creg")):
-            continue
-        if line.startswith("qreg"):
-            m = re.match(r"qreg\s+q\[(\d+)\];", line)
-            if not m:
-                raise ParseError(f"line {lineno}: bad qreg")
-            n = int(m.group(1))
-            bits = ["0"] * n
-            continue
-        if line.startswith("measure"):
-            continue
-        m = _QASM_STMT.match(line.rstrip(";").strip())
-        if not m or n is None:
-            raise ParseError(f"line {lineno}: unsupported statement {line!r}")
-        name, args, qa, qb = m.group(1), m.group(2), int(m.group(3)), m.group(4)
-        vals = [float(a) for a in args.split(",")] if args else []
-        if name == "x":
-            if layers or one_q_gates or pending_u1q:
-                raise ParseError(f"line {lineno}: x allowed only as state prep")
-            bits[qa] = "1"
-        elif name == "u1q":
-            if mode == "2q":
-                flush_2q()
-                mode = "1q"
-            pending_u1q[qa] = (vals[0], vals[1])
-        elif name == "rz":
-            theta, phi = pending_u1q.pop(qa, (0.0, 0.0))
-            one_q_gates.append(OneQubitGate(qa, vals[0], theta, phi))
-        elif name == "zzp":
-            if mode == "1q":
-                flush_1q()
-                mode = "2q"
-            two_buffer.append(TwoQubitGate(qa, int(qb), vals[0]))
-    if mode == "2q":
-        flush_2q()
-        layers.append(Layer("1q", ()))
-    else:
-        flush_1q()
-    if n is None:
-        raise ParseError("missing qreg declaration")
-    bitstr = "".join(bits)
-    return Circuit(
-        n=n,
-        layers=tuple(layers),
-        ensemble="custom",
-        initial_bits=bitstr if "1" in bitstr else None,
-    )

@@ -182,7 +182,7 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
         sliced = None
         if cfg.width_budget is not None:
             try:
-                sliced = slice_tree(net, tree, 2.0 ** cfg.width_budget,
+                sliced = slice_tree(net, tree, 1 << cfg.width_budget,
                                     budget=max(1, cfg.budget // 2), seed=s + 1)
             except InfeasibleBudget as exc:  # keep the unsliced columns
                 print(f"rcsw cost: slicing skipped at n={n}, d={d}, seed={s}: "
@@ -232,8 +232,8 @@ def _mb_scores(c, res) -> np.ndarray:
 
 def cmd_fidelity(cfg: RunConfig) -> list[Path]:
     nm = statevector.NoiseModel(eps_2q=cfg.noise_eps2q, eps_mem=cfg.noise_mem)
-    gc_params = GateCountParams(eps_1q=0.0, eps_2q=cfg.noise_eps2q,
-                                p_spam=cfg.spam, eps_mem=cfg.noise_mem)
+    gc_params = GateCountParams(eps_2q=cfg.noise_eps2q, p_spam=cfg.spam,
+                                eps_mem=cfg.noise_mem)
     out = Path(cfg.out)
     files: list[Path] = []
     csv_rows: list[str] = []
@@ -281,7 +281,13 @@ def cmd_mps(cfg: RunConfig) -> list[Path]:
         for chi in cfg.chi:
             for b in cfg.blocks:
                 for i in range(cfg.instances):
-                    rep = evolve(cs[n, d, i], chi, int(b), seed=cfg.seed + i)[1]
+                    s = cfg.seed + i
+                    try:
+                        rep = evolve(cs[n, d, i], chi, int(b), seed=s)[1]
+                    except CapacityError as exc:  # keep the other rows
+                        print(f"rcsw mps: skipped n={n}, d={d}, chi={chi}, "
+                              f"blocks={b}, seed={s}: {exc}", file=sys.stderr)
+                        continue
                     rows.append(rep.csv_row())
     return [_write_csv(Path(cfg.out) / "mps_runs.csv", MPS_CSV_HEADER, rows)]
 

@@ -21,10 +21,6 @@ class RejectSignal(RuntimeError):
     """
 
 
-class ParseError(ValueError):
-    """Raised on malformed serialized circuits or graphs."""
-
-
 class CapacityError(RuntimeError):
     """Raised when a dense simulation or contraction would exceed memory caps."""
 

@@ -3,8 +3,8 @@
 Three independent estimates of circuit fidelity are supported: linear
 cross-entropy from samples against exact output probabilities, return
 probability of mirrored circuits, and a gate-counting prediction built from
-component benchmarks.  Decay-curve and logistic fits back out the component
-error rates from benchmarking data.
+component benchmarks.  A logistic fit backs out how a component error rate
+grows with register size.
 """
 from __future__ import annotations
 
@@ -61,62 +61,41 @@ def mb_hits(samples, initial_bits: str) -> np.ndarray:
 class GateCountParams:
     """Component benchmarks feeding the gate-counting fidelity model.
 
-    eps_mem may be a constant, or size dependent through the logistic
-    parameters (amplitude, midpoint, rate) when they are set.  delta is the
-    depth shift applied only when comparing against estimators that lack
-    boundary layers' worth of noise.
+    delta is the depth shift applied only when comparing against estimators
+    that lack boundary layers' worth of noise.
     """
 
-    eps_1q: float
     eps_2q: float
     p_spam: float
     eps_mem: float = 0.0
-    logistic: tuple[float, float, float] | None = None
     delta: float = 1.12
 
     def __post_init__(self):
-        for name in ("eps_1q", "eps_2q", "p_spam", "eps_mem"):
+        for name in ("eps_2q", "p_spam", "eps_mem"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
 
-    def eps_mem_at(self, n: int) -> float:
-        if self.logistic is not None:
-            a, n0, k = self.logistic
-            return a / (1.0 + math.exp(-k * (n - n0)))
-        return self.eps_mem
-
 
 # measured component benchmarks used throughout as defaults
 REFERENCE_PARAMS = GateCountParams(
-    eps_1q=0.29e-4,
     eps_2q=15.7e-4,
     p_spam=14.7e-4,
     eps_mem=4.0e-4,
 )
 
-# logistic memory-error growth with register size, saturating at large n
-REFERENCE_LOGISTIC = (4.1e-4, 20.0, 0.18)
-
-# same benchmarks with the size-dependent memory error switched on
-SIZED_REFERENCE_PARAMS = GateCountParams(
-    eps_1q=0.29e-4,
-    eps_2q=15.7e-4,
-    p_spam=14.7e-4,
-    logistic=REFERENCE_LOGISTIC,
-)
-
 
 def effective_2q_infidelity(params: GateCountParams, n: int) -> float:
-    """Process-level error per gate slot: (5/4) eps_2q + 2 * (3/2) eps_mem(n).
+    """Process-level error per gate slot: (5/4) eps_2q + 2 * (3/2) eps_mem.
 
     The 5/4 converts average two-qubit infidelity to process infidelity;
     each gate slot carries one layer of memory error on both qubits, with
-    3/2 converting the single-qubit average infidelity.
+    3/2 converting the single-qubit average infidelity.  The rate is the
+    same for every register size n.
     """
-    return 1.25 * params.eps_2q + 3.0 * params.eps_mem_at(n)
+    return 1.25 * params.eps_2q + 3.0 * params.eps_mem
 
 
 def gate_counting(params: GateCountParams, n: int, d: float,
@@ -141,46 +120,6 @@ def verifiable_depth(eps: float, tau_q: float, t_q: float, n: int) -> float:
     if t_q < tau_q:
         raise DomainError("total time budget is below the per-shot time")
     return math.log(t_q / tau_q) / (eps * n)
-
-
-@dataclass
-class DecayFit:
-    amplitude: float
-    rate: float
-    asymptote: float
-    infidelity: float
-
-
-def _decay_infidelity(rate: float, asymptote: float) -> float:
-    if asymptote == 0.5:
-        return (1.0 - rate) / 2.0
-    if asymptote == 0.25:
-        # 1.5 two-qubit gates per random Clifford
-        return 0.75 * (1.0 - rate ** (2.0 / 3.0))
-    raise ValueError("asymptote must be 0.5 (one-qubit) or 0.25 (two-qubit)")
-
-
-def fit_decay(lengths, survivals, asymptote: float) -> DecayFit:
-    """Fit survival data to A * rate^m + asymptote with the asymptote fixed."""
-    if asymptote not in (0.5, 0.25):
-        raise ValueError("asymptote must be 0.5 (one-qubit) or 0.25 (two-qubit)")
-    m = np.asarray(lengths, dtype=float)
-    y = np.asarray(survivals, dtype=float)
-    if m.shape != y.shape or m.size < 3:
-        raise FitError("need at least three matching (length, survival) points")
-
-    def model(x, amp, rate):
-        return amp * rate ** x + asymptote
-
-    from scipy.optimize import curve_fit
-    try:
-        p0 = (max(y[0] - asymptote, 1e-3), 0.99)
-        popt, _ = curve_fit(model, m, y, p0=p0,
-                            bounds=([0.0, 0.0], [1.5, 1.0]), maxfev=10000)
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"decay fit failed: {exc}") from exc
-    amp, rate = float(popt[0]), float(popt[1])
-    return DecayFit(amp, rate, asymptote, _decay_infidelity(rate, asymptote))
 
 
 def fit_logistic(sizes, values) -> tuple[float, float, float]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeError, ParityError, ParseError, RejectSignal
+from .errors import DegreeError, ParityError, RejectSignal
 
 Edge = tuple[int, int]
 
@@ -47,13 +47,6 @@ class RegularGraph:
             counts[v] += 1
         if any(c != self.degree for c in counts):
             raise DegreeError("node degrees do not all equal the stated degree")
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
 
 @dataclass(frozen=True)
@@ -664,19 +657,6 @@ def expansion_bound(n: int, d: int) -> ExpansionBound:
     )
 
 
-def edge_boundary(g: RegularGraph, subset) -> int:
-    """Number of edges with exactly one endpoint in subset."""
-    sub = set(int(v) for v in subset)
-    if not sub <= set(range(g.n)):
-        raise ValueError("subset contains nodes outside the graph")
-    return sum(1 for u, v in g.edges if (u in sub) != (v in sub))
-
-
-def partition_blocks(g: RegularGraph, b: int, seed=0) -> list[list[int]]:
-    """Split nodes into b near-balanced blocks with few crossing edges."""
-    return partition_nodes(g.n, list(g.edges), b, seed)
-
-
 def partition_nodes(n: int, edges, b: int, seed=0) -> list[list[int]]:
     """Greedy balanced partition of nodes 0..n-1 minimizing crossing edge count.
 
@@ -746,18 +726,3 @@ def graph_to_json(obj) -> dict:
     if isinstance(obj, RegularGraph):
         return {"n": obj.n, "d": obj.degree, "edges": [[u, v] for u, v in obj.edges]}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def graph_from_json(doc: dict):
-    """Inverse of graph_to_json; returns ColoredGraph iff colors are present."""
-    try:
-        g = RegularGraph(int(doc["n"]), int(doc["d"]),
-                         tuple((int(u), int(v)) for u, v in doc["edges"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"bad graph document: {exc}") from exc
-    if "colors" in doc:
-        try:
-            return ColoredGraph(g, tuple(int(c) for c in doc["colors"]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"bad graph colors: {exc}") from exc
-    return g

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuits import Circuit, _seed_int
-from .errors import CapacityError, DomainError, FitError
+from .errors import CapacityError, FitError
 from .graphs import partition_nodes
 from .statevector import DEFAULT_CAP, StateVector
 
@@ -323,26 +323,13 @@ def _apply_zz(state: MpsState, theta: float, qa: int, qb: int):
         _swap_blocks(state, p)
 
 
-def _apply_layers(state: MpsState, layers, inverse: bool = False):
-    seq = reversed(layers) if inverse else layers
-    for lay in seq:
+def _apply_layers(state: MpsState, layers):
+    for lay in layers:
         for g in lay.gates:
             if lay.kind == "1q":
-                u = g.matrix()
-                _apply_1q(state, u.conj().T if inverse else u, g.q)
+                _apply_1q(state, g.matrix(), g.q)
             else:
-                _apply_zz(state, -g.theta if inverse else g.theta, g.q0, g.q1)
-
-
-def mps_overlap(a: MpsState, b: MpsState) -> complex:
-    """Inner product <a|b> of two states with identical block layouts."""
-    if a.blocks != b.blocks:
-        raise ValueError("states must share one block layout")
-    env = np.ones((1, 1), dtype=complex)
-    for ta, tb in zip(a.tensors, b.tensors):
-        tmp = np.tensordot(env, tb, axes=(1, 0))
-        env = np.tensordot(ta.conj(), tmp, axes=([0, 1], [0, 1]))
-    return complex(env[0, 0])
+                _apply_zz(state, g.theta, g.q0, g.q1)
 
 
 def evolve(c: Circuit, chi: int, blocking, seed=0,
@@ -367,69 +354,6 @@ def evolve(c: Circuit, chi: int, blocking, seed=0,
         f_mps=state.f_acc, eps_mps=eps, flops_est=state.flops,
         seed=_seed_int(seed))
     return state, report
-
-
-def split_amplitude(c: Circuit, x: str, chi: int, blocking, seed=0,
-                    cap: int = DEFAULT_CAP) -> tuple[float, float]:
-    """Estimate |<x|C|0...>| by meeting in the middle of the circuit.
-
-    The first ceil(d/2) entangling layers are applied forward from the
-    initial bits; the rest are applied in inverse from |x>.  Returns the
-    overlap magnitude of the two chains and the combined fidelity estimate
-    F = f_forward * f_backward.
-    """
-    if len(x) != c.n or set(x) - {"0", "1"}:
-        raise ValueError("x must be an n-character bitstring")
-    blocks = _resolve_blocking(c, blocking, seed)
-    cut = 2 * ((c.depth + 1) // 2)
-    fwd = _fresh_state(c.n, blocks, c.initial_bits or "0" * c.n, chi, cap)
-    _apply_layers(fwd, c.layers[:cut])
-    bwd = _fresh_state(c.n, blocks, x, chi, cap)
-    _apply_layers(bwd, c.layers[cut:], inverse=True)
-    amp = mps_overlap(bwd, fwd)
-    return abs(amp), fwd.f_acc * bwd.f_acc
-
-
-def bond_bound(f_target: float, purity: float) -> float:
-    """Smallest bond dimension compatible with fidelity f_target.
-
-    A chain truncated at chi can reach squared overlap at most
-    chi * Tr(rho^2) across any of its cuts, so chi must be at least
-    f_target / purity; callers round up.
-    """
-    if not 0.0 < purity <= 1.0:
-        raise DomainError("purity must lie in (0, 1]")
-    if not 0.0 <= f_target <= 1.0:
-        raise DomainError("f_target must lie in [0, 1]")
-    return f_target / purity
-
-
-def topk_postprocess(est_probs, exact_probs, n: int, alpha: float,
-                     shots: int, seed=0) -> float:
-    """Second-moment fidelity of shots resampled from the largest estimates.
-
-    est_probs and exact_probs are parallel arrays over one circuit's
-    candidate bitstrings.  The top alpha fraction by estimated probability
-    is retained, shots draws are made from the retained set with weight
-    proportional to the estimates, and 2^n P(x) - 1 is averaged using the
-    exact probabilities of the drawn candidates.
-    """
-    est = np.asarray(est_probs, dtype=float)
-    exact = np.asarray(exact_probs, dtype=float)
-    if est.ndim != 1 or est.shape != exact.shape or est.size == 0:
-        raise ValueError("probability arrays must be matching nonempty vectors")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    k = max(1, int(round(alpha * est.size)))
-    retained = np.argsort(est)[::-1][:k]
-    w = est[retained]
-    total = w.sum()
-    p = w / total if total > 0.0 else np.full(k, 1.0 / k)
-    rng = np.random.default_rng(seed)
-    idx = rng.choice(retained, size=shots, p=p)
-    return float(np.mean(2.0 ** n * exact[idx]) - 1.0)
 
 
 @dataclass(frozen=True)

@@ -46,41 +46,29 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def amplitude(self, bits: str) -> complex:
-        return complex(self.amplitudes[int(bits, 2)])
-
 
 @dataclass(frozen=True)
 class NoiseModel:
     """Stochastic two-qubit Pauli errors plus coherent memory dephasing.
 
-    eps_2q is the probability of inserting a non-identity Pauli pair after
-    each two-qubit gate; pauli_probs (length 15, ordered IX..ZZ) reweights
-    the channel and defaults to uniform, i.e. two-qubit depolarizing.
+    eps_2q is the probability of inserting a uniformly drawn non-identity
+    Pauli pair after each two-qubit gate, i.e. two-qubit depolarizing.
     eps_mem is an average per-qubit infidelity per two-qubit layer, applied
     as a fixed-sign Rz rotation on every qubit.  With scale_with_n the rates
     are multiplied by ref_n / n at simulation time, holding the total error
-    per circuit roughly constant across sizes.  eps_1q adds a depolarizing
-    channel after every single-qubit layer.
+    per circuit roughly constant across sizes.
     """
 
     eps_2q: float = 0.0
-    pauli_probs: tuple[float, ...] | None = None
     eps_mem: float = 0.0
-    mem_sign: float = 1.0
-    eps_1q: float = 0.0
     scale_with_n: bool = False
     ref_n: int = 56
 
     def __post_init__(self):
-        for name in ("eps_2q", "eps_mem", "eps_1q"):
+        for name in ("eps_2q", "eps_mem"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.pauli_probs is not None:
-            p = np.asarray(self.pauli_probs, dtype=float)
-            if p.shape != (15,) or (p < 0).any() or abs(p.sum() - 1.0) > 1e-9:
-                raise ValueError("pauli_probs must be 15 nonnegative weights summing to 1")
 
     def scale(self, n: int) -> float:
         return self.ref_n / n if self.scale_with_n else 1.0
@@ -208,27 +196,6 @@ def sample(sv: StateVector, shots: int, seed) -> np.ndarray:
     return np.searchsorted(cum, rng.random(shots), side="right")
 
 
-@dataclass
-class PorterThomasStats:
-    second_moment_statistic: float
-    hist_density: np.ndarray
-    hist_edges: np.ndarray
-
-
-def porter_thomas_stats(sv: StateVector, bins: int = 40) -> PorterThomasStats:
-    """Second-moment statistic 2^n sum_x P(x)^2 - 1 and the rescaled histogram.
-
-    The statistic is the exact-distribution analog of a linear cross-entropy
-    score: 1 for an exponential (fully scrambled) distribution, 0 for the
-    uniform one, and large for shallow unconverged circuits.
-    """
-    p = sv.probabilities()
-    stat = float(2 ** sv.n * np.sum(p * p) - 1.0)
-    q = 2 ** sv.n * p
-    density, edges = np.histogram(q, bins=bins, density=True)
-    return PorterThomasStats(stat, density, edges)
-
-
 def bipartite_purity(sv: StateVector, subset) -> float:
     """Tr(rho_A^2) for the reduced state on the given qubit subset."""
     sub = sorted(set(int(q) for q in subset))
@@ -256,27 +223,19 @@ class TrajectoryResult:
 def _draw_errors(c: Circuit, nm: NoiseModel, rng: np.random.Generator) -> dict:
     """One trajectory's Pauli errors as {layer index: [(qubit, label), ...]}.
 
-    The draws never depend on the state; they are made layer by layer in
-    circuit order, per qubit after a 1q layer and per gate in a 2q layer.
+    The draws never depend on the state; they are made per gate, layer by
+    layer in circuit order.
     """
-    scale = nm.scale(c.n)
-    p2 = min(nm.eps_2q * scale, 1.0)
-    p1 = min(nm.eps_1q * scale, 1.0)
-    weights = nm.pauli_probs
+    p2 = min(nm.eps_2q * nm.scale(c.n), 1.0)
     errors = {}
     for i, lay in enumerate(c.layers):
+        if lay.kind == "1q" or p2 == 0.0:
+            continue
         hits = []
-        if lay.kind == "1q":
-            if p1 > 0.0:
-                for q in range(c.n):
-                    if rng.random() < p1:
-                        hits.append((q, "XYZ"[rng.integers(0, 3)]))
-        elif p2 > 0.0:
-            for g in lay.gates:
-                if rng.random() < p2:
-                    k = rng.choice(15, p=weights) if weights is not None else rng.integers(0, 15)
-                    la, lb = _PAULI_PAIRS[k]
-                    hits += [(q, p) for q, p in ((g.q0, la), (g.q1, lb)) if p != "I"]
+        for g in lay.gates:
+            if rng.random() < p2:
+                la, lb = _PAULI_PAIRS[rng.integers(0, 15)]
+                hits += [(q, p) for q, p in ((g.q0, la), (g.q1, lb)) if p != "I"]
         if hits:
             errors[i] = hits
     return errors
@@ -312,7 +271,7 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
             forks.setdefault(min(e), []).append(t)
     layers = _compile(c)
     ideal = _run_layers(_initial_state(c, None), layers)
-    dephase = (_dephasing_phases(c.n, nm.dephasing_angle(c.n) * nm.mem_sign)
+    dephase = (_dephasing_phases(c.n, nm.dephasing_angle(c.n))
                if nm.eps_mem > 0.0 else None)
     overlaps = np.empty(n_traj)
     shots = [np.empty(0, dtype=np.int64)] * n_traj

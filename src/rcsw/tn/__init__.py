@@ -18,11 +18,11 @@ from .models import (
 from .network import TensorNetwork, circuit_to_tn
 from .order import light_cone_order, optimize_order
 from .slicing import slice_tree
-from .tree import ContractionTree, analyze_tree
+from .tree import ContractionTree
 
 __all__ = [
     "TensorNetwork", "circuit_to_tn",
-    "ContractionTree", "analyze_tree",
+    "ContractionTree",
     "optimize_order", "light_cone_order",
     "slice_tree", "execute_tree",
     "SimpleCostModel", "simple_cost", "CostSummary", "summarize",

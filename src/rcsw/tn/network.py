@@ -11,6 +11,7 @@ emitted at all.
 """
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -44,13 +45,6 @@ class TensorNetwork:
     def n_tensors(self) -> int:
         return len(self.arrays)
 
-    def index_count(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for ids in self.indices:
-            for i in ids:
-                counts[i] = counts.get(i, 0) + 1
-        return counts
-
     def validate(self) -> None:
         for t, (arr, ids) in enumerate(zip(self.arrays, self.indices)):
             if arr.ndim != len(ids):
@@ -58,7 +52,8 @@ class TensorNetwork:
             for ax, d in enumerate(arr.shape):
                 if d != 2:
                     raise ValueError(f"tensor {t} axis {ax} has dimension {d}, not 2")
-        bad = [i for i, c in self.index_count().items() if c != 2]
+        counts = collections.Counter(i for ids in self.indices for i in ids)
+        bad = [i for i, c in counts.items() if c != 2]
         if bad:
             raise ValueError(f"indices {bad} do not appear in exactly 2 tensors")
 

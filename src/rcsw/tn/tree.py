@@ -15,7 +15,6 @@ are exact Python ints.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -149,24 +148,3 @@ class ContractionTree:
     def attach_stats(self, legs) -> "ContractionTree":
         self.stats = analyze_merges(self.merges, legs, self.sliced)
         return self
-
-    def to_json(self) -> str:
-        doc = {"n_leaves": self.n_leaves,
-               "merges": [list(m) for m in self.merges],
-               "sliced": list(self.sliced)}
-        if self.stats is not None:
-            doc["log2_flops"] = self.stats.log2_flops
-            doc["log2_width"] = self.stats.log2_width
-        return json.dumps(doc, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ContractionTree":
-        doc = json.loads(text)
-        return cls(n_leaves=int(doc["n_leaves"]),
-                   merges=[tuple(m) for m in doc["merges"]],
-                   sliced=tuple(doc.get("sliced", [])))
-
-
-def analyze_tree(tree: ContractionTree, tn) -> TreeStats:
-    """Recompute a tree's stats directly from its network."""
-    return analyze_merges(tree.merges, leg_sets(tn.indices), tree.sliced)

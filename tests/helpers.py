@@ -1,10 +1,14 @@
 """Shared oracles and factories for the test suite."""
+import json
 import math
+import re
 
 import numpy as np
 
 from rcsw import graphs, mps
-from rcsw.circuits import PAULIS, Circuit, build_rg_circuit, uzz_matrix
+from rcsw.circuits import (
+    PAULIS, Circuit, Layer, OneQubitGate, TwoQubitGate, build_rg_circuit, uzz_matrix,
+)
 from rcsw.statevector import DEFAULT_CAP, NoiseModel, StateVector, TrajectoryResult, sample
 from rcsw.tn.tree import TreeStats
 
@@ -92,28 +96,19 @@ _PAULI_PAIRS = [(a, b) for a in "IXYZ" for b in "IXYZ" if (a, b) != ("I", "I")]
 def noisy_trajectory_reference(c: Circuit, nm: NoiseModel,
                                rng: np.random.Generator) -> np.ndarray:
     """One trajectory, drawing each error as its gate is reached."""
-    scale = nm.scale(c.n)
-    p2 = min(nm.eps_2q * scale, 1.0)
-    p1 = min(nm.eps_1q * scale, 1.0)
-    phi = nm.dephasing_angle(c.n) * nm.mem_sign
+    p2 = min(nm.eps_2q * nm.scale(c.n), 1.0)
+    phi = nm.dephasing_angle(c.n)
     dz = (np.exp(-0.5j * phi), np.exp(0.5j * phi))
-    weights = nm.pauli_probs
     state = initial_state_reference(c)
     for lay in c.layers:
         if lay.kind == "1q":
             for g in lay.gates:
                 apply_1q(state, g.matrix(), g.q)
-            if p1 > 0.0:
-                for q in range(c.n):
-                    if rng.random() < p1:
-                        label = "XYZ"[rng.integers(0, 3)]
-                        apply_1q(state, PAULIS[label], q)
         else:
             for g in lay.gates:
                 apply_uzz(state, g.theta, g.q0, g.q1)
                 if p2 > 0.0 and rng.random() < p2:
-                    k = rng.choice(15, p=weights) if weights is not None else rng.integers(0, 15)
-                    la, lb = _PAULI_PAIRS[k]
+                    la, lb = _PAULI_PAIRS[rng.integers(0, 15)]
                     if la != "I":
                         apply_1q(state, PAULIS[la], g.q0)
                     if lb != "I":
@@ -277,15 +272,13 @@ def apply_zz_full_merge_reference(state: mps.MpsState, theta: float, qa: int, qb
         mps._swap_blocks(state, p)
 
 
-def _apply_layers_full_merge(state: mps.MpsState, layers, inverse: bool = False):
-    for lay in (reversed(layers) if inverse else layers):
+def _apply_layers_full_merge(state: mps.MpsState, layers):
+    for lay in layers:
         for g in lay.gates:
             if lay.kind == "1q":
-                u = g.matrix()
-                mps._apply_1q(state, u.conj().T if inverse else u, g.q)
+                mps._apply_1q(state, g.matrix(), g.q)
             else:
-                apply_zz_full_merge_reference(
-                    state, -g.theta if inverse else g.theta, g.q0, g.q1)
+                apply_zz_full_merge_reference(state, g.theta, g.q0, g.q1)
 
 
 def evolve_full_merge_reference(c: Circuit, chi: int, blocking, seed=0,
@@ -297,13 +290,75 @@ def evolve_full_merge_reference(c: Circuit, chi: int, blocking, seed=0,
     return state
 
 
-def split_amplitude_full_merge_reference(c: Circuit, x: str, chi: int, blocking,
-                                         seed=0) -> tuple[float, float]:
-    """``mps.split_amplitude`` over the full-merge gate path."""
-    blocks = mps._resolve_blocking(c, blocking, seed)
-    cut = 2 * ((c.depth + 1) // 2)
-    fwd = mps._fresh_state(c.n, blocks, c.initial_bits or "0" * c.n, chi, DEFAULT_CAP)
-    _apply_layers_full_merge(fwd, c.layers[:cut])
-    bwd = mps._fresh_state(c.n, blocks, x, chi, DEFAULT_CAP)
-    _apply_layers_full_merge(bwd, c.layers[cut:], inverse=True)
-    return abs(mps.mps_overlap(bwd, fwd)), fwd.f_acc * bwd.f_acc
+def with_zz_angles(c: Circuit, angles) -> Circuit:
+    """c with its ZZ angles replaced, cycling through angles gate by gate."""
+    it = iter(list(angles) * c.n_2q)
+    layers = tuple(lay if lay.kind == "1q" else Layer("2q", tuple(
+        TwoQubitGate(g.q0, g.q1, next(it)) for g in lay.gates)) for lay in c.layers)
+    return Circuit(n=c.n, layers=layers, ensemble=c.ensemble, seed=c.seed)
+
+
+def deserialize(text: str) -> Circuit:
+    """Read back the JSON written by ``circuits.serialize``; its round-trip oracle."""
+    doc = json.loads(text)
+    layers = []
+    for lay in doc["layers"]:
+        if lay["type"] == "1q":
+            gates = tuple(OneQubitGate(g["q"], g["psi"], g["theta"], g["phi"])
+                          for g in lay["gates"])
+        else:
+            gates = tuple(TwoQubitGate(g["q0"], g["q1"], g["theta"]) for g in lay["gates"])
+        layers.append(Layer(lay["type"], gates))
+    return Circuit(n=doc["n"], layers=tuple(layers), ensemble=doc["ensemble"],
+                   seed=doc["seed"], graph=doc.get("graph"),
+                   initial_bits=doc.get("initial_bits"))
+
+
+_QASM_STMT = re.compile(
+    r"^(x|u1q|rz|zzp)\s*(?:\(([^)]*)\))?\s*q\[(\d+)\]\s*(?:,\s*q\[(\d+)\])?;$")
+
+
+def circuit_from_qasm(text: str) -> Circuit:
+    """Read back the dialect written by ``circuits.export_qasm``; its round-trip
+    oracle.  Gates map exactly, global phase conventions included."""
+    layers: list[Layer] = []
+    gates: list = []
+    pending_u1q: dict[int, tuple[float, float]] = {}
+
+    def flush():
+        nonlocal gates
+        layers.append(Layer("2q" if len(layers) % 2 else "1q", tuple(gates)))
+        gates = []
+
+    for line in text.splitlines():
+        if line.startswith("qreg"):
+            bits = ["0"] * int(re.fullmatch(r"qreg q\[(\d+)\];", line).group(1))
+        m = _QASM_STMT.match(line)
+        if not m:
+            continue  # header, comments, gate definitions, registers, measure
+        name, args, qa, qb = m.group(1), m.group(2), int(m.group(3)), m.group(4)
+        vals = [float(a) for a in args.split(",")] if args else []
+        if name == "x":
+            bits[qa] = "1"
+            continue
+        if (name == "zzp") != (len(layers) % 2 == 1):
+            flush()  # a gate of the other kind closes the open layer
+        if name == "u1q":
+            pending_u1q[qa] = (vals[0], vals[1])
+        elif name == "rz":
+            theta, phi = pending_u1q.pop(qa)
+            gates.append(OneQubitGate(qa, vals[0], theta, phi))
+        else:
+            gates.append(TwoQubitGate(qa, int(qb), vals[0]))
+    flush()
+    if len(layers) % 2 == 0:
+        layers.append(Layer("1q", ()))
+    bitstr = "".join(bits)
+    return Circuit(n=len(bits), layers=tuple(layers),
+                   initial_bits=bitstr if "1" in bitstr else None)
+
+
+def graph_from_json(doc: dict):
+    """Inverse of ``graphs.graph_to_json``: a ColoredGraph iff colors are present."""
+    g = graphs.RegularGraph(doc["n"], doc["d"], tuple(map(tuple, doc["edges"])))
+    return graphs.ColoredGraph(g, tuple(doc["colors"])) if "colors" in doc else g

@@ -100,7 +100,7 @@ def test_shot_table_validation():
     with pytest.raises(ValueError):
         ShotTable(([1.0, float("nan")],))
     t = ShotTable.from_matrix([[1.0, 2.0], [3.0, 4.0]])
-    assert t.n_circuits == 2
+    assert t.circuits.shape == (2, 2)
     assert t.pooled().tolist() == [1.0, 2.0, 3.0, 4.0]
 
 

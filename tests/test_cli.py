@@ -9,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcsw import circuits, cli
+from helpers import deserialize
+from rcsw import cli
 from rcsw.bootstrap import p_aggregate, p_double
 from rcsw.mps import MPS_CSV_HEADER, evolve
 
@@ -32,7 +33,7 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert len(manifest["entries"]) == 2
         for entry in manifest["entries"]:
-            c = circuits.deserialize((out / entry["json"]).read_text())
+            c = deserialize((out / entry["json"]).read_text())
             assert c.n == 6 and c.depth == 3
             assert (out / entry["qasm"]).read_text().startswith("OPENQASM")
 
@@ -52,7 +53,7 @@ class TestGenerate:
         run_cli(["generate", "--ensemble", "2d", "--n", "9", "--d", "4",
                  "--seed", "1", "--out", str(out)])
         entry = json.loads((out / "manifest.json").read_text())["entries"][0]
-        c = circuits.deserialize((out / entry["json"]).read_text())
+        c = deserialize((out / entry["json"]).read_text())
         assert c.ensemble == "2d" and c.n == 9
 
 
@@ -94,6 +95,14 @@ class TestCost:
         run_cli(args + ["--out", str(plain)])
         for name in ("cost_rows.csv", "cost_summary.csv"):
             assert (out / name).read_bytes() == (plain / name).read_bytes()
+
+    def test_width_budget_beyond_float_range(self, tmp_path):
+        # 2^1100 overflows a float; as an exact int it is a budget no node exceeds
+        out = tmp_path / "cost_wide"
+        run_cli(["cost", "--n", "8", "--d", "2", "--width-budget", "1100",
+                 "--out", str(out)])
+        header, rows = read_csv(out / "cost_rows.csv")
+        assert rows[0].split(",")[header.split(",").index("n_slices")] == "0"
 
     def test_circuit_without_two_qubit_gates_reads_zero(self, tmp_path):
         # a depth-1 2d patch of 2 or 4 qubits samples no ZZ gate: 0 FLOPs
@@ -174,6 +183,17 @@ class TestMps:
             eps[(int(parts[2]), int(parts[7]))] = float(parts[5])
         for seed in (4, 5):
             assert eps[(16, seed)] <= eps[(2, seed)] + 1e-12
+
+    def test_capacity_skip_keeps_other_rows(self, tmp_path, capsys):
+        # two blocks of 14 qubits merge into 2^28 entries, over the dense cap
+        out = tmp_path / "mps_cap"
+        run_cli(["mps", "--n", "28", "--d", "2", "--blocks", "2", "4", "--seed", "1",
+                 "--out", str(out)])
+        assert capsys.readouterr().err.splitlines() == [
+            "rcsw mps: skipped n=28, d=2, chi=8, blocks=2, seed=1: merged pair at "
+            "position 0 needs 268435456 elements, cap is 2^26"]
+        _, rows = read_csv(out / "mps_runs.csv")
+        assert [r.split(",")[3] for r in rows] == ["4x[7]"]
 
     def test_builds_each_circuit_once(self, tmp_path, monkeypatch):
         build = cli.circuits.build_instance

@@ -6,22 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rg_circuit
-from rcsw.circuits import build_mirror, build_transport_rb
+from rcsw.circuits import build_mirror
 from rcsw.errors import DomainError, EmptySamples, FitError
 from rcsw.estimators import (
-    REFERENCE_LOGISTIC,
     REFERENCE_PARAMS,
-    SIZED_REFERENCE_PARAMS,
     GateCountParams,
     effective_2q_infidelity,
-    fit_decay,
     fit_logistic,
     gate_counting,
     mb_hits,
     verifiable_depth,
     xeb,
 )
-from rcsw.statevector import NoiseModel, run, run_trajectories, sample
+from rcsw.statevector import run, sample
 
 
 # ---------------------------------------------------------------- xeb
@@ -130,23 +127,14 @@ def test_effective_infidelity_reference_values():
 
 
 def test_effective_infidelity_no_memory_term():
-    p = GateCountParams(eps_1q=0.0, eps_2q=2e-3, p_spam=0.0, eps_mem=0.0)
+    p = GateCountParams(eps_2q=2e-3, p_spam=0.0, eps_mem=0.0)
     assert effective_2q_infidelity(p, 30) == pytest.approx(2.5e-3, abs=1e-15)
 
 
-def test_effective_infidelity_logistic_small_register():
-    # logistic memory error at n=16: 4.1e-4 / (1 + e^{0.72}) = 1.3423e-4
-    lmem = 4.1e-4 / (1.0 + math.exp(0.72))
-    expect = 1.25 * 15.7e-4 + 3 * lmem
-    eps = effective_2q_infidelity(SIZED_REFERENCE_PARAMS, 16)
-    assert abs(eps - expect) < 1e-12
-    assert abs(eps - 2.4e-3) < 2e-4
-
-
 def test_effective_infidelity_affine_coefficients():
-    base = GateCountParams(eps_1q=0.0, eps_2q=1e-3, p_spam=0.0, eps_mem=1e-4)
-    bumped2 = GateCountParams(eps_1q=0.0, eps_2q=2e-3, p_spam=0.0, eps_mem=1e-4)
-    bumpedm = GateCountParams(eps_1q=0.0, eps_2q=1e-3, p_spam=0.0, eps_mem=2e-4)
+    base = GateCountParams(eps_2q=1e-3, p_spam=0.0, eps_mem=1e-4)
+    bumped2 = GateCountParams(eps_2q=2e-3, p_spam=0.0, eps_mem=1e-4)
+    bumpedm = GateCountParams(eps_2q=1e-3, p_spam=0.0, eps_mem=2e-4)
     f0 = effective_2q_infidelity(base, 20)
     d2 = effective_2q_infidelity(bumped2, 20) - f0
     dm = effective_2q_infidelity(bumpedm, 20) - f0
@@ -189,9 +177,9 @@ def test_gate_counting_shift_below_depth_raises():
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        GateCountParams(eps_1q=0.0, eps_2q=1.5, p_spam=0.0)
+        GateCountParams(eps_2q=1.5, p_spam=0.0)
     with pytest.raises(ValueError):
-        GateCountParams(eps_1q=0.0, eps_2q=0.0, p_spam=0.0, delta=-1.0)
+        GateCountParams(eps_2q=0.0, p_spam=0.0, delta=-1.0)
 
 
 @given(st.floats(min_value=0.0, max_value=30.0),
@@ -204,73 +192,18 @@ def test_gate_counting_in_unit_interval(d1, d2):
     assert 0.0 <= a <= b <= 1.0
 
 
-# --------------------------------------------------------- decay fits
-
-def test_fit_decay_synthetic_one_qubit():
-    m = np.arange(0, 200, 10)
-    y = 0.5 * 0.999 ** m + 0.5
-    fit = fit_decay(m, y, asymptote=0.5)
-    assert fit.rate == pytest.approx(0.999, abs=1e-6)
-    assert fit.infidelity == pytest.approx(5e-4, abs=1e-6)
-
-
-def test_fit_decay_two_qubit_round_trip():
-    eps = 1.57e-3
-    lam = (1 - 4 * eps / 3) ** 1.5
-    m = np.arange(0, 40, 2)
-    y = 0.3 * lam ** m + 0.25
-    fit = fit_decay(m, y, asymptote=0.25)
-    assert fit.infidelity == pytest.approx(eps, abs=1e-7)
-
-
-def test_fit_decay_flat_data_zero_infidelity():
-    m = np.arange(0, 50, 5)
-    y = np.full_like(m, 0.6, dtype=float)
-    fit = fit_decay(m, y, asymptote=0.5)
-    assert fit.infidelity < 1e-5
-
-
-def test_fit_decay_bad_inputs():
-    with pytest.raises(FitError):
-        fit_decay([0, 1], [0.9, 0.8], asymptote=0.5)
-    with pytest.raises(ValueError):
-        fit_decay([0, 1, 2], [0.9, 0.8, 0.7], asymptote=0.3)
-
-
-def test_fit_decay_from_transport_circuits():
-    # theta -> 0 makes every qubit an independent single-qubit experiment,
-    # so a depolarizing insertion rate p per layer decays the per-qubit
-    # return probability by exactly lam = 1 - 4p/3 per layer
-    p_err = 0.03
-    nm = NoiseModel(eps_1q=p_err)
-    depths = [2, 3, 4, 5]
-    survivals = []
-    for d in depths:
-        hits = 0
-        total = 0
-        for seed in (0, 1):
-            c = rg_circuit(6, d, seed=20 + seed)
-            t = build_transport_rb(c, seed=30 + seed)
-            res = run_trajectories(t, nm, n_traj=200, seed=40 + seed,
-                                   shots_per_traj=25)
-            target = int(t.initial_bits, 2)
-            for x in res.samples:
-                hits += 6 - int(x ^ target).bit_count()  # qubits back home
-                total += 6
-        survivals.append(hits / total)
-    fit = fit_decay(depths, survivals, asymptote=0.5)
-    expect = 2 * p_err / 3
-    assert fit.infidelity == pytest.approx(expect, rel=0.3)
-
-
 # ------------------------------------------------------- logistic fit
+
+# logistic memory-error growth with register size, saturating at large n
+_LOGISTIC = (4.1e-4, 20.0, 0.18)
+
 
 def _logistic(n, a, n0, k):
     return a / (1.0 + np.exp(-k * (n - n0)))
 
 
 def test_fit_logistic_noiseless_recovery():
-    a, n0, k = REFERENCE_LOGISTIC
+    a, n0, k = _LOGISTIC
     sizes = np.arange(4, 60, 4)
     vals = _logistic(sizes, a, n0, k)
     fa, fn0, fk = fit_logistic(sizes, vals)
@@ -280,7 +213,7 @@ def test_fit_logistic_noiseless_recovery():
 
 
 def test_fit_logistic_noisy_recovery():
-    a, n0, k = REFERENCE_LOGISTIC
+    a, n0, k = _LOGISTIC
     rng = np.random.default_rng(9)
     sizes = np.arange(4, 60, 4)
     vals = _logistic(sizes, a, n0, k) * (1 + 0.1 * rng.standard_normal(sizes.size))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rcsw import graphs
-from rcsw.errors import DegreeError, ParityError, ParseError, RejectSignal
+from rcsw.errors import DegreeError, ParityError, RejectSignal
 
-from helpers import edge_color_networkx_reference
+from helpers import edge_color_networkx_reference, graph_from_json
 
 
 def petersen_edges():
@@ -269,30 +269,6 @@ class TestExpansionBound:
         assert all(a > b for a, b in zip(etas, etas[1:]))
 
 
-class TestEdgeBoundary:
-    def test_simple(self):
-        g = graphs.RegularGraph(4, 2, ((0, 1), (1, 2), (2, 3), (0, 3)))
-        assert graphs.edge_boundary(g, [0, 1]) == 2
-        assert graphs.edge_boundary(g, [0, 2]) == 4
-        assert graphs.edge_boundary(g, []) == 0
-        assert graphs.edge_boundary(g, range(4)) == 0
-
-    def test_bad_subset(self):
-        g = graphs.RegularGraph(4, 2, ((0, 1), (1, 2), (2, 3), (0, 3)))
-        with pytest.raises(ValueError):
-            graphs.edge_boundary(g, [5])
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**16), st.integers(0, 2**16))
-    def test_complement_symmetry(self, gseed, sseed):
-        g = graphs.sample_regular_graph(12, 3, gseed)
-        rng = np.random.default_rng(sseed)
-        size = int(rng.integers(0, 13))
-        subset = rng.choice(12, size=size, replace=False).tolist()
-        rest = [v for v in range(12) if v not in subset]
-        assert graphs.edge_boundary(g, subset) == graphs.edge_boundary(g, rest)
-
-
 class TestPartition:
     def _cut(self, edges, blocks):
         where = {}
@@ -303,7 +279,7 @@ class TestPartition:
 
     def test_balanced_sizes(self):
         g = graphs.sample_regular_graph(14, 3, seed=0)
-        blocks = graphs.partition_blocks(g, 4, seed=0)
+        blocks = graphs.partition_nodes(g.n, g.edges, 4, seed=0)
         sizes = sorted(len(b) for b in blocks)
         assert sizes == [3, 3, 4, 4]
         assert sorted(v for blk in blocks for v in blk) == list(range(14))
@@ -311,7 +287,7 @@ class TestPartition:
     def test_never_worse_than_sequential(self):
         for seed in range(5):
             g = graphs.sample_regular_graph(24, 4, seed=seed)
-            blocks = graphs.partition_blocks(g, 4, seed=seed)
+            blocks = graphs.partition_nodes(g.n, g.edges, 4, seed=seed)
             seq = [list(range(j * 6, (j + 1) * 6)) for j in range(4)]
             assert self._cut(g.edges, blocks) <= self._cut(g.edges, seq)
 
@@ -331,15 +307,11 @@ class TestGraphJson:
     def test_round_trip_plain(self):
         g = graphs.sample_regular_graph(10, 3, seed=1)
         doc = graphs.graph_to_json(g)
-        g2 = graphs.graph_from_json(doc)
+        g2 = graph_from_json(doc)
         assert g2 == g
 
     def test_round_trip_colored(self):
         cg = graphs.sample_colored_graph(10, 3, seed=1)
         doc = graphs.graph_to_json(cg)
-        cg2 = graphs.graph_from_json(doc)
+        cg2 = graph_from_json(doc)
         assert cg2 == cg
-
-    def test_parse_error(self):
-        with pytest.raises(ParseError):
-            graphs.graph_from_json({"n": 4, "edges": [[0, 1]]})

@@ -6,24 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    evolve_full_merge_reference,
-    rg_circuit,
-    split_amplitude_full_merge_reference,
-)
+from helpers import evolve_full_merge_reference, rg_circuit
 from rcsw import mps, statevector
 from rcsw.circuits import Circuit, Layer, OneQubitGate, TwoQubitGate, build_instance
-from rcsw.errors import CapacityError, DomainError, FitError
-from rcsw.mps import (
-    MPS_CSV_HEADER,
-    blocking_label,
-    bond_bound,
-    epsilon_vs_chi,
-    evolve,
-    mps_overlap,
-    split_amplitude,
-    topk_postprocess,
-)
+from rcsw.errors import CapacityError, FitError
+from rcsw.mps import MPS_CSV_HEADER, blocking_label, epsilon_vs_chi, evolve
 
 
 def max_state_error(state, sv):
@@ -168,78 +155,6 @@ def test_capacity_error_on_densify():
         state.to_statevector(cap=8)
 
 
-@pytest.mark.parametrize("n,d", [(8, 4), (8, 5), (10, 4)])
-def test_split_amplitude_exact(n, d):
-    c = rg_circuit(n, d, seed=40 + d)
-    sv = statevector.run(c)
-    rng = np.random.default_rng(d)
-    x = "".join(str(b) for b in rng.integers(0, 2, size=n))
-    amp, fid = split_amplitude(c, x, 2 ** (n // 2), 2)
-    assert amp == pytest.approx(abs(sv.amplitude(x)), abs=1e-10)
-    assert fid == 1.0
-
-
-def test_split_amplitude_empty_circuit_is_indicator():
-    c = Circuit(n=5, layers=())
-    assert split_amplitude(c, "00000", 2, 2) == (1.0, 1.0)
-    amp, fid = split_amplitude(c, "00100", 2, 2)
-    assert amp == 0.0 and fid == 1.0
-
-
-def test_split_amplitude_truncated():
-    c = rg_circuit(10, 6, seed=41)
-    amp, fid = split_amplitude(c, "0" * 10, 3, 2)
-    assert 0.0 < fid < 1.0
-    assert amp >= 0.0
-
-
-def test_split_amplitude_rejects_bad_bitstring():
-    c = rg_circuit(6, 3, seed=42)
-    with pytest.raises(ValueError):
-        split_amplitude(c, "0101", 4, 2)
-
-
-def test_mps_overlap_requires_same_layout():
-    c = rg_circuit(6, 3, seed=43)
-    a, _ = evolve(c, 8, 2)
-    b, _ = evolve(c, 8, 3)
-    with pytest.raises(ValueError):
-        mps_overlap(a, b)
-    assert mps_overlap(a, a) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_bond_bound_values():
-    assert bond_bound(1.0, 2.0 ** -7) == pytest.approx(128.0)
-    assert bond_bound(0.25, 1.0) == 0.25
-    with pytest.raises(DomainError):
-        bond_bound(0.5, 0.0)
-    with pytest.raises(DomainError):
-        bond_bound(0.5, 1.5)
-    with pytest.raises(DomainError):
-        bond_bound(1.2, 0.5)
-
-
-def test_topk_baseline_and_enrichment():
-    c = rg_circuit(8, 6, seed=50)
-    probs = statevector.run(c).probabilities()
-    rng = np.random.default_rng(51)
-    cand = rng.integers(0, 2 ** 8, size=400)
-    exact = probs[cand]
-    base = topk_postprocess(exact, exact, 8, alpha=1.0, shots=4000, seed=52)
-    assert base == pytest.approx(1.0, abs=0.35)
-    rich = topk_postprocess(exact, exact, 8, alpha=0.25, shots=4000, seed=52)
-    assert rich > base
-
-
-def test_topk_validation():
-    with pytest.raises(ValueError):
-        topk_postprocess([0.1], [0.1], 4, alpha=0.0, shots=10)
-    with pytest.raises(ValueError):
-        topk_postprocess([0.1, 0.2], [0.1], 4, alpha=0.5, shots=10)
-    with pytest.raises(ValueError):
-        topk_postprocess([], [], 4, alpha=1.0, shots=10)
-
-
 def test_epsilon_vs_chi_rows_and_extrapolation():
     circuits = [rg_circuit(10, 6, seed=60 + s) for s in range(4)]
     scan = epsilon_vs_chi(circuits, [2, 4, 8], 2)
@@ -358,18 +273,6 @@ def test_reduced_update_matches_full_merge_on_benchmark_instances(seed, monkeypa
     for chi, blocks in ((8, 2), (16, 2), (32, 2), (8, 4)):
         _, report, ref = _assert_matches_full_merge(c, chi, blocks, seed, monkeypatch)
         assert report.flops_est < ref.flops
-
-
-@pytest.mark.parametrize("chi", [3, 32])
-def test_split_amplitude_matches_full_merge(chi):
-    c = rg_circuit(10, 5, seed=72)
-    x = "0110100111"
-    for blocking in (2, 3):
-        amp, fid = split_amplitude(c, x, chi, blocking, seed=72)
-        ref_amp, ref_fid = split_amplitude_full_merge_reference(c, x, chi, blocking, seed=72)
-        assert amp == pytest.approx(ref_amp, abs=1e-10)
-        assert fid == pytest.approx(ref_fid, rel=1e-12, abs=0.0)
-        assert (fid < 1.0) == (chi == 3)
 
 
 def test_capacity_error_matches_full_merge():
