@@ -22,6 +22,16 @@ def main():
     ap.add_argument("--target-eps", type=float, default=1e-3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.n % 2:
+        ap.error("--n must be even (rg circuits need an even qubit count)")
+    if not 1 <= args.depth < args.n:
+        ap.error("--depth must lie in [1, n)")
+    if args.instances < 1:
+        ap.error("--instances must be at least 1")
+    if min(args.chis) < 1 or len(set(args.chis)) < 2:
+        ap.error("--chis needs at least two distinct positive bond dimensions")
+    if not 1 <= args.blocks <= args.n:
+        ap.error("--blocks must lie in [1, n]")
 
     cs = [build_instance("rg", args.n, args.depth, args.seed + i)
           for i in range(args.instances)]

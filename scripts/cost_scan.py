@@ -25,6 +25,8 @@ def main():
     ap.add_argument("--time-budget", type=float, default=100.0,
                     help="quantum time budget in units of the gate time")
     args = ap.parse_args()
+    if args.instances < 1:
+        ap.error("--instances must be at least 1")
 
     print(f"{'ensemble':>8} {'N':>4} {'d':>3} {'C_median':>9} {'C_max':>8}")
     for ensemble in ("rg", "2d"):

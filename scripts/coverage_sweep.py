@@ -24,6 +24,12 @@ def main():
     ap.add_argument("--resamples", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if min(args.mus) < 0:
+        ap.error("--mus must be nonnegative")
+    if args.resamples < 100:
+        ap.error("--resamples must be at least 100")
+    if min(args.experiments, args.circuits, args.shots) < 1:
+        ap.error("--experiments, --circuits and --shots must be at least 1")
 
     print(f"observable = {args.observable}, base_eps = {args.base_eps}, "
           f"n_gates = {args.gates}, nominal = {NOMINAL}")

@@ -25,6 +25,12 @@ def main():
     ap.add_argument("--eps-mem", type=float, default=0.001)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.n % 2:
+        ap.error("--n must be even (rg circuits need an even qubit count)")
+    if args.instances < 1:
+        ap.error("--instances must be at least 1")
+    if not all(1 <= d < args.n for d in args.depths):
+        ap.error("--depths must lie in [1, n)")
 
     nm = NoiseModel(eps_2q=args.eps2q, eps_mem=args.eps_mem)
     gc = GateCountParams(eps_2q=args.eps2q, p_spam=0.0, eps_mem=args.eps_mem)

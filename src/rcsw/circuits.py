@@ -45,12 +45,6 @@ def su2_matrix(psi: float, theta: float, phi: float) -> np.ndarray:
     return rz_matrix(psi) @ u1q_matrix(theta, phi)
 
 
-def uzz_matrix(theta: float) -> np.ndarray:
-    a = cmath.exp(-0.5j * theta)
-    b = cmath.exp(0.5j * theta)
-    return np.diag([a, b, b, a])
-
-
 def su2_decompose(u: np.ndarray) -> tuple[float, float, float]:
     """Angles (psi, theta, phi) with Rz(psi) U1q(theta, phi) = u up to phase."""
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
@@ -94,9 +88,6 @@ class TwoQubitGate:
     q0: int
     q1: int
     theta: float
-
-    def matrix(self) -> np.ndarray:
-        return uzz_matrix(self.theta)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import DegreeError, ParityError, RejectSignal
 
 Edge = tuple[int, int]
+_COLOR_ATTEMPTS = 64  # matching peels tried before edge_color rejects a graph
 
 
 def _canonical_edges(edges) -> tuple[Edge, ...]:
@@ -103,17 +104,6 @@ class GridSample:
         return out
 
 
-@dataclass(frozen=True)
-class ExpansionBound:
-    """Spectral-expansion quantities for random degree-d regular graphs."""
-
-    n: int
-    degree: int
-    eta: float
-    iso_lower: float
-    rank_lower: float
-
-
 def sample_regular_graph(n: int, d: int, seed) -> RegularGraph:
     """Sample a uniform-ish simple d-regular graph via stub pairing.
 
@@ -171,25 +161,25 @@ def _require_even(n: int, d: int):
             f"no perfect matching, so it has no proper {d}-edge-coloring")
 
 
-def edge_color(g: RegularGraph, max_attempts: int = 64, seed=0) -> ColoredGraph:
+def edge_color(g: RegularGraph, seed=0) -> ColoredGraph:
     """Properly color g's edges with exactly g.degree colors.
 
     Peels one perfect matching per color.  Random edge weights steer the
-    matching search so retries explore different decompositions; if every
-    attempt stalls (the graph may have chromatic index d+1) RejectSignal is
-    raised and the caller should resample the graph.  An odd node count
-    raises ParityError before any attempt.
+    matching search so retries explore different decompositions; if all
+    _COLOR_ATTEMPTS attempts stall (the graph may have chromatic index
+    d+1) RejectSignal is raised and the caller should resample the graph.
+    An odd node count raises ParityError before any attempt.
     """
     _require_even(g.n, g.degree)
     rng = np.random.default_rng(seed)
     eu = [u for u, _ in g.edges]
     ev = [v for _, v in g.edges]
-    for _ in range(max_attempts):
+    for _ in range(_COLOR_ATTEMPTS):
         colors = _try_peel_matchings(g.n, g.degree, eu, ev, rng)
         if colors is not None:
             return ColoredGraph(g, tuple(colors))
     raise RejectSignal(
-        f"no proper {g.degree}-edge-coloring found in {max_attempts} attempts"
+        f"no proper {g.degree}-edge-coloring found in {_COLOR_ATTEMPTS} attempts"
     )
 
 
@@ -638,25 +628,6 @@ def sample_grid(n: int, seed) -> GridSample:
     return make_grid(n, offset, rotation)
 
 
-def expansion_bound(n: int, d: int) -> ExpansionBound:
-    """Edge-expansion and contraction-rank lower bounds for random d-regular graphs.
-
-    eta(d) = 2*sqrt(ln(2)/d); with high probability every balanced cut of a
-    random d-regular graph has at least (d/2)(1-eta) boundary edges per node,
-    which forces any contraction order to hit rank at least n(1-eta)/9.
-    """
-    if d < 1:
-        raise DegreeError("degree must be positive")
-    eta = 2.0 * math.sqrt(math.log(2.0) / d)
-    return ExpansionBound(
-        n=n,
-        degree=d,
-        eta=eta,
-        iso_lower=(d / 2.0) * (1.0 - eta),
-        rank_lower=n * (1.0 - eta) / 9.0,
-    )
-
-
 def partition_nodes(n: int, edges, b: int, seed=0) -> list[list[int]]:
     """Greedy balanced partition of nodes 0..n-1 minimizing crossing edge count.
 
@@ -713,16 +684,12 @@ def partition_nodes(n: int, edges, b: int, seed=0) -> list[list[int]]:
     return [sorted(np.flatnonzero(assign == j).tolist()) for j in range(b)]
 
 
-def graph_to_json(obj) -> dict:
-    """Serialize a RegularGraph or ColoredGraph to a plain dict."""
-    if isinstance(obj, ColoredGraph):
-        g = obj.graph
-        return {
-            "n": g.n,
-            "d": g.degree,
-            "edges": [[u, v] for u, v in g.edges],
-            "colors": list(obj.colors),
-        }
-    if isinstance(obj, RegularGraph):
-        return {"n": obj.n, "d": obj.degree, "edges": [[u, v] for u, v in obj.edges]}
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def graph_to_json(cg: ColoredGraph) -> dict:
+    """Serialize a ColoredGraph to a plain dict."""
+    g = cg.graph
+    return {
+        "n": g.n,
+        "d": g.degree,
+        "edges": [[u, v] for u, v in g.edges],
+        "colors": list(cg.colors),
+    }

@@ -56,7 +56,6 @@ class MpsState:
     blocks: list[list[int]]
     tensors: list[np.ndarray]
     chi: int
-    cap: int = DEFAULT_CAP
     f_acc: float = 1.0
     center: int = 0
     flops: float = 0.0
@@ -86,10 +85,10 @@ class MpsState:
             if t.shape[0] > self.chi or t.shape[2] > self.chi:
                 raise ValueError(f"bond at position {j} exceeds chi")
 
-    def to_statevector(self, cap: int | None = None) -> StateVector:
-        cap = self.cap if cap is None else cap
-        if self.n > cap:
-            raise CapacityError(f"{self.n} qubits exceeds the dense cap of {cap}")
+    def to_statevector(self) -> StateVector:
+        if self.n > DEFAULT_CAP:
+            raise CapacityError(
+                f"{self.n} qubits exceeds the dense cap of {DEFAULT_CAP}")
         acc = self.tensors[0][0]
         for t in self.tensors[1:]:
             acc = np.tensordot(acc, t, axes=(-1, 0))
@@ -133,28 +132,20 @@ def blocking_label(blocks: list[list[int]]) -> str:
     return f"{len(blocks)}x[" + "/".join(str(s) for s in sizes) + "]"
 
 
-def _resolve_blocking(c: Circuit, blocking, seed) -> list[list[int]]:
-    if isinstance(blocking, (int, np.integer)):
-        edges = [(g.q0, g.q1) for lay in c.two_qubit_layers() for g in lay.gates]
-        return partition_nodes(c.n, edges, int(blocking), seed)
-    blocks = [list(map(int, b)) for b in blocking]
-    flat = [q for b in blocks for q in b]
-    if sorted(flat) != list(range(c.n)):
-        raise ValueError("blocking must cover every qubit exactly once")
-    sizes = [len(b) for b in blocks]
-    if max(sizes) - min(sizes) > 1:
-        raise ValueError("blocking must be balanced (sizes within one)")
-    return blocks
+def _resolve_blocking(c: Circuit, blocking: int, seed) -> list[list[int]]:
+    """The chain's blocks: a balanced partition cutting few of c's gates."""
+    edges = [(g.q0, g.q1) for lay in c.two_qubit_layers() for g in lay.gates]
+    return partition_nodes(c.n, edges, int(blocking), seed)
 
 
-def _fresh_state(n: int, blocks, bits: str, chi: int, cap: int) -> MpsState:
+def _fresh_state(n: int, blocks, bits: str, chi: int) -> MpsState:
     tensors = []
     for block in blocks:
         vec = np.zeros(2 ** len(block), dtype=complex)
         vec[int("".join(bits[q] for q in block), 2)] = 1.0
         tensors.append(vec.reshape(1, -1, 1))
     return MpsState(n=n, blocks=[list(b) for b in blocks], tensors=tensors,
-                    chi=chi, cap=cap)
+                    chi=chi)
 
 
 def _svd(mat: np.ndarray):
@@ -243,10 +234,10 @@ def _split_pair(state: MpsState, pos: int, theta: np.ndarray):
 def _check_pair_cap(state: MpsState, pos: int):
     l, pl, _ = state.tensors[pos].shape
     _, pr, r = state.tensors[pos + 1].shape
-    if l * pl * pr * r > 2 ** state.cap:
+    if l * pl * pr * r > 2 ** DEFAULT_CAP:
         raise CapacityError(
             f"merged pair at position {pos} needs {l * pl * pr * r} elements, "
-            f"cap is 2^{state.cap}")
+            f"cap is 2^{DEFAULT_CAP}")
 
 
 def _merge(state: MpsState, pos: int) -> np.ndarray:
@@ -332,19 +323,20 @@ def _apply_layers(state: MpsState, layers):
                 _apply_zz(state, g.theta, g.q0, g.q1)
 
 
-def evolve(c: Circuit, chi: int, blocking, seed=0,
-           cap: int = DEFAULT_CAP) -> tuple[MpsState, MpsRunReport]:
+def evolve(c: Circuit, chi: int, blocking: int,
+           seed=0) -> tuple[MpsState, MpsRunReport]:
     """Run the circuit through a blocked chain truncated at chi.
 
-    blocking is either a block count (qubits are then grouped to minimize
-    the number of gates crossing blocks) or an explicit balanced list of
-    qubit lists giving the chain order.
+    blocking is the block count: the qubits are split into that many
+    blocks whose sizes differ by at most one, grouped (from seed) to cut
+    few gates, and the blocks form the chain in that order.  A merged pair
+    of blocks larger than 2^DEFAULT_CAP elements raises CapacityError.
     """
     if chi < 1:
         raise ValueError("chi must be at least 1")
     blocks = _resolve_blocking(c, blocking, seed)
     bits = c.initial_bits or "0" * c.n
-    state = _fresh_state(c.n, blocks, bits, chi, cap)
+    state = _fresh_state(c.n, blocks, bits, chi)
     _apply_layers(state, c.layers)
     n2q = c.n_2q
     eps = 0.0 if n2q == 0 or state.f_acc == 1.0 \
@@ -368,15 +360,13 @@ class ChiScanRow:
 class ChiScan:
     rows: tuple[ChiScanRow, ...]
 
-    def extrapolate_chi(self, eps_target: float, blocking: str | None = None) -> float:
+    def extrapolate_chi(self, eps_target: float) -> float:
         """Bond dimension reaching eps_target, linear in log2(chi).
 
         Fits a line through the medians at the two largest bond dimensions
-        of the selected blocking and solves for the target error rate.
+        and solves for the target error rate.
         """
-        rows = [r for r in self.rows
-                if blocking is None or r.blocking == blocking]
-        by_chi = sorted({r.chi: r for r in rows}.values(), key=lambda r: r.chi)
+        by_chi = sorted({r.chi: r for r in self.rows}.values(), key=lambda r: r.chi)
         if len(by_chi) < 2:
             raise FitError("need two distinct bond dimensions to extrapolate")
         r1, r2 = by_chi[-2], by_chi[-1]
@@ -387,35 +377,20 @@ class ChiScan:
         return 2.0 ** (x2 + (eps_target - r2.eps_median) / slope)
 
 
-def _as_blocking_list(blockings) -> list:
-    """Normalize to a list of blocking specs (ints or explicit block lists)."""
-    if isinstance(blockings, (int, np.integer)):
-        return [int(blockings)]
-    blockings = list(blockings)
-    if not blockings:
-        raise ValueError("need at least one blocking")
-    if all(isinstance(b, (int, np.integer)) for b in blockings):
-        return [int(b) for b in blockings]
-    if all(isinstance(b, (list, tuple)) for b in blockings) and \
-            all(isinstance(q, (int, np.integer)) for b in blockings for q in b):
-        return [blockings]  # a single explicit blocking was passed bare
-    return blockings
-
-
-def epsilon_vs_chi(circuits, chis, blockings, seed=0,
-                   cap: int = DEFAULT_CAP) -> ChiScan:
-    """Median error per entangling gate over a circuit list, per (chi, blocking)."""
+def epsilon_vs_chi(circuits, chis, blocks: int, seed=0) -> ChiScan:
+    """Median and spread of the error per entangling gate over a circuit
+    list, one row per bond dimension, every circuit cut into ``blocks``
+    blocks."""
+    if not circuits:
+        raise ValueError("need at least one circuit")
     chis = sorted(set(int(x) for x in chis))
     if len(chis) < 2:
         raise ValueError("need at least two bond dimensions")
-    blockings = _as_blocking_list(blockings)
     rows = []
-    for blocking in blockings:
-        for chi in chis:
-            eps = [evolve(c, chi, blocking, seed=seed, cap=cap)[1].eps_mps
-                   for c in circuits]
-            label = blocking_label(_resolve_blocking(circuits[0], blocking, seed))
-            rows.append(ChiScanRow(
-                chi=chi, blocking=label,
-                eps_median=float(np.median(eps)), eps_std=float(np.std(eps))))
+    for chi in chis:
+        reports = [evolve(c, chi, blocks, seed=seed)[1] for c in circuits]
+        eps = [r.eps_mps for r in reports]
+        rows.append(ChiScanRow(
+            chi=chi, blocking=reports[0].blocking,
+            eps_median=float(np.median(eps)), eps_std=float(np.std(eps))))
     return ChiScan(rows=tuple(rows))

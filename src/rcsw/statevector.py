@@ -87,14 +87,7 @@ def _check_cap(n: int, cap: int):
         raise CapacityError(f"{n} qubits exceeds the dense cap of {cap}")
 
 
-def _initial_state(c: Circuit, initial) -> np.ndarray:
-    if initial is not None:
-        if isinstance(initial, StateVector):
-            initial = initial.amplitudes
-        state = np.array(initial, dtype=complex).reshape(-1).copy()
-        if state.shape != (2 ** c.n,):
-            raise ValueError("initial state has wrong dimension")
-        return state
+def _initial_state(c: Circuit) -> np.ndarray:
     state = np.zeros(2 ** c.n, dtype=complex)
     idx = int(c.initial_bits, 2) if c.initial_bits else 0
     state[idx] = 1.0
@@ -182,10 +175,10 @@ def _run_layers(psi: np.ndarray, layers: list, dephase=None, errors=None,
     return psi
 
 
-def run(c: Circuit, initial=None, cap: int = DEFAULT_CAP) -> StateVector:
+def run(c: Circuit) -> StateVector:
     """Noiseless simulation from c.initial_bits (default all zeros)."""
-    _check_cap(c.n, cap)
-    return StateVector(c.n, _run_layers(_initial_state(c, initial), _compile(c)))
+    _check_cap(c.n, DEFAULT_CAP)
+    return StateVector(c.n, _run_layers(_initial_state(c), _compile(c)))
 
 
 def sample(sv: StateVector, shots: int, seed) -> np.ndarray:
@@ -270,7 +263,7 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
         if e:
             forks.setdefault(min(e), []).append(t)
     layers = _compile(c)
-    ideal = _run_layers(_initial_state(c, None), layers)
+    ideal = _run_layers(_initial_state(c), layers)
     dephase = (_dephasing_phases(c.n, nm.dephasing_angle(c.n))
                if nm.eps_mem > 0.0 else None)
     overlaps = np.empty(n_traj)
@@ -286,7 +279,7 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
             branch = _finish_layer(psi.copy(), layers[i], errors[t][i], dephase)
             finish(t, _run_layers(branch, layers, dephase, errors[t], start=i + 1))
 
-    clean = _run_layers(_initial_state(c, None), layers, dephase, fork=fork)
+    clean = _run_layers(_initial_state(c), layers, dephase, fork=fork)
     clean_overlap = abs(np.vdot(ideal, clean)) ** 2
     for t, e in enumerate(errors):
         if not e:

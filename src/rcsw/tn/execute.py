@@ -30,14 +30,16 @@ def _run_once(arrays, indices, merges):
     return complex(arr.reshape(()).item())
 
 
-def execute_tree(tn: TensorNetwork, tree: ContractionTree,
-                 cap: int = DEFAULT_CAP) -> complex:
-    """Contract the network along the tree, exactly."""
+def execute_tree(tn: TensorNetwork, tree: ContractionTree) -> complex:
+    """Contract the network along the tree, exactly.
+
+    Raises CapacityError when an intermediate exceeds 2^DEFAULT_CAP entries.
+    """
     legs = leg_sets(tn.indices)
     stats = analyze_merges(tree.merges, legs, tree.sliced)
-    if stats.width > 2.0 ** cap:
+    if stats.width > 2.0 ** DEFAULT_CAP:
         raise CapacityError(
-            f"largest intermediate {stats.width:.3g} exceeds 2^{cap}")
+            f"largest intermediate {stats.width:.3g} exceeds 2^{DEFAULT_CAP}")
     if stats.sliced_multiplier > _TASK_CAP:
         raise CapacityError(
             f"{stats.sliced_multiplier:.3g} slice tasks exceed the executor cap")

@@ -12,9 +12,8 @@ import math
 from dataclasses import dataclass
 
 from ..circuits import Circuit
-from ..errors import DomainError
+from ..errors import DegreeError, DomainError
 from ..estimators import verifiable_depth
-from ..graphs import expansion_bound
 from .tree import ContractionTree
 
 
@@ -50,8 +49,17 @@ def simple_cost(model: SimpleCostModel, n: int, d: float) -> tuple[float, float]
 
 
 def lower_bound_rank(n: int, d: int) -> float:
-    """Expander-cut floor on the largest rank of any contraction tree."""
-    return expansion_bound(n, d).rank_lower
+    """Expander-cut floor on the largest rank of any contraction tree.
+
+    With eta(d) = 2*sqrt(ln(2)/d), every balanced cut of a random d-regular
+    graph has at least (d/2)(1-eta) boundary edges per node with high
+    probability, which forces any contraction order of an n-qubit circuit
+    on it to reach rank at least n(1-eta)/9.
+    """
+    if d < 1:
+        raise DegreeError("degree must be positive")
+    eta = 2.0 * math.sqrt(math.log(2.0) / d)
+    return n * (1.0 - eta) / 9.0
 
 
 @dataclass(frozen=True)
@@ -63,18 +71,17 @@ class MaxQubitsResult:
 
 
 def max_effective_qubits(eps: float, tau_q: float, t_q: float,
-                         model: SimpleCostModel,
-                         n_grid=range(8, 129, 4),
-                         d_grid=range(1, 257)) -> MaxQubitsResult:
+                         model: SimpleCostModel) -> MaxQubitsResult:
     """Largest model-predicted effective qubit number under a time budget.
 
-    Scans the (n, d) grid keeping only depths whose fidelity stays
-    resolvable in the quantum time budget, maximizing density * n.
+    Scans n = 8, 12, ..., 128 and d = 1..256, keeping only depths whose
+    fidelity stays resolvable in the quantum time budget, maximizing
+    density * n.
     """
     best = None
-    for n in n_grid:
+    for n in range(8, 129, 4):
         d_max = verifiable_depth(eps, tau_q, t_q, n)
-        for d in d_grid:
+        for d in range(1, 257):
             if d > d_max:
                 break
             density, _ = simple_cost(model, n, d)

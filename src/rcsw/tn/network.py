@@ -31,15 +31,16 @@ class TensorNetwork:
     carries factors from wires that never meet a two-qubit gate and from
     fully absorbed tensors.  provenance[t] is
     (two_qubit_layer_position, (q0, q1), half) with half one of "a", "b",
-    "ab", recording where the tensor came from.
+    "ab", recording where the tensor came from; depth is the circuit's
+    number of two-qubit layers.
     """
 
     n: int
+    depth: int
     arrays: list[np.ndarray] = field(default_factory=list)
     indices: list[tuple[int, ...]] = field(default_factory=list)
     scalar: complex = 1.0 + 0.0j
     provenance: list[tuple] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_tensors(self) -> int:
@@ -103,7 +104,8 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
     split_rank=4 contracts them over their bond into one rank-4 tensor.
     Either way the single-qubit layers and both boundary states are
     absorbed, so the network has exactly one (split: two) tensor per
-    two-qubit gate, fewer where a tensor reduces to a scalar.
+    two-qubit gate, fewer where a tensor reduces to a scalar.  The network
+    records the circuit's depth, which light_cone_order reads.
     """
     if split_rank not in (2, 4):
         raise ValueError("split_rank must be 2 or 4")
@@ -113,9 +115,7 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
         raise ValueError("bitstring_out must be an n-character bitstring")
     in_bits = c.initial_bits if c.initial_bits is not None else "0" * c.n
 
-    tn = TensorNetwork(n=c.n)
-    tn.meta = {"split_rank": split_rank, "depth": c.depth,
-               "ensemble": c.ensemble, "out": bitstring_out}
+    tn = TensorNetwork(n=c.n, depth=c.depth)
     fresh = itertools.count().__next__  # index ids in creation order
 
     # per-wire running state: open index into the last tensor on the wire

@@ -184,11 +184,11 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
     return tree.attach_stats(legs)
 
 
-def light_cone_order(tn: TensorNetwork,
-                     final_pairing: list[tuple[int, int]] | None = None) -> ContractionTree:
+def light_cone_order(tn: TensorNetwork) -> ContractionTree:
     """Constructive order with a proven cap on the largest intermediate.
 
-    Output pairs from the last two-qubit layer are retired one at a time;
+    The gates of the network's last two-qubit layer (position
+    tn.depth - 1) are the output pairs.  They are retired one at a time:
     for each, the not-yet-contracted part of its backward cone is merged in
     time order.  Each cone touches at most 2^depth wires, and a retired
     pair closes both its wires, so the open wire count never exceeds
@@ -197,7 +197,6 @@ def light_cone_order(tn: TensorNetwork,
     """
     if tn.n_tensors == 0:
         return ContractionTree(0, []).attach_stats([])
-    depth = tn.meta.get("depth", 0)
     groups = _gate_groups(tn)
 
     # wire -> its gates in time order
@@ -227,13 +226,7 @@ def light_cone_order(tn: TensorNetwork,
             stack.extend(predecessors(k))
         return out
 
-    if final_pairing is not None:
-        finals = [(depth - 1, tuple(sorted(p))) for p in final_pairing]
-        for f in finals:
-            if f not in groups:
-                raise ValueError(f"pair {f[1]} is not in the final layer")
-    else:
-        finals = [k for k in sorted(groups) if k[0] == depth - 1]
+    finals = [k for k in sorted(groups) if k[0] == tn.depth - 1]
 
     out = _MergeList(tn.n_tensors)
     gate_node: dict[tuple, int] = {}

@@ -1,4 +1,5 @@
 """Shared oracles and factories for the test suite."""
+import cmath
 import json
 import math
 import re
@@ -7,10 +8,18 @@ import numpy as np
 
 from rcsw import graphs, mps
 from rcsw.circuits import (
-    PAULIS, Circuit, Layer, OneQubitGate, TwoQubitGate, build_rg_circuit, uzz_matrix,
+    PAULIS, Circuit, Layer, OneQubitGate, TwoQubitGate, build_rg_circuit,
 )
-from rcsw.statevector import DEFAULT_CAP, NoiseModel, StateVector, TrajectoryResult, sample
+from rcsw.statevector import NoiseModel, StateVector, TrajectoryResult, sample
 from rcsw.tn.tree import TreeStats
+
+
+def uzz_matrix(theta: float) -> np.ndarray:
+    """UZZ(theta) = exp(-i(theta/2) Z x Z) as a dense 4x4 matrix, the
+    reference for every place the library applies the entangler."""
+    a = cmath.exp(-0.5j * theta)
+    b = cmath.exp(0.5j * theta)
+    return np.diag([a, b, b, a])
 
 
 def dense_unitary(c: Circuit) -> np.ndarray:
@@ -281,11 +290,11 @@ def _apply_layers_full_merge(state: mps.MpsState, layers):
                 apply_zz_full_merge_reference(state, g.theta, g.q0, g.q1)
 
 
-def evolve_full_merge_reference(c: Circuit, chi: int, blocking, seed=0,
-                                cap: int = DEFAULT_CAP) -> mps.MpsState:
+def evolve_full_merge_reference(c: Circuit, chi: int, blocking: int,
+                                seed=0) -> mps.MpsState:
     """``mps.evolve`` with every cross-block gate taken through the full merge."""
     blocks = mps._resolve_blocking(c, blocking, seed)
-    state = mps._fresh_state(c.n, blocks, c.initial_bits or "0" * c.n, chi, cap)
+    state = mps._fresh_state(c.n, blocks, c.initial_bits or "0" * c.n, chi)
     _apply_layers_full_merge(state, c.layers)
     return state
 
@@ -358,7 +367,7 @@ def circuit_from_qasm(text: str) -> Circuit:
                    initial_bits=bitstr if "1" in bitstr else None)
 
 
-def graph_from_json(doc: dict):
-    """Inverse of ``graphs.graph_to_json``: a ColoredGraph iff colors are present."""
+def graph_from_json(doc: dict) -> graphs.ColoredGraph:
+    """Inverse of ``graphs.graph_to_json``."""
     g = graphs.RegularGraph(doc["n"], doc["d"], tuple(map(tuple, doc["edges"])))
-    return graphs.ColoredGraph(g, tuple(doc["colors"])) if "colors" in doc else g
+    return graphs.ColoredGraph(g, tuple(doc["colors"]))

@@ -10,11 +10,11 @@ from rcsw.circuits import (
     Circuit, Layer, OneQubitGate, TwoQubitGate,
     build_2d_circuit, build_brickwork_circuit, build_instance, build_mirror,
     build_rg_circuit, export_qasm, haar_su2, layer_matrices, rz_matrix, serialize,
-    su2_decompose, su2_matrix, u1q_matrix, uzz_matrix,
+    su2_decompose, su2_matrix, u1q_matrix,
 )
 from helpers import (
     circuit_from_qasm, dense_unitary, deserialize, pauli_pair_conjugate_reference,
-    phase_aligned, with_zz_angles,
+    phase_aligned, uzz_matrix, with_zz_angles,
 )
 
 

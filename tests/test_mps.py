@@ -17,7 +17,7 @@ def max_state_error(state, sv):
     return float(np.max(np.abs(state.to_statevector().amplitudes - sv.amplitudes)))
 
 
-@pytest.mark.parametrize("blocking", [1, 2, 3, 4, 8, [[7, 6, 5, 4], [3, 2, 1, 0]]])
+@pytest.mark.parametrize("blocking", [1, 2, 3, 4, 8])
 def test_exact_chi_matches_statevector(blocking):
     c = rg_circuit(8, 4, seed=5)
     sv = statevector.run(c)
@@ -137,28 +137,31 @@ def test_evolve_validation():
     with pytest.raises(ValueError):
         evolve(c, 0, 2)
     with pytest.raises(ValueError):
-        evolve(c, 4, [[0, 1], [2, 3]])  # misses qubits 4, 5
+        evolve(c, 4, 0)  # no blocks
     with pytest.raises(ValueError):
-        evolve(c, 4, [[0, 1, 2, 3, 4], [5]])  # unbalanced
+        evolve(c, 4, 7)  # more blocks than qubits
 
 
-def test_capacity_error_on_merge():
+def test_capacity_error_on_merge(monkeypatch):
     c = rg_circuit(10, 3, seed=14)
+    monkeypatch.setattr(mps, "DEFAULT_CAP", 8)
     with pytest.raises(CapacityError):
-        evolve(c, 64, 2, cap=8)
+        evolve(c, 64, 2)
 
 
-def test_capacity_error_on_densify():
+def test_capacity_error_on_densify(monkeypatch):
     c = rg_circuit(10, 3, seed=15)
     state, _ = evolve(c, 4, 2)
+    monkeypatch.setattr(mps, "DEFAULT_CAP", 8)
     with pytest.raises(CapacityError):
-        state.to_statevector(cap=8)
+        state.to_statevector()
 
 
 def test_epsilon_vs_chi_rows_and_extrapolation():
     circuits = [rg_circuit(10, 6, seed=60 + s) for s in range(4)]
     scan = epsilon_vs_chi(circuits, [2, 4, 8], 2)
-    assert len(scan.rows) == 3
+    assert [(r.chi, r.blocking) for r in scan.rows] == \
+        [(2, "2x[5]"), (4, "2x[5]"), (8, "2x[5]")]
     meds = [r.eps_median for r in scan.rows]
     assert meds == sorted(meds, reverse=True)
     target = meds[-1] / 2.0
@@ -174,12 +177,9 @@ def test_epsilon_vs_chi_flat_rates_unfittable():
         epsilon_vs_chi(circuits, [4], 2)
 
 
-def test_epsilon_vs_chi_multiple_blockings():
-    circuits = [rg_circuit(8, 4, seed=62)]
-    scan = epsilon_vs_chi(circuits, [2, 4], [2, 4])
-    labels = {r.blocking for r in scan.rows}
-    assert labels == {"2x[4]", "4x[2]"}
-    assert len(scan.rows) == 4
+def test_epsilon_vs_chi_needs_a_circuit():
+    with pytest.raises(ValueError, match="at least one circuit"):
+        epsilon_vs_chi([], [2, 4], 2)
 
 
 def test_blocking_label_forms():
@@ -239,14 +239,14 @@ def _assert_matches_full_merge(c, chi, blocking, seed, monkeypatch):
     return state, report, ref
 
 
-@pytest.mark.parametrize("blocking", [2, 3, 4, [[7, 6, 5, 4], [3, 2, 1, 0]]])
+@pytest.mark.parametrize("blocking", [2, 3, 4])
 @pytest.mark.parametrize("chi", [2, 4, 16])
 def test_reduced_update_matches_full_merge(blocking, chi, monkeypatch):
     c = rg_circuit(8, 5, seed=70)
     state, report, _ = _assert_matches_full_merge(c, chi, blocking, 70, monkeypatch)
     assert (report.f_mps == 1.0) == (chi == 16)
-    if not isinstance(blocking, int):
-        # cross-block gates whose first qubit sits in the right-hand block
+    if blocking in (2, 3):
+        # the partition puts some gates' first qubit in the right-hand block
         assert any(state.locate(g.q0)[0] > state.locate(g.q1)[0]
                    for lay in c.two_qubit_layers() for g in lay.gates)
 
@@ -275,14 +275,15 @@ def test_reduced_update_matches_full_merge_on_benchmark_instances(seed, monkeypa
         assert report.flops_est < ref.flops
 
 
-def test_capacity_error_matches_full_merge():
+def test_capacity_error_matches_full_merge(monkeypatch):
     c = rg_circuit(10, 3, seed=14)
     raised = []
     for cap in range(6, 12):
+        monkeypatch.setattr(mps, "DEFAULT_CAP", cap)
         outcomes = []
         for run in (evolve, evolve_full_merge_reference):
             try:
-                run(c, 64, 3, seed=14, cap=cap)
+                run(c, 64, 3, seed=14)
                 outcomes.append(False)
             except CapacityError:
                 outcomes.append(True)

@@ -1,13 +1,21 @@
-"""Every public library name has a caller that is not its own unit test.
+"""Every public library name and every defaulted parameter has a caller
+that is not its own unit test.
 
 A module-level public name in ``src/rcsw`` (package ``__init__`` files
 aside) must appear as a whole word somewhere besides its definition line:
 in the library itself, the scripts, the benchmark harness, the README or
 the acceptance tests.  A name found only in its definition is dead code.
+
+A defaulted parameter of a public function, or of a public method of a
+public class, must be bound by position or keyword in some call in the
+same files (the README's Python blocks parsed as code).  Calls are matched
+to definitions by callee name alone, so a name shared by two definitions
+can hide an unused parameter but never flag a used one.
 """
 import ast
 import pathlib
 import re
+from collections import defaultdict
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "rcsw"
@@ -33,13 +41,17 @@ def _public_names(path: pathlib.Path):
                 yield name, node.lineno
 
 
-def _caller_lines():
-    """(path, line number, text) of every line a caller may sit on."""
+def _caller_files():
+    """Every file a caller may sit in."""
     files = list(_modules())
     files += sorted((ROOT / "scripts").rglob("*.py"))
     files += sorted((ROOT / "perfbench").rglob("*.py"))
-    files += [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
-    for path in files:
+    return files + [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
+
+
+def _caller_lines():
+    """(path, line number, text) of every line a caller may sit on."""
+    for path in _caller_files():
         for no, text in enumerate(path.read_text().splitlines(), 1):
             yield path, no, text
 
@@ -54,3 +66,80 @@ def test_every_public_name_has_a_caller():
                        if (path, no) != (module, lineno)):
                 unused.append(f"{module.relative_to(PACKAGE)}:{lineno} {name}")
     assert not unused, "public names with no caller:\n" + "\n".join(unused)
+
+
+def _defaulted_parameters(path: pathlib.Path):
+    """(qualified name, callee name, parameters, defaulted) per public def.
+
+    parameters lists the positional parameters in order, without the
+    ``self`` or ``cls`` of a method (the library has no static methods);
+    defaulted holds the names that have a default, keyword-only ones
+    included.
+    """
+    def entry(fn, owner):
+        args = fn.args
+        positional = [a.arg for a in args.posonlyargs + args.args]
+        defaulted = positional[len(positional) - len(args.defaults):]
+        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        if owner:
+            positional = positional[1:]
+        name = f"{owner}.{fn.name}" if owner else fn.name
+        return name, fn.name, positional, defaulted
+
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield entry(node, None)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    yield entry(fn, node.name)
+
+
+def _caller_trees():
+    """Parsed code of every caller file and of the README's Python blocks."""
+    for path in _caller_files():
+        if path.suffix == ".py":
+            yield ast.parse(path.read_text())
+        else:
+            for body in re.findall(r"^```python\n(.*?)^```", path.read_text(),
+                                   flags=re.M | re.S):
+                yield ast.parse(body)
+
+
+def _calls_by_callee():
+    """Callee name -> (positional argument count, keyword names) per call.
+
+    A starred positional argument counts as filling every position, and a
+    ``**`` mapping as naming every parameter.
+    """
+    calls = defaultdict(list)
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            n_pos = float("inf") if starred else len(node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls[name].append((n_pos, keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    calls = _calls_by_callee()
+    unbound = []
+    for module in _modules():
+        for qualname, callee, positional, defaulted in _defaulted_parameters(module):
+            for param in defaulted:
+                index = positional.index(param) if param in positional else None
+                if not any(None in kws or param in kws
+                           or (index is not None and index < n_pos)
+                           for n_pos, kws in calls[callee]):
+                    unbound.append(f"{module.relative_to(PACKAGE)} "
+                                   f"{qualname}({param}=)")
+    assert not unbound, "defaulted parameters no caller sets:\n" + "\n".join(unbound)

@@ -1,5 +1,5 @@
 """Smoke tests of the experiment scripts: each runs at a small size and
-prints its header line."""
+prints its header line, and rejects a bad flag before it simulates."""
 import os
 import subprocess
 import sys
@@ -8,6 +8,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _run_script(argv):
+    src = str(ROOT / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+                          env=env, capture_output=True, text=True, timeout=300)
 
 
 @pytest.mark.parametrize("argv,first_line", [
@@ -25,10 +33,26 @@ ROOT = Path(__file__).resolve().parents[1]
      "observable = xeb, base_eps = 0.002, n_gates = 100, nominal = 0.6827"),
 ], ids=["cost_scan", "estimator_agreement", "chi_extrapolation", "coverage_sweep"])
 def test_script_runs(argv, first_line):
-    src = str(ROOT / "src")
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
-                         env=env, capture_output=True, text=True, timeout=300)
+    out = _run_script(argv)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0].strip() == first_line
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["cost_scan.py", "--instances", "0"], "--instances must be at least 1"),
+    (["estimator_agreement.py", "--n", "7"], "--n must be even"),
+    (["estimator_agreement.py", "--n", "6", "--depths", "2", "6"],
+     "--depths must lie in [1, n)"),
+    (["chi_extrapolation.py", "--instances", "0"], "--instances must be at least 1"),
+    (["chi_extrapolation.py", "--n", "7"], "--n must be even"),
+    (["coverage_sweep.py", "--resamples", "99"], "--resamples must be at least 100"),
+    (["coverage_sweep.py", "--shots", "0"],
+     "--experiments, --circuits and --shots must be at least 1"),
+], ids=["cost_scan", "estimator_agreement", "estimator_agreement-depth",
+        "chi_extrapolation", "chi_extrapolation-odd-n", "coverage_sweep",
+        "coverage_sweep-shots"])
+def test_script_rejects_bad_flag(argv, message):
+    out = _run_script(argv)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert f"{argv[0]}: error: {message}" in out.stderr

@@ -12,7 +12,8 @@ from rcsw.circuits import (
 )
 from rcsw.errors import CapacityError
 from rcsw.statevector import (
-    NoiseModel, StateVector, bipartite_purity, run, run_trajectories, sample,
+    NoiseModel, StateVector, _compile, _run_layers, bipartite_purity, run,
+    run_trajectories, sample,
 )
 from helpers import (
     apply_circuit_reference, dense_unitary, initial_state_reference, rg_circuit,
@@ -57,10 +58,11 @@ class TestRun:
         c = rg_circuit(8, 4, 3)
         assert np.sum(run(c).probabilities()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
         c = rg_circuit(8, 3, 1)
+        monkeypatch.setattr(statevector, "DEFAULT_CAP", 6)
         with pytest.raises(CapacityError):
-            run(c, cap=6)
+            run(c)
 
     def test_mirror_returns_bits(self):
         half = rg_circuit(8, 3, 5)
@@ -78,15 +80,15 @@ class TestPerGateReference:
         bits = "".join("01"[q % 2] for q in range(c.n))
         rng = np.random.default_rng(c.n)
         psi = rng.normal(size=2 ** c.n) + 1j * rng.normal(size=2 ** c.n)
-        starts = [
-            (c, None, initial_state_reference(c)),
-            (replace(c, initial_bits=bits), None,
-             initial_state_reference(replace(c, initial_bits=bits))),
-            (c, psi, psi.copy()),
+        c_bits = replace(c, initial_bits=bits)
+        runs = [
+            (run(c).amplitudes, initial_state_reference(c)),
+            (run(c_bits).amplitudes, initial_state_reference(c_bits)),
+            # the layer loop from a random, unnormalized state
+            (_run_layers(psi.copy(), _compile(c)), psi),
         ]
-        for circ, initial, ref_start in starts:
-            got = run(circ, initial=initial).amplitudes
-            expect = apply_circuit_reference(ref_start, circ)
+        for got, ref_start in runs:
+            expect = apply_circuit_reference(ref_start.copy(), c)
             assert np.max(np.abs(got - expect)) < 1e-12
 
     @pytest.mark.parametrize("nm,shots", [
@@ -229,7 +231,8 @@ def test_apply_circuit_linearity(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=64) + 1j * rng.normal(size=64)
     b = rng.normal(size=64) + 1j * rng.normal(size=64)
-    out_sum = run(c, initial=a + b).amplitudes
-    out_a = run(c, initial=a).amplitudes
-    out_b = run(c, initial=b).amplitudes
+    layers = _compile(c)
+    out_sum = _run_layers(a + b, layers)
+    out_a = _run_layers(a.copy(), layers)
+    out_b = _run_layers(b.copy(), layers)
     assert np.max(np.abs(out_sum - out_a - out_b)) < 1e-10

@@ -26,7 +26,7 @@ from rcsw.tn import (
     optimize_order,
     slice_tree,
 )
-from rcsw.tn import network, slicing
+from rcsw.tn import execute, network, slicing
 from rcsw.tn.tree import analyze_merges, leg_sets
 
 
@@ -82,10 +82,8 @@ def test_network_input_validation():
 
 def test_network_records_meta():
     c = rg_circuit(4, 3, seed=0)
-    tn = circuit_to_tn(c, split_rank=2)
-    assert tn.meta["depth"] == 3
-    assert tn.meta["split_rank"] == 2
-    assert tn.meta["ensemble"] == "rg"
+    for split_rank in (2, 4):
+        assert circuit_to_tn(c, split_rank=split_rank).depth == 3
 
 
 # ---------------------------------------------------------------- tree
@@ -132,7 +130,7 @@ def test_analyze_rejects_sliced_index_on_no_tensor():
 
 
 def test_validate_rejects_dimension_three():
-    tn = network.TensorNetwork(n=1, arrays=[np.ones(3), np.ones(3)],
+    tn = network.TensorNetwork(n=1, depth=0, arrays=[np.ones(3), np.ones(3)],
                                indices=[(0,), (0,)])
     with pytest.raises(ValueError, match="dimension 3"):
         tn.validate()
@@ -257,12 +255,13 @@ def test_execute_sliced_equals_unsliced():
     assert abs(execute_tree(tn, sliced) - plain) < 1e-10
 
 
-def test_execute_capacity_error():
+def test_execute_capacity_error(monkeypatch):
     c = rg_circuit(8, 4, seed=12)
     tn = circuit_to_tn(c)
     tree = optimize_order(tn, budget=1, seed=0)
+    monkeypatch.setattr(execute, "DEFAULT_CAP", 2)
     with pytest.raises(CapacityError):
-        execute_tree(tn, tree, cap=2)
+        execute_tree(tn, tree)
 
 
 # --------------------------------------------------------------- order
@@ -349,17 +348,6 @@ def test_light_cone_tree_is_exact():
     tn = circuit_to_tn(c, bitstring_out=bits)
     tree = light_cone_order(tn)
     assert abs(execute_tree(tn, tree) - amplitude_oracle(c, bits)) < 1e-10
-
-
-def test_light_cone_explicit_pairing():
-    c = rg_circuit(6, 3, seed=23)
-    tn = circuit_to_tn(c)
-    last = c.two_qubit_layers()[-1]
-    pairing = [(g.q0, g.q1) for g in last.gates]
-    tree = light_cone_order(tn, final_pairing=pairing)
-    assert abs(execute_tree(tn, tree) - amplitude_oracle(c, "0" * 6)) < 1e-10
-    with pytest.raises(ValueError):
-        light_cone_order(tn, final_pairing=[(0, 1), (2, 3), (4, 5)][:1] + [(0, 2)])
 
 
 # ------------------------------------------------------------- slicing

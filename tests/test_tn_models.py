@@ -3,7 +3,7 @@ import math
 import pytest
 
 from helpers import rg_circuit
-from rcsw.errors import DomainError
+from rcsw.errors import DegreeError, DomainError
 from rcsw.tn import (
     SimpleCostModel,
     circuit_to_tn,
@@ -24,6 +24,8 @@ def test_lower_bound_reference_value():
     eta = 2.0 * math.sqrt(math.log(2.0) / 12.0)
     assert lower_bound_rank(56, 12) == pytest.approx(56 * (1 - eta) / 9, rel=1e-12)
     assert lower_bound_rank(56, 12) == pytest.approx(3.23, abs=0.01)
+    # eta(3) = 0.96135
+    assert lower_bound_rank(10, 3) == pytest.approx(10 * (1 - 0.96135) / 9, abs=1e-4)
 
 
 def test_lower_bound_vacuous_at_low_degree():
@@ -32,6 +34,17 @@ def test_lower_bound_vacuous_at_low_degree():
 
 def test_lower_bound_large_degree_limit():
     assert lower_bound_rank(90, 10 ** 8) == pytest.approx(10.0, rel=1e-3)
+
+
+def test_lower_bound_increases_with_degree():
+    # eta = 2 sqrt(ln2 / d) falls with d, so the floor rises
+    bounds = [lower_bound_rank(10, d) for d in range(3, 30)]
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+
+
+def test_lower_bound_rejects_degree_below_one():
+    with pytest.raises(DegreeError):
+        lower_bound_rank(10, 0)
 
 
 def test_simple_cost_rg_values():
@@ -84,7 +97,7 @@ def test_max_effective_qubits_propagates_domain_error():
 def test_max_effective_qubits_infeasible_grid():
     # time budget so tight no depth-1 circuit is verifiable anywhere
     with pytest.raises(DomainError):
-        max_effective_qubits(1.0, 1.0, 1.5, RG, n_grid=[8, 12])
+        max_effective_qubits(1.0, 1.0, 1.5, RG)
 
 
 def test_summarize_density_and_csv():
