@@ -1,4 +1,5 @@
 """Tests for graph sampling, coloring, grids, bounds, and partitioning."""
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from rcsw import graphs
 from rcsw.errors import DegreeError, ParityError, RejectSignal
+from rcsw.tn import lower_bound_rank
 
 from helpers import edge_color_networkx_reference, graph_from_json
 
@@ -249,6 +251,18 @@ class TestGrid:
             dx = abs(pts[u][0] - pts[v][0])
             dy = abs(pts[u][1] - pts[v][1])
             assert dx + dy == 1
+
+
+class TestExpansionBound:
+    def test_values(self):
+        # independent evaluation of eta = 2 sqrt(ln2/d); rank floor n(1-eta)/9
+        eta3 = 2.0 * math.sqrt(math.log(2.0) / 3.0)
+        assert eta3 == pytest.approx(0.96135, abs=1e-4)
+        assert lower_bound_rank(10, 3) == pytest.approx(10 * (1 - eta3) / 9.0, rel=1e-12)
+        eta12 = 2.0 * math.sqrt(math.log(2.0) / 12.0)
+        assert eta12 == pytest.approx(0.48068, abs=1e-4)
+        assert lower_bound_rank(56, 12) == pytest.approx(56 * (1 - eta12) / 9.0, rel=1e-12)
+        assert lower_bound_rank(56, 12) == pytest.approx(3.231, abs=2e-3)
 
 
 class TestPartition:

@@ -177,6 +177,14 @@ def test_epsilon_vs_chi_flat_rates_unfittable():
         epsilon_vs_chi(circuits, [4], 2)
 
 
+def test_epsilon_vs_chi_multiple_blockings():
+    circuits = [rg_circuit(8, 4, seed=62)]
+    rows = [r for blocks in (2, 4)
+            for r in epsilon_vs_chi(circuits, [2, 4], blocks).rows]
+    assert {r.blocking for r in rows} == {"2x[4]", "4x[2]"}
+    assert len(rows) == 4
+
+
 def test_epsilon_vs_chi_needs_a_circuit():
     with pytest.raises(ValueError, match="at least one circuit"):
         epsilon_vs_chi([], [2, 4], 2)

@@ -24,8 +24,6 @@ def test_lower_bound_reference_value():
     eta = 2.0 * math.sqrt(math.log(2.0) / 12.0)
     assert lower_bound_rank(56, 12) == pytest.approx(56 * (1 - eta) / 9, rel=1e-12)
     assert lower_bound_rank(56, 12) == pytest.approx(3.23, abs=0.01)
-    # eta(3) = 0.96135
-    assert lower_bound_rank(10, 3) == pytest.approx(10 * (1 - 0.96135) / 9, abs=1e-4)
 
 
 def test_lower_bound_vacuous_at_low_degree():
