@@ -5,8 +5,9 @@ Circuits alternate single-qubit layers S_k with two-qubit layers E_k,
     C = S_d E_d ... S_1 E_1 S_0,
 
 so a depth-d circuit has d two-qubit layers and d+1 single-qubit layers.
-Two-qubit gates are ZZ phase gates UZZ(theta) = exp(-i(theta/2) Z x Z);
-single-qubit gates are stored as Rz(psi) * U1q(theta, phi) with
+Every two-qubit gate is the one entangler UZZ(ZZ_ANGLE) = exp(-i(pi/4) Z x Z),
+so a TwoQubitGate records only its qubits; single-qubit gates are stored
+as Rz(psi) * U1q(theta, phi) with
 U1q(theta, phi) = exp(-i(theta/2)(X cos phi + Y sin phi)).
 """
 from __future__ import annotations
@@ -26,6 +27,7 @@ _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
+ZZ_ANGLE = math.pi / 2.0  # the entangler is UZZ(ZZ_ANGLE) = exp(-i(ZZ_ANGLE/2) Z x Z)
 
 
 def rz_matrix(psi: float) -> np.ndarray:
@@ -85,9 +87,10 @@ class OneQubitGate:
 
 @dataclass(frozen=True)
 class TwoQubitGate:
+    """UZZ(ZZ_ANGLE) on qubits q0 and q1."""
+
     q0: int
     q1: int
-    theta: float
 
 
 @dataclass(frozen=True)
@@ -169,10 +172,10 @@ def _haar_layer(n: int, rng: np.random.Generator) -> Layer:
 
 
 def _haar_zz_layers(n: int, edge_layers, rng: np.random.Generator) -> tuple[Layer, ...]:
-    """A Haar layer, then per edge list a layer of UZZ(pi/2) gates and a Haar layer."""
+    """A Haar layer, then per edge list a layer of UZZ gates and a Haar layer."""
     layers = [_haar_layer(n, rng)]
     for edges in edge_layers:
-        layers.append(Layer("2q", tuple(TwoQubitGate(u, v, math.pi / 2.0) for u, v in edges)))
+        layers.append(Layer("2q", tuple(TwoQubitGate(u, v) for u, v in edges)))
         layers.append(_haar_layer(n, rng))
     return tuple(layers)
 
@@ -246,48 +249,37 @@ def _seed_int(seed) -> int | None:
 _PAULI_NAMES = ("I", "X", "Y", "Z")
 
 
-def _frame_correction(theta: float, p0: str, p1: str) -> tuple[np.ndarray, np.ndarray]:
-    """Per-qubit factors of UZZ(theta) (P0 x P1) UZZ(theta)^dag, theta a multiple of pi/2.
+def _frame_correction(p0: str, p1: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-qubit factors of UZZ(-ZZ_ANGLE) (P0 x P1) UZZ(-ZZ_ANGLE)^dag.
 
     A pair with an even number of X/Y factors commutes with Z x Z and is left
-    unchanged.  Otherwise the conjugate is UZZ(2 theta) (P0 x P1), and
-    UZZ(2 theta) = cos(theta) I x I - i sin(theta) Z x Z has one nonzero term.
+    unchanged.  Otherwise the conjugate is UZZ(-pi) (P0 x P1) = i (Z P0) x (Z P1).
     The phase rides on the first factor, so the product is exact.
     """
     a, b = PAULIS[p0], PAULIS[p1]
     if (p0 in "XY") == (p1 in "XY"):
         return a, b
-    cos, sin = round(math.cos(theta)), round(math.sin(theta))
-    if cos:
-        return cos * a, b
-    return (-1j * sin) * (_Z @ a), _Z @ b
+    return 1j * (_Z @ a), _Z @ b
 
 
 def build_mirror(c: Circuit, seed) -> Circuit:
     """Mirror circuit: run c, then its inverse, from a random basis state.
 
     The reverse half is Pauli randomized compiled: uniform random Pauli pairs
-    P0 x P1 are folded in before each reverse gate UZZ(t) and their frame
-    corrections after it, leaving the ideal unitary unchanged.  The
-    correction is UZZ(t) (P0 x P1) UZZ(t)^dag in closed form: P0 x P1 itself
-    when the pair has an even number of X/Y factors, else (Z P0) x (Z P1) up
-    to phase at t = +-pi/2 and P0 x P1 at t in {0, pi}.  Every ZZ angle must
-    therefore be a multiple of pi/2; any other angle raises ValueError before
-    anything is drawn.  Reverse gates UZZ(-pi/2) are realized as UZZ(+pi/2)
-    with Z rotations folded into the neighboring single-qubit layers, so the
-    hardware-facing gate set never changes.  The ideal circuit maps the
-    initial bitstring to itself.
+    P0 x P1 are folded in before each ideal reverse gate UZZ(-ZZ_ANGLE) and
+    their frame corrections after it, leaving the ideal unitary unchanged.
+    The correction is UZZ(-ZZ_ANGLE) (P0 x P1) UZZ(-ZZ_ANGLE)^dag in closed
+    form: P0 x P1 itself when the pair has an even number of X/Y factors,
+    else (Z P0) x (Z P1) up to phase.  Each reverse gate is realized as the
+    native UZZ(ZZ_ANGLE) with Z x Z folded into the next single-qubit layer,
+    since UZZ(-pi/2) = UZZ(pi/2) (Z x Z) up to phase, so the hardware-facing
+    gate set never changes.  The ideal circuit maps the initial bitstring to
+    itself.
     """
     h = c.depth
     if h < 1:
         raise ValueError("mirror needs a circuit with at least one 2q layer")
     fwd_2q = c.two_qubit_layers()
-    for lay in fwd_2q:
-        for g in lay.gates:
-            k = g.theta / (math.pi / 2.0)
-            if abs(k - round(k)) > 1e-12:
-                raise ValueError(f"mirror needs ZZ angles that are multiples of pi/2, "
-                                 f"got {g.theta!r}")
     rng = np.random.default_rng(seed)
     fwd_1q = [layer_matrices(lay, c.n) for lay in c.layers[0::2]]
 
@@ -297,25 +289,18 @@ def build_mirror(c: Circuit, seed) -> Circuit:
 
     two_q = [lay.gates for lay in fwd_2q]
     for j in range(h, 2 * h):
-        gates = []
-        for g in fwd_2q[2 * h - j - 1].gates:
+        gates = fwd_2q[2 * h - j - 1].gates
+        for g in gates:
             p0, p1 = (_PAULI_NAMES[i] for i in rng.integers(0, 4, size=2))
-            c0, c1 = _frame_correction(-g.theta, p0, p1)
+            c0, c1 = _frame_correction(p0, p1)
             # twirl inserts P before the ideal reverse gate, its frame
-            # correction after it
+            # correction after it, then the Z x Z that makes the native gate
+            # the ideal reverse one
             mats[j][g.q0] = PAULIS[p0] @ mats[j][g.q0]
             mats[j][g.q1] = PAULIS[p1] @ mats[j][g.q1]
-            mats[j + 1][g.q0] = mats[j + 1][g.q0] @ c0
-            mats[j + 1][g.q1] = mats[j + 1][g.q1] @ c1
-            if abs(abs(g.theta) - math.pi / 2.0) < 1e-12:
-                # UZZ(-theta) = phase * (Z x Z) UZZ(theta) holds only at
-                # theta = +-pi/2; fold the Z's so the native angle survives
-                mats[j + 1][g.q0] = mats[j + 1][g.q0] @ _Z
-                mats[j + 1][g.q1] = mats[j + 1][g.q1] @ _Z
-                gates.append(TwoQubitGate(g.q0, g.q1, g.theta))
-            else:
-                gates.append(TwoQubitGate(g.q0, g.q1, -g.theta))
-        two_q.append(tuple(gates))
+            mats[j + 1][g.q0] = mats[j + 1][g.q0] @ c0 @ _Z
+            mats[j + 1][g.q1] = mats[j + 1][g.q1] @ c1 @ _Z
+        two_q.append(gates)
 
     bits = "".join(str(b) for b in rng.integers(0, 2, size=c.n))
     layers: list[Layer] = [_one_q_layer_from_matrices(mats[0])]
@@ -354,7 +339,7 @@ def circuit_to_json(c: Circuit) -> dict:
         else:
             doc["layers"].append({
                 "type": "2q",
-                "gates": [{"q0": g.q0, "q1": g.q1, "theta": g.theta}
+                "gates": [{"q0": g.q0, "q1": g.q1, "theta": ZZ_ANGLE}
                           for g in lay.gates],
             })
     return doc
@@ -393,6 +378,6 @@ def export_qasm(c: Circuit) -> str:
                 lines.append(f"rz({g.psi!r}) q[{g.q}];")
         else:
             for g in lay.gates:
-                lines.append(f"zzp({g.theta!r}) q[{g.q0}],q[{g.q1}];")
+                lines.append(f"zzp({ZZ_ANGLE!r}) q[{g.q0}],q[{g.q1}];")
     lines.append("measure q -> m;")
     return "\n".join(lines) + "\n"

@@ -90,10 +90,6 @@ class GridSample:
     """
 
     n: int
-    offset: tuple[float, float]
-    rotation: float
-    lattice_points: tuple[tuple[int, int], ...]
-    vertices: tuple[tuple[float, float], ...]
     edges: tuple[Edge, ...]
     edge_colors: tuple[int, ...]
 
@@ -577,10 +573,9 @@ def sample_colored_graph(n: int, d: int, seed) -> ColoredGraph:
     raise RejectSignal(f"no colorable {d}-regular graph on {n} nodes after many tries")
 
 
-def make_grid(n: int, offset: tuple[float, float], rotation: float) -> GridSample:
-    """Deterministic grid patch for a given offset and rotation."""
-    if n < 1:
-        raise ValueError("need at least one vertex")
+def _grid_sites(n: int, offset: tuple[float, float], rotation: float
+                ) -> list[tuple[int, int]]:
+    """Lattice points of the n sites nearest the origin, nearest first."""
     ox, oy = float(offset[0]), float(offset[1])
     c, s = math.cos(rotation), math.sin(rotation)
     radius = int(math.ceil(math.sqrt(n / math.pi))) + 3
@@ -592,12 +587,16 @@ def make_grid(n: int, offset: tuple[float, float], rotation: float) -> GridSampl
             py = iy - 0.5 + oy
             tx = c * px - s * py
             ty = s * px + c * py
-            candidates.append((tx * tx + ty * ty, ix, iy, tx, ty))
+            candidates.append((tx * tx + ty * ty, ix, iy))
     candidates.sort()
-    chosen = candidates[:n]
-    lattice_points = tuple((ix, iy) for _, ix, iy, _, _ in chosen)
-    vertices = tuple((tx, ty) for _, _, _, tx, ty in chosen)
-    index = {p: i for i, p in enumerate(lattice_points)}
+    return [(ix, iy) for _, ix, iy in candidates[:n]]
+
+
+def make_grid(n: int, offset: tuple[float, float], rotation: float) -> GridSample:
+    """Deterministic grid patch for a given offset and rotation."""
+    if n < 1:
+        raise ValueError("need at least one vertex")
+    index = {p: i for i, p in enumerate(_grid_sites(n, offset, rotation))}
     edges = []
     edge_colors = []
     for (ix, iy), i in index.items():
@@ -609,15 +608,7 @@ def make_grid(n: int, offset: tuple[float, float], rotation: float) -> GridSampl
         if up is not None:
             edges.append((min(i, up), max(i, up)))
             edge_colors.append(2 if iy % 2 == 0 else 3)
-    return GridSample(
-        n=n,
-        offset=(ox, oy),
-        rotation=float(rotation),
-        lattice_points=lattice_points,
-        vertices=vertices,
-        edges=tuple(edges),
-        edge_colors=tuple(edge_colors),
-    )
+    return GridSample(n=n, edges=tuple(edges), edge_colors=tuple(edge_colors))
 
 
 def sample_grid(n: int, seed) -> GridSample:

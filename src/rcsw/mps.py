@@ -3,11 +3,11 @@
 The state is a chain of block tensors with shape (l, 2**s_j, r): the middle
 axis is the joint computational index of the qubits assigned to block j
 (first listed qubit most significant) and l, r are bond indices capped at
-chi.  Every entangler is the diagonal gate exp(-i(theta/2) Z x Z), so a gate
+chi.  Every entangler is the diagonal gate UZZ(ZZ_ANGLE), so a gate
 inside one block is a phase per basis state.  A gate across two adjacent
-blocks is written in operator-Schmidt form cos(theta/2) I x I -
-i sin(theta/2) Z x Z and its two terms are stacked onto the bond, which at
-most doubles it to 2k.  The left block is then QR-factored and the right
+blocks is written in operator-Schmidt form cos(ZZ_ANGLE/2) I x I -
+i sin(ZZ_ANGLE/2) Z x Z and its two terms are stacked onto the bond, which
+at most doubles it to 2k.  The left block is then QR-factored and the right
 block LQ-factored, and only the core of at most 2k x 2k is split with a
 truncated SVD; its singular values are those of the merged pair, so the
 truncation is the one a full SVD of the pair would make (the reduced update
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import Circuit, _seed_int
+from .circuits import ZZ_ANGLE, Circuit, _seed_int
 from .errors import CapacityError, FitError
 from .graphs import partition_nodes
 from .statevector import DEFAULT_CAP, StateVector
@@ -277,14 +277,17 @@ def _z_signs(state: MpsState, q: int) -> tuple[int, np.ndarray]:
     return pos, 1.0 - 2.0 * bits
 
 
-def _apply_zz(state: MpsState, theta: float, qa: int, qb: int):
-    """exp(-i(theta/2) Z_qa Z_qb), with the reduced two-site update across blocks."""
+_ZZ_COS, _ZZ_SIN = math.cos(0.5 * ZZ_ANGLE), math.sin(0.5 * ZZ_ANGLE)
+
+
+def _apply_zz(state: MpsState, qa: int, qb: int):
+    """UZZ(ZZ_ANGLE) on qa and qb, with the reduced two-site update across blocks."""
     state.counters.gates_2q += 1
     pa, za = _z_signs(state, qa)
     pb, zb = _z_signs(state, qb)
     if pa == pb:
         arr = state.tensors[pa]
-        state.tensors[pa] = np.exp(-0.5j * theta * za * zb)[:, None] * arr
+        state.tensors[pa] = np.exp(-0.5j * ZZ_ANGLE * za * zb)[:, None] * arr
         state.flops += 8.0 * arr.size
         return
     lo, hi = min(pa, pb), max(pa, pb)
@@ -297,8 +300,7 @@ def _apply_zz(state: MpsState, theta: float, qa: int, qb: int):
     l, pl, k = left.shape
     _, pr, r = right.shape
     # the terms cos I x I and -i sin Z x Z, indexed (term, k) on the bond
-    c, s = math.cos(0.5 * theta), math.sin(0.5 * theta)
-    left2 = np.stack([c * left, (-1j * s) * (zl[:, None] * left)], axis=2)
+    left2 = np.stack([_ZZ_COS * left, (-1j * _ZZ_SIN) * (zl[:, None] * left)], axis=2)
     right2 = np.concatenate([right, zr[:, None] * right])
     state.flops += 8.0 * (left.size + right.size)
     q_left, r_left = _qr(state, left2.reshape(l * pl, 2 * k))
@@ -320,7 +322,7 @@ def _apply_layers(state: MpsState, layers):
             if lay.kind == "1q":
                 _apply_1q(state, g.matrix(), g.q)
             else:
-                _apply_zz(state, g.theta, g.q0, g.q1)
+                _apply_zz(state, g.q0, g.q1)
 
 
 def evolve(c: Circuit, chi: int, blocking: int,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import PAULIS, Circuit, Layer, layer_matrices
+from .circuits import PAULIS, ZZ_ANGLE, Circuit, Layer, layer_matrices
 from .errors import CapacityError
 
 DEFAULT_CAP = 26  # qubits; 2^26 complex128 amplitudes is 1 GiB
@@ -122,8 +122,12 @@ class _OneQubitLayer:
         return psi
 
 
+_EQ, _NE = np.exp(-0.5j * ZZ_ANGLE), np.exp(0.5j * ZZ_ANGLE)
+_ZZ_PHASES = np.array([[_EQ, _NE], [_NE, _EQ]])  # UZZ's diagonal, indexed (bit0, bit1)
+
+
 class _PhaseLayer:
-    """A layer of ZZ gates, each one broadcast multiply by a 2x2 phase table."""
+    """A layer of ZZ gates, each one broadcast multiply by the 2x2 phase table."""
 
     dephased = True
 
@@ -131,10 +135,9 @@ class _PhaseLayer:
         self.shape = (2,) * n
         self.tables = []
         for g in lay.gates:
-            eq, ne = np.exp(-0.5j * g.theta), np.exp(0.5j * g.theta)
             axes = [1] * n
             axes[g.q0] = axes[g.q1] = 2
-            self.tables.append(np.array([[eq, ne], [ne, eq]]).reshape(axes))
+            self.tables.append(_ZZ_PHASES.reshape(axes))
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
         view = psi.reshape(self.shape)

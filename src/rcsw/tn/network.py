@@ -4,10 +4,10 @@ A layered circuit with fixed input and output bitstrings becomes a closed
 network: each two-qubit gate is Schmidt-split across the two wires into a
 pair of wire-local tensors, which split_rank=4 contracts back into one
 rank-4 tensor, and all single-qubit gates and boundary states are absorbed
-into the neighboring gate tensors.  The diagonal-plus-rotation structure of
-the entangler gives the split at most two nonzero Schmidt values, so every
-index has dimension 2: a bond of Schmidt rank 1 (theta = 0 mod pi) is not
-emitted at all.
+into the neighboring gate tensors.  The entangler UZZ(ZZ_ANGLE) =
+cos(ZZ_ANGLE/2) I x I - i sin(ZZ_ANGLE/2) Z x Z has two nonzero
+operator-Schmidt values, so every bond, like every wire index, has
+dimension 2.
 """
 from __future__ import annotations
 
@@ -18,9 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..circuits import PAULIS, Circuit
-
-_RANK_TOL = 1e-12
+from ..circuits import PAULIS, ZZ_ANGLE, Circuit
 
 
 @dataclass
@@ -79,20 +77,17 @@ def _basis_vector(bit: str) -> np.ndarray:
     return v
 
 
-def _schmidt_split(theta: float) -> tuple[np.ndarray, np.ndarray]:
+def _schmidt_split() -> tuple[np.ndarray, np.ndarray]:
     """Split the entangler across its two wires.
 
-    Returns (A[out_a, in_a, k], B[k, out_b, in_b]) with k the bond index,
-    from the operator-Schmidt form UZZ(theta) = cos(theta/2) I x I
-    - i sin(theta/2) Z x Z.  A term whose weight is at most _RANK_TOL of
-    the larger one is dropped, so the bond dimension is 2 away from
-    theta = 0 mod pi and 1 there, where circuit_to_tn emits no bond.
+    Returns (A[out_a, in_a, k], B[k, out_b, in_b]) with k the bond index of
+    dimension 2, from the operator-Schmidt form UZZ(ZZ_ANGLE) =
+    cos(ZZ_ANGLE/2) I x I - i sin(ZZ_ANGLE/2) Z x Z.
     """
-    terms = ((math.cos(0.5 * theta), PAULIS["I"]), (-1j * math.sin(0.5 * theta), PAULIS["Z"]))
-    top = max(abs(w) for w, _ in terms)
-    kept = [(w, p) for w, p in terms if abs(w) > _RANK_TOL * top]
-    a = np.stack([w * p for w, p in kept], axis=2)
-    b = np.stack([p for _, p in kept])
+    terms = ((math.cos(0.5 * ZZ_ANGLE), PAULIS["I"]),
+             (-1j * math.sin(0.5 * ZZ_ANGLE), PAULIS["Z"]))
+    a = np.stack([w * p for w, p in terms], axis=2)
+    b = np.stack([p for _, p in terms])
     return a, b
 
 
@@ -116,6 +111,8 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
     in_bits = c.initial_bits if c.initial_bits is not None else "0" * c.n
 
     tn = TensorNetwork(n=c.n, depth=c.depth)
+    a3, b3 = _schmidt_split()
+    b3 = np.moveaxis(b3, 0, 2)  # [out, in, bond], like a3
     fresh = itertools.count().__next__  # index ids in creation order
 
     # per-wire running state: open index into the last tensor on the wire
@@ -131,18 +128,15 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
             continue
         for g in lay.gates:
             qa, qb = g.q0, g.q1
-            a3, b3 = _schmidt_split(g.theta)
-            bond = (fresh(),) if a3.shape[2] > 1 else ()
+            bond = fresh()
             halves = []
-            for q, mat in ((qa, a3), (qb, np.moveaxis(b3, 0, 2))):
+            for q, mat in ((qa, a3), (qb, b3)):
                 # mat is [out, in, bond]; absorb the pending gate or input
                 arr = np.einsum("oik,i...->o...k", mat, pend[q])
-                if not bond:
-                    arr = arr[..., 0]
                 prev = () if open_idx[q] is None else (open_idx[q],)
                 open_idx[q] = fresh()
                 halves.append((np.ascontiguousarray(arr),
-                               (open_idx[q],) + prev + bond))
+                               (open_idx[q],) + prev + (bond,)))
                 pend[q] = np.eye(2, dtype=complex)
             roles = ("a", "b")
             if split_rank == 4:

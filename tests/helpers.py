@@ -8,7 +8,7 @@ import numpy as np
 
 from rcsw import graphs, mps
 from rcsw.circuits import (
-    PAULIS, Circuit, Layer, OneQubitGate, TwoQubitGate, build_rg_circuit,
+    PAULIS, ZZ_ANGLE, Circuit, Layer, OneQubitGate, TwoQubitGate, build_rg_circuit,
 )
 from rcsw.statevector import NoiseModel, StateVector, TrajectoryResult, sample
 from rcsw.tn.tree import TreeStats
@@ -42,7 +42,7 @@ def dense_unitary(c: Circuit) -> np.ndarray:
                     b0 = (idx >> (c.n - 1 - g.q0)) & 1
                     b1 = (idx >> (c.n - 1 - g.q1)) & 1
                     sign = 1.0 if b0 == b1 else -1.0
-                    m[idx, idx] = np.exp(-0.5j * g.theta * sign)
+                    m[idx, idx] = np.exp(-0.5j * ZZ_ANGLE * sign)
                 total = m @ total
     return total
 
@@ -95,7 +95,7 @@ def apply_circuit_reference(state: np.ndarray, c: Circuit) -> np.ndarray:
                 apply_1q(state, g.matrix(), g.q)
         else:
             for g in lay.gates:
-                apply_uzz(state, g.theta, g.q0, g.q1)
+                apply_uzz(state, ZZ_ANGLE, g.q0, g.q1)
     return state
 
 
@@ -115,7 +115,7 @@ def noisy_trajectory_reference(c: Circuit, nm: NoiseModel,
                 apply_1q(state, g.matrix(), g.q)
         else:
             for g in lay.gates:
-                apply_uzz(state, g.theta, g.q0, g.q1)
+                apply_uzz(state, ZZ_ANGLE, g.q0, g.q1)
                 if p2 > 0.0 and rng.random() < p2:
                     la, lb = _PAULI_PAIRS[rng.integers(0, 15)]
                     if la != "I":
@@ -287,7 +287,7 @@ def _apply_layers_full_merge(state: mps.MpsState, layers):
             if lay.kind == "1q":
                 mps._apply_1q(state, g.matrix(), g.q)
             else:
-                apply_zz_full_merge_reference(state, g.theta, g.q0, g.q1)
+                apply_zz_full_merge_reference(state, ZZ_ANGLE, g.q0, g.q1)
 
 
 def evolve_full_merge_reference(c: Circuit, chi: int, blocking: int,
@@ -299,14 +299,6 @@ def evolve_full_merge_reference(c: Circuit, chi: int, blocking: int,
     return state
 
 
-def with_zz_angles(c: Circuit, angles) -> Circuit:
-    """c with its ZZ angles replaced, cycling through angles gate by gate."""
-    it = iter(list(angles) * c.n_2q)
-    layers = tuple(lay if lay.kind == "1q" else Layer("2q", tuple(
-        TwoQubitGate(g.q0, g.q1, next(it)) for g in lay.gates)) for lay in c.layers)
-    return Circuit(n=c.n, layers=layers, ensemble=c.ensemble, seed=c.seed)
-
-
 def deserialize(text: str) -> Circuit:
     """Read back the JSON written by ``circuits.serialize``; its round-trip oracle."""
     doc = json.loads(text)
@@ -316,7 +308,8 @@ def deserialize(text: str) -> Circuit:
             gates = tuple(OneQubitGate(g["q"], g["psi"], g["theta"], g["phi"])
                           for g in lay["gates"])
         else:
-            gates = tuple(TwoQubitGate(g["q0"], g["q1"], g["theta"]) for g in lay["gates"])
+            assert all(g["theta"] == ZZ_ANGLE for g in lay["gates"])
+            gates = tuple(TwoQubitGate(g["q0"], g["q1"]) for g in lay["gates"])
         layers.append(Layer(lay["type"], gates))
     return Circuit(n=doc["n"], layers=tuple(layers), ensemble=doc["ensemble"],
                    seed=doc["seed"], graph=doc.get("graph"),
@@ -358,7 +351,8 @@ def circuit_from_qasm(text: str) -> Circuit:
             theta, phi = pending_u1q.pop(qa)
             gates.append(OneQubitGate(qa, vals[0], theta, phi))
         else:
-            gates.append(TwoQubitGate(qa, int(qb), vals[0]))
+            assert vals == [ZZ_ANGLE]
+            gates.append(TwoQubitGate(qa, int(qb)))
     flush()
     if len(layers) % 2 == 0:
         layers.append(Layer("1q", ()))

@@ -7,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from rcsw import circuits, graphs
 from rcsw.circuits import (
-    Circuit, Layer, OneQubitGate, TwoQubitGate,
+    ZZ_ANGLE, Circuit, Layer, OneQubitGate, TwoQubitGate,
     build_2d_circuit, build_brickwork_circuit, build_instance, build_mirror,
     build_rg_circuit, export_qasm, haar_su2, layer_matrices, rz_matrix, serialize,
     su2_decompose, su2_matrix, u1q_matrix,
 )
 from helpers import (
     circuit_from_qasm, dense_unitary, deserialize, pauli_pair_conjugate_reference,
-    phase_aligned, uzz_matrix, with_zz_angles,
+    phase_aligned, uzz_matrix,
 )
 
 
@@ -47,16 +47,17 @@ class TestSu2:
         assert abs(np.mean(vals) - 1.0) < 0.06
 
     def test_uzz_schmidt_rank_two(self):
-        g = uzz_matrix(math.pi / 2.0)
+        assert ZZ_ANGLE == math.pi / 2.0
+        g = uzz_matrix(ZZ_ANGLE)
         # operator Schmidt rank across the two qubits
         m = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
         s = np.linalg.svd(m, compute_uv=False)
         assert np.sum(s > 1e-12) == 2
 
     def test_uzz_inverse_via_zz(self):
-        lhs = uzz_matrix(-math.pi / 2.0)
+        lhs = uzz_matrix(-ZZ_ANGLE)
         zz = np.kron(circuits.PAULIS["Z"], circuits.PAULIS["Z"])
-        rhs = zz @ uzz_matrix(math.pi / 2.0)
+        rhs = zz @ uzz_matrix(ZZ_ANGLE)
         ratio = lhs[0, 0] / rhs[0, 0]
         assert abs(abs(ratio) - 1.0) < 1e-12
         assert np.allclose(lhs, ratio * rhs, atol=1e-12)
@@ -72,7 +73,6 @@ class TestBuilders:
         assert kinds == ["1q", "2q"] * 4 + ["1q"]
         for lay in c.two_qubit_layers():
             assert len(lay.gates) == 6
-            assert all(g.theta == math.pi / 2.0 for g in lay.gates)
         assert c.d_eff == pytest.approx(4.0)
 
     def test_rg_deterministic(self):
@@ -128,34 +128,25 @@ def _two_gates_on_qubit_0() -> Circuit:
 class TestMirrorAlgebra:
     """The closed-form frame correction against the 16-candidate scan."""
 
-    @pytest.mark.parametrize("theta", [-math.pi, -math.pi / 2, 0.0, math.pi / 2, math.pi])
-    def test_correction_matches_scan(self, theta):
-        g = uzz_matrix(theta)
+    def test_correction_matches_scan(self):
+        g = uzz_matrix(-ZZ_ANGLE)  # the ideal reverse gate
         for p0 in "IXYZ":
             for p1 in "IXYZ":
-                c0, c1 = circuits._frame_correction(theta, p0, p1)
-                o0, o1 = pauli_pair_conjugate_reference(theta, p0, p1)
+                c0, c1 = circuits._frame_correction(p0, p1)
+                o0, o1 = pauli_pair_conjugate_reference(-ZZ_ANGLE, p0, p1)
                 conj = g @ np.kron(circuits.PAULIS[p0], circuits.PAULIS[p1]) @ g.conj().T
                 assert np.allclose(np.kron(c0, c1), np.kron(o0, o1), atol=1e-12, rtol=0)
                 assert np.allclose(np.kron(c0, c1), conj, atol=1e-12, rtol=0)
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_rejects_other_angles(self, seed):
-        c = with_zz_angles(build_instance("rg", 6, 3, seed), [0.7])
-        with pytest.raises(ValueError, match="0.7"):
-            build_mirror(c, seed=seed)
-
-    @pytest.mark.parametrize("name", ["rg", "2d", "brickwork", "quarter-turns"])
+    @pytest.mark.parametrize("name", ["rg", "2d", "brickwork"])
     def test_mirror_matches_scan_built(self, name, monkeypatch):
         c = {"rg": lambda: build_instance("rg", 6, 3, 4),
              "2d": lambda: build_instance("2d", 6, 4, 5),
              "brickwork": lambda: build_brickwork_circuit(6, 4, 6),
-             "quarter-turns": lambda: with_zz_angles(
-                 build_instance("rg", 6, 5, 7),
-                 [math.pi / 2, -math.pi / 2, math.pi, 0.0, -math.pi, 1.5 * math.pi]),
              }[name]()
         got = build_mirror(c, seed=11)
-        monkeypatch.setattr(circuits, "_frame_correction", pauli_pair_conjugate_reference)
+        monkeypatch.setattr(circuits, "_frame_correction",
+                            lambda p0, p1: pauli_pair_conjugate_reference(-ZZ_ANGLE, p0, p1))
         want = build_mirror(c, seed=11)
         assert got.initial_bits == want.initial_bits
         ug, uw = dense_unitary(got), dense_unitary(want)
@@ -231,11 +222,11 @@ class TestSerialization:
 class TestCircuitValidation:
     def test_rejects_bad_alternation(self):
         with pytest.raises(ValueError):
-            Circuit(2, (Layer("2q", (TwoQubitGate(0, 1, 0.1),)),))
+            Circuit(2, (Layer("2q", (TwoQubitGate(0, 1),)),))
 
     def test_rejects_overlapping_2q(self):
         with pytest.raises(ValueError):
-            Layer("2q", (TwoQubitGate(0, 1, 0.1), TwoQubitGate(1, 2, 0.1)))
+            Layer("2q", (TwoQubitGate(0, 1), TwoQubitGate(1, 2)))
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """End-to-end checks of the batch command line."""
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +48,18 @@ class TestGenerate:
             if f.name == "manifest.json":
                 continue  # carries a timestamp by design
             assert f.read_bytes() == (b / f.name).read_bytes()
+
+    def test_files_match_recorded_bytes(self, tmp_path):
+        # sha256 of the JSON and QASM as first recorded; the formats must not move
+        run_cli(["generate", "--n", "6", "--d", "3", "--seed", "0", "--out", str(tmp_path)])
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in tmp_path.iterdir() if f.name != "manifest.json"}
+        assert digests == {
+            "rg_n6_d3_s0.json":
+                "407a09f14a0ffbe99f730c22420422f6a4a84ac2847347df0830009293a9f693",
+            "rg_n6_d3_s0.qasm":
+                "2f1435307a6b02c67e5a095aa4680b145672f68d2fbec708854c7ebbb2859bdc",
+        }
 
     def test_grid_ensemble_2d(self, tmp_path):
         out = tmp_path / "gen2d"
@@ -183,6 +196,15 @@ class TestMps:
             eps[(int(parts[2]), int(parts[7]))] = float(parts[5])
         for seed in (4, 5):
             assert eps[(16, seed)] <= eps[(2, seed)] + 1e-12
+
+    def test_small_run_matches_recorded_csv(self, tmp_path):
+        # recorded with truncation at both chi; the text must not move
+        run_cli(["mps", "--n", "8", "--d", "4", "--chi", "2", "8", "--blocks", "2",
+                 "--seed", "0", "--out", str(tmp_path)])
+        assert (tmp_path / "mps_runs.csv").read_text() == (
+            "N,d,chi,blocking,F_mps,eps_mps,flops_est,seed\n"
+            "8,4,2,2x[4],0.24447751540909082,0.0842752914433017,56704.0,0\n"
+            "8,4,8,2x[4],0.8640990906248732,0.009087694299066973,593792.0,0\n")
 
     def test_capacity_skip_keeps_other_rows(self, tmp_path, capsys):
         # two blocks of 14 qubits merge into 2^28 entries, over the dense cap

@@ -222,19 +222,19 @@ class TestMaxWeightMatching:
 class TestGrid:
     def test_plaquette(self):
         gs = graphs.make_grid(4, offset=(0.0, 0.0), rotation=0.0)
-        assert len(gs.vertices) == 4
+        assert gs.n == 4
         assert len(gs.edges) == 4
         present = sorted(set(gs.edge_colors))
         assert present == [0, 2]  # two horizontal-even, two vertical-even edges
 
     def test_single_vertex(self):
         gs = graphs.make_grid(1, offset=(0.0, 0.0), rotation=0.0)
-        assert len(gs.vertices) == 1
+        assert gs.n == 1
         assert gs.edges == ()
 
     def test_direction_classes_are_matchings(self):
         gs = graphs.sample_grid(56, seed=8)
-        assert len(gs.vertices) == 56
+        assert gs.n == 56
         for layer in gs.layers():
             nodes = [x for e in layer for x in e]
             assert len(nodes) == len(set(nodes))
@@ -242,15 +242,19 @@ class TestGrid:
     def test_deterministic(self):
         a = graphs.sample_grid(30, seed=4)
         b = graphs.sample_grid(30, seed=4)
-        assert a.vertices == b.vertices and a.edges == b.edges
+        assert a == b
 
     def test_edges_are_lattice_neighbors(self):
-        gs = graphs.sample_grid(25, seed=1)
-        pts = gs.lattice_points
-        for u, v in gs.edges:
-            dx = abs(pts[u][0] - pts[v][0])
-            dy = abs(pts[u][1] - pts[v][1])
-            assert dx + dy == 1
+        rng = np.random.default_rng(1)
+        for _ in range(5):
+            offset, rotation = tuple(rng.uniform(0.0, 1.0, size=2)), rng.uniform(0.0, 1.5)
+            gs = graphs.make_grid(25, offset, rotation)
+            pts = graphs._grid_sites(25, offset, rotation)
+            assert len(set(pts)) == 25
+            for u, v in gs.edges:
+                dx = abs(pts[u][0] - pts[v][0])
+                dy = abs(pts[u][1] - pts[v][1])
+                assert dx + dy == 1
 
 
 class TestExpansionBound:

@@ -1,6 +1,3 @@
-import dataclasses
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import evolve_full_merge_reference, rg_circuit
 from rcsw import mps, statevector
-from rcsw.circuits import Circuit, Layer, OneQubitGate, TwoQubitGate, build_instance
+from rcsw.circuits import Circuit, Layer, OneQubitGate, build_instance
 from rcsw.errors import CapacityError, FitError
 from rcsw.mps import MPS_CSV_HEADER, blocking_label, epsilon_vs_chi, evolve
 
@@ -257,20 +254,6 @@ def test_reduced_update_matches_full_merge(blocking, chi, monkeypatch):
         # the partition puts some gates' first qubit in the right-hand block
         assert any(state.locate(g.q0)[0] > state.locate(g.q1)[0]
                    for lay in c.two_qubit_layers() for g in lay.gates)
-
-
-@pytest.mark.parametrize("chi", [3, 32])
-def test_reduced_update_zero_and_pi_angles(chi, monkeypatch):
-    c = rg_circuit(10, 6, seed=71)
-    layers = []
-    for lay in c.layers:
-        if lay.kind == "2q":
-            lay = Layer("2q", tuple(TwoQubitGate(g.q0, g.q1, (0.0, math.pi, g.theta)[k % 3])
-                                    for k, g in enumerate(lay.gates)))
-        layers.append(lay)
-    c = dataclasses.replace(c, layers=tuple(layers))
-    _assert_matches_full_merge(c, chi, 2, 71, monkeypatch)
-    _assert_matches_full_merge(c, chi, 3, 71, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -40,6 +40,9 @@ def test_script_runs(argv, first_line):
 
 @pytest.mark.parametrize("argv,message", [
     (["cost_scan.py", "--instances", "0"], "--instances must be at least 1"),
+    (["cost_scan.py", "--sizes", "8", "--depth", "8"], "--sizes must be even and above --depth"),
+    (["cost_scan.py", "--sizes", "8", "9"], "--sizes must be even and above --depth"),
+    (["cost_scan.py", "--depth", "0"], "--depth must be at least 1"),
     (["estimator_agreement.py", "--n", "7"], "--n must be even"),
     (["estimator_agreement.py", "--n", "6", "--depths", "2", "6"],
      "--depths must lie in [1, n)"),
@@ -48,7 +51,8 @@ def test_script_runs(argv, first_line):
     (["coverage_sweep.py", "--resamples", "99"], "--resamples must be at least 100"),
     (["coverage_sweep.py", "--shots", "0"],
      "--experiments, --circuits and --shots must be at least 1"),
-], ids=["cost_scan", "estimator_agreement", "estimator_agreement-depth",
+], ids=["cost_scan", "cost_scan-size-not-above-depth", "cost_scan-odd-size",
+        "cost_scan-depth", "estimator_agreement", "estimator_agreement-depth",
         "chi_extrapolation", "chi_extrapolation-odd-n", "coverage_sweep",
         "coverage_sweep-shots"])
 def test_script_rejects_bad_flag(argv, message):

@@ -1,18 +1,14 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import (
-    analyze_merges_reference, rg_circuit, schmidt_split_svd_reference, with_zz_angles,
-)
+from helpers import analyze_merges_reference, rg_circuit, schmidt_split_svd_reference
 from rcsw.circuits import (
+    ZZ_ANGLE,
     Circuit,
     Layer,
     OneQubitGate,
-    TwoQubitGate,
     build_brickwork_circuit,
     build_mirror,
 )
@@ -57,19 +53,6 @@ def test_network_gateless_circuit_is_scalar():
     tn = circuit_to_tn(c, bitstring_out="010")
     assert tn.n_tensors == 0
     assert abs(tn.scalar - amplitude_oracle(c, "010")) < 1e-12
-
-
-def test_network_zero_angle_gates_have_unit_bonds():
-    t = with_zz_angles(rg_circuit(6, 3, seed=1), [0.0])
-    tn = circuit_to_tn(t, bitstring_out="011010", split_rank=2)
-    # every entangler has angle 0, so Schmidt rank 1
-    halves: dict[tuple, list[set]] = {}
-    for ids, (pos, pair, _) in zip(tn.indices, tn.provenance):
-        halves.setdefault((pos, pair), []).append(set(ids))
-    pairs = [h for h in halves.values() if len(h) == 2]
-    assert pairs and all(not (a & b) for a, b in pairs)  # no bond
-    assert all(set(arr.shape) == {2} for arr in tn.arrays)
-    tn.validate()
 
 
 def test_network_input_validation():
@@ -152,7 +135,6 @@ def test_bitset_pricing_matches_frozenset_reference():
     base = rg_circuit(8, 4, seed=30)
     nets = [circuit_to_tn(base, split_rank=2),
             circuit_to_tn(base, split_rank=4),
-            circuit_to_tn(with_zz_angles(base, [0.0]), split_rank=2),
             circuit_to_tn(build_brickwork_circuit(6, 5, seed=32), split_rank=2)]
     for tn in nets:
         ids = sorted(set().union(*tn.indices))
@@ -186,23 +168,19 @@ def test_stats_recompute_matches_cached():
     assert tree.stats.flops >= 2.0 ** tree.stats.max_rank
 
 
-@pytest.mark.parametrize("theta", [0.0, 1e-13, math.pi / 2, math.pi, 0.7])
-def test_closed_form_split_matches_svd(theta, monkeypatch):
-    a, b = network._schmidt_split(theta)
-    ra, rb = schmidt_split_svd_reference(theta)
-    assert a.shape == ra.shape and b.shape == rb.shape
+def test_closed_form_split_matches_svd(monkeypatch):
+    a, b = network._schmidt_split()
+    ra, rb = schmidt_split_svd_reference(ZZ_ANGLE)
+    assert a.shape == ra.shape == (2, 2, 2) and b.shape == rb.shape
     gate = np.einsum("aik,kbj->abij", a, b).reshape(4, 4)
     want = np.einsum("aik,kbj->abij", ra, rb).reshape(4, 4)
     assert np.max(np.abs(gate - want)) < 1e-12
-    base = rg_circuit(6, 3, seed=2)
-    c = Circuit(n=6, layers=tuple(
-        lay if lay.kind == "1q" else
-        Layer("2q", tuple(TwoQubitGate(g.q0, g.q1, theta) for g in lay.gates))
-        for lay in base.layers))
+    c = rg_circuit(6, 3, seed=2)
     bits = "011010"
     tn = circuit_to_tn(c, bitstring_out=bits)
     tree = optimize_order(tn, budget=2, seed=0)
-    monkeypatch.setattr(network, "_schmidt_split", schmidt_split_svd_reference)
+    monkeypatch.setattr(network, "_schmidt_split",
+                        lambda: schmidt_split_svd_reference(ZZ_ANGLE))
     ref = circuit_to_tn(c, bitstring_out=bits)
     assert tn.indices == ref.indices
     assert [a.shape for a in tn.arrays] == [a.shape for a in ref.arrays]
