@@ -31,6 +31,14 @@ def main():
         ap.error("--depth must be at least 1")
     if any(n % 2 or n <= args.depth for n in args.sizes):
         ap.error("--sizes must be even and above --depth")
+    # the frontier is cheap: compute it first so a bad --eps or
+    # --time-budget fails before the scan
+    try:
+        frontier = [(ensemble, max_effective_qubits(args.eps, 1.0, args.time_budget,
+                                                    SimpleCostModel(ensemble)))
+                    for ensemble in ("rg", "2d")]
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(f"{'ensemble':>8} {'N':>4} {'d':>3} {'C_median':>9} {'C_max':>8}")
     for ensemble in ("rg", "2d"):
@@ -46,9 +54,7 @@ def main():
 
     print("\nfeasibility frontier at eps =", args.eps,
           "and quantum time budget", args.time_budget)
-    for ensemble in ("rg", "2d"):
-        model = SimpleCostModel(ensemble)
-        res = max_effective_qubits(args.eps, 1.0, args.time_budget, model)
+    for ensemble, res in frontier:
         print(f"{ensemble:>8}: N* = {res.n_star}, d* = {res.d_star}, "
               f"N_eff = {res.n_eff:.1f}, depth limit = {res.depth_limit:.1f}")
 

@@ -24,23 +24,23 @@ def main():
     ap.add_argument("--resamples", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
-    if min(args.mus) < 0:
-        ap.error("--mus must be nonnegative")
     if args.resamples < 100:
         ap.error("--resamples must be at least 100")
     if min(args.experiments, args.circuits, args.shots) < 1:
         ap.error("--experiments, --circuits and --shots must be at least 1")
+    try:
+        models = [ExperimentModel(mu=mu, base_eps=args.base_eps, n_gates=args.gates,
+                                  observable=args.observable) for mu in args.mus]
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(f"observable = {args.observable}, base_eps = {args.base_eps}, "
           f"n_gates = {args.gates}, nominal = {NOMINAL}")
     print(f"{'mu':>6} {'aggregate':>10} {'double':>8}")
-    for mu in args.mus:
-        model = ExperimentModel(mu=mu, base_eps=args.base_eps,
-                                n_gates=args.gates,
-                                observable=args.observable)
+    for model in models:
         res = coverage(model, args.experiments, circuits=args.circuits,
                        shots=args.shots, r=args.resamples, seed=args.seed)
-        print(f"{mu:>6.2f} {res.aggregate:>10.3f} {res.double:>8.3f}")
+        print(f"{model.mu:>6.2f} {res.aggregate:>10.3f} {res.double:>8.3f}")
 
 
 if __name__ == "__main__":

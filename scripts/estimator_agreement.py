@@ -31,9 +31,13 @@ def main():
         ap.error("--instances must be at least 1")
     if not all(1 <= d < args.n for d in args.depths):
         ap.error("--depths must lie in [1, n)")
-
-    nm = NoiseModel(eps_2q=args.eps2q, eps_mem=args.eps_mem)
-    gc = GateCountParams(eps_2q=args.eps2q, p_spam=0.0, eps_mem=args.eps_mem)
+    if min(args.trajectories, args.shots) < 1:
+        ap.error("--trajectories and --shots must be at least 1")
+    try:
+        nm = NoiseModel(eps_2q=args.eps2q, eps_mem=args.eps_mem)
+        gc = GateCountParams(eps_2q=args.eps2q, p_spam=0.0, eps_mem=args.eps_mem)
+    except ValueError as exc:
+        ap.error(str(exc))
 
     print(f"N = {args.n}, eps_2q = {args.eps2q}, eps_mem = {args.eps_mem}")
     print(f"{'d':>3} {'F_direct':>9} {'F_xeb':>8} {'F_mb':>8} {'F_gc':>8}")

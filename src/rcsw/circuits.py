@@ -180,20 +180,34 @@ def _haar_zz_layers(n: int, edge_layers, rng: np.random.Generator) -> tuple[Laye
     return tuple(layers)
 
 
-def build_rg_circuit(cg: graphs.ColoredGraph, seed) -> Circuit:
-    """Random-geometry circuit: one two-qubit layer per color class.
+def _colored_circuit(cg: graphs.ColoredGraph, d: int, seed, ensemble: str) -> Circuit:
+    """Circuit of d two-qubit layers cycling cg's color classes.
 
     Every two-qubit gate is UZZ(pi/2); the d+1 single-qubit layers are
-    independent Haar-random SU(2) gates on every qubit.
+    independent Haar-random SU(2) gates on every qubit.  The circuit's
+    graph document records the colored graph and d.
     """
+    if d < 1:
+        raise ValueError("depth must be positive")
     rng = np.random.default_rng(seed)
+    classes = cg.layers()
     return Circuit(
-        n=cg.graph.n,
-        layers=_haar_zz_layers(cg.graph.n, cg.layers(), rng),
-        ensemble="rg",
+        n=cg.n,
+        layers=_haar_zz_layers(cg.n, [classes[j % cg.n_colors] for j in range(d)], rng),
+        ensemble=ensemble,
         seed=_seed_int(seed),
-        graph=graphs.graph_to_json(cg),
+        graph={
+            "n": cg.n,
+            "d": d,
+            "edges": [[u, v] for u, v in cg.edges],
+            "colors": list(cg.colors),
+        },
     )
+
+
+def build_rg_circuit(cg: graphs.ColoredGraph, seed) -> Circuit:
+    """Random-geometry circuit: one two-qubit layer per color class."""
+    return _colored_circuit(cg, cg.n_colors, seed, "rg")
 
 
 def build_brickwork_circuit(n: int, d: int, seed) -> Circuit:
@@ -210,28 +224,13 @@ def build_brickwork_circuit(n: int, d: int, seed) -> Circuit:
                    seed=_seed_int(seed))
 
 
-def build_2d_circuit(gs: graphs.GridSample, d: int, seed) -> Circuit:
+def build_2d_circuit(cg: graphs.ColoredGraph, d: int, seed) -> Circuit:
     """Planar circuit on a grid patch, cycling the four direction classes.
 
     Boundary qubits sit out the layers whose direction class gives them no
     partner, so the effective depth d_eff is below d for finite patches.
     """
-    if d < 1:
-        raise ValueError("depth must be positive")
-    rng = np.random.default_rng(seed)
-    class_layers = gs.layers()
-    return Circuit(
-        n=gs.n,
-        layers=_haar_zz_layers(gs.n, [class_layers[j % 4] for j in range(d)], rng),
-        ensemble="2d",
-        seed=_seed_int(seed),
-        graph={
-            "n": gs.n,
-            "d": d,
-            "edges": [[u, v] for u, v in gs.edges],
-            "colors": list(gs.edge_colors),
-        },
-    )
+    return _colored_circuit(cg, d, seed, "2d")
 
 
 def build_instance(ensemble: str, n: int, d: int, seed: int) -> Circuit:

@@ -2,9 +2,9 @@
 
 A degree-d regular graph with a proper d-edge-coloring fixes the two-qubit
 layer structure of a random-geometry circuit: each color class is a set of
-disjoint edges and becomes one layer of parallel two-qubit gates.  Grid
-patches play the same role for planar circuits, with four direction classes
-standing in for the coloring.
+disjoint edges and becomes one layer of parallel two-qubit gates.  A grid
+patch for planar circuits is the same ``ColoredGraph``, with four classes:
+the lattice's edge directions split by parity.
 """
 from __future__ import annotations
 
@@ -52,18 +52,24 @@ class RegularGraph:
 
 @dataclass(frozen=True)
 class ColoredGraph:
-    """Regular graph plus a proper edge coloring with exactly `degree` colors."""
+    """Graph on nodes 0..n-1 with a proper coloring of its edges.
 
-    graph: RegularGraph
-    colors: tuple[int, ...]  # aligned with graph.edges
+    Each of the n_colors color classes is a set of disjoint edges.  A
+    colored d-regular graph has n_colors = d; a grid patch has the four
+    direction classes.
+    """
+
+    n: int
+    edges: tuple[Edge, ...]
+    colors: tuple[int, ...]  # aligned with edges
+    n_colors: int
 
     def __post_init__(self):
-        g = self.graph
-        if len(self.colors) != len(g.edges):
+        if len(self.colors) != len(self.edges):
             raise ValueError("colors must align one-to-one with edges")
         touched: set[tuple[int, int]] = set()
-        for (u, v), c in zip(g.edges, self.colors):
-            if not 0 <= c < g.degree:
+        for (u, v), c in zip(self.edges, self.colors):
+            if not 0 <= c < self.n_colors:
                 raise ValueError(f"color {c} out of range")
             for node in (u, v):
                 if (c, node) in touched:
@@ -71,31 +77,9 @@ class ColoredGraph:
                 touched.add((c, node))
 
     def layers(self) -> list[list[Edge]]:
-        """Edges grouped by color; each group is a disjoint edge set."""
-        out: list[list[Edge]] = [[] for _ in range(self.graph.degree)]
-        for e, c in zip(self.graph.edges, self.colors):
-            out[c].append(e)
-        return out
-
-
-@dataclass(frozen=True)
-class GridSample:
-    """Patch of the unit square lattice selected around the origin.
-
-    The lattice is shifted so the origin sits at a plaquette center before
-    the random offset and rotation are applied, then the n transformed sites
-    closest to the origin are kept.  Edge colors 0..3 are the four direction
-    classes: horizontal edges split by the parity of the left endpoint's
-    column, vertical edges by the parity of the lower endpoint's row.
-    """
-
-    n: int
-    edges: tuple[Edge, ...]
-    edge_colors: tuple[int, ...]
-
-    def layers(self) -> list[list[Edge]]:
-        out: list[list[Edge]] = [[] for _ in range(4)]
-        for e, c in zip(self.edges, self.edge_colors):
+        """Edges grouped by color, in edge order; each group is disjoint."""
+        out: list[list[Edge]] = [[] for _ in range(self.n_colors)]
+        for e, c in zip(self.edges, self.colors):
             out[c].append(e)
         return out
 
@@ -173,7 +157,7 @@ def edge_color(g: RegularGraph, seed=0) -> ColoredGraph:
     for _ in range(_COLOR_ATTEMPTS):
         colors = _try_peel_matchings(g.n, g.degree, eu, ev, rng)
         if colors is not None:
-            return ColoredGraph(g, tuple(colors))
+            return ColoredGraph(g.n, g.edges, tuple(colors), g.degree)
     raise RejectSignal(
         f"no proper {g.degree}-edge-coloring found in {_COLOR_ATTEMPTS} attempts"
     )
@@ -592,26 +576,34 @@ def _grid_sites(n: int, offset: tuple[float, float], rotation: float
     return [(ix, iy) for _, ix, iy in candidates[:n]]
 
 
-def make_grid(n: int, offset: tuple[float, float], rotation: float) -> GridSample:
-    """Deterministic grid patch for a given offset and rotation."""
+def make_grid(n: int, offset: tuple[float, float], rotation: float) -> ColoredGraph:
+    """Patch of the unit square lattice selected around the origin.
+
+    The lattice is shifted so the origin sits at a plaquette center before
+    the offset and rotation are applied, then the n transformed sites
+    closest to the origin are kept.  Colors 0..3 are the four direction
+    classes: horizontal edges split by the parity of the left endpoint's
+    column, vertical edges by the parity of the lower endpoint's row.
+    Edges stay in site order, which fixes the gate order within a layer.
+    """
     if n < 1:
         raise ValueError("need at least one vertex")
     index = {p: i for i, p in enumerate(_grid_sites(n, offset, rotation))}
     edges = []
-    edge_colors = []
+    colors = []
     for (ix, iy), i in index.items():
         right = index.get((ix + 1, iy))
         if right is not None:
             edges.append((min(i, right), max(i, right)))
-            edge_colors.append(0 if ix % 2 == 0 else 1)
+            colors.append(0 if ix % 2 == 0 else 1)
         up = index.get((ix, iy + 1))
         if up is not None:
             edges.append((min(i, up), max(i, up)))
-            edge_colors.append(2 if iy % 2 == 0 else 3)
-    return GridSample(n=n, edges=tuple(edges), edge_colors=tuple(edge_colors))
+            colors.append(2 if iy % 2 == 0 else 3)
+    return ColoredGraph(n, tuple(edges), tuple(colors), 4)
 
 
-def sample_grid(n: int, seed) -> GridSample:
+def sample_grid(n: int, seed) -> ColoredGraph:
     """Random offset in the unit cell and rotation in [0, pi/2)."""
     rng = np.random.default_rng(seed)
     offset = (float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 1.0)))
@@ -673,14 +665,3 @@ def partition_nodes(n: int, edges, b: int, seed=0) -> list[list[int]]:
                     improved = True
                     break
     return [sorted(np.flatnonzero(assign == j).tolist()) for j in range(b)]
-
-
-def graph_to_json(cg: ColoredGraph) -> dict:
-    """Serialize a ColoredGraph to a plain dict."""
-    g = cg.graph
-    return {
-        "n": g.n,
-        "d": g.degree,
-        "edges": [[u, v] for u, v in g.edges],
-        "colors": list(cg.colors),
-    }

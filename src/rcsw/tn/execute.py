@@ -10,7 +10,7 @@ from itertools import product
 
 from ..errors import CapacityError
 from .network import TensorNetwork, contract_pair
-from .tree import ContractionTree, analyze_merges, leg_sets
+from .tree import ContractionTree
 
 DEFAULT_CAP = 26  # log2 of the largest tensor the executor will allocate
 _TASK_CAP = 2 ** 22
@@ -35,18 +35,15 @@ def execute_tree(tn: TensorNetwork, tree: ContractionTree) -> complex:
 
     Raises CapacityError when an intermediate exceeds 2^DEFAULT_CAP entries.
     """
-    legs = leg_sets(tn.indices)
-    stats = analyze_merges(tree.merges, legs, tree.sliced)
+    stats = tree.stats
     if stats.width > 2.0 ** DEFAULT_CAP:
         raise CapacityError(
             f"largest intermediate {stats.width:.3g} exceeds 2^{DEFAULT_CAP}")
-    if stats.sliced_multiplier > _TASK_CAP:
+    if 1 << stats.n_sliced > _TASK_CAP:
         raise CapacityError(
-            f"{stats.sliced_multiplier:.3g} slice tasks exceed the executor cap")
+            f"2^{stats.n_sliced} slice tasks exceed the executor cap")
     if tn.n_tensors == 0:
         return complex(tn.scalar)
-    if not tree.sliced:
-        return complex(tn.scalar) * _run_once(tn.arrays, tn.indices, tree.merges)
 
     positions = {i: [] for i in tree.sliced}
     for t, ids in enumerate(tn.indices):
@@ -54,6 +51,7 @@ def execute_tree(tn: TensorNetwork, tree: ContractionTree) -> complex:
             if i in positions:
                 positions[i].append((t, ax))
     total = 0.0 + 0.0j
+    # an unsliced tree has one task: the empty assignment
     for values in product((0, 1), repeat=len(tree.sliced)):
         arrays = list(tn.arrays)
         for i, v in zip(tree.sliced, values):

@@ -125,15 +125,11 @@ def summarize(c: Circuit, tree: ContractionTree,
               sliced_tree: ContractionTree | None = None,
               seed: int | None = None) -> CostSummary:
     """Cost summary of an optimized tree, densities per two-qubit gate."""
-    if tree.stats is None:
-        raise ValueError("tree has no attached stats")
     flops = tree.stats.total_flops  # can be 0 when no two-qubit gate is sampled
     n_eff = math.log2(flops / max(c.n_2q, 1)) if flops else 0.0
     sliced_cost = None
     n_slices = 0
     if sliced_tree is not None:
-        if sliced_tree.stats is None:
-            raise ValueError("sliced tree has no attached stats")
         sliced_cost = sliced_tree.stats.log2_total
         n_slices = len(sliced_tree.sliced)
     return CostSummary(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .network import TensorNetwork
 from .tree import (ContractionTree, index_mask, leg_sets, log2_size, mask_indices,
-                   walk_merges)
+                   price, walk_merges)
 
 
 class _MergeList:
@@ -41,12 +41,6 @@ class _MergeList:
         for t in nodes[1:]:
             cur = self.join(cur, t)
         return cur
-
-
-def _chain(order: list[int], n_leaves: int) -> list[tuple[int, int]]:
-    out = _MergeList(n_leaves)
-    out.chain(order)
-    return out.merges
 
 
 def _wire_major_order(tn: TensorNetwork) -> list[int]:
@@ -155,19 +149,18 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
     t_count = tn.n_tensors
     legs = leg_sets(tn.indices)
     if t_count == 0:
-        tree = ContractionTree(0, [], sliced=tuple(sliced))
-        return tree.attach_stats(legs)
-    live = ~index_mask(sliced)
-
-    def priced(merges):
-        return walk_merges(merges, legs, live).flops
+        return price([], legs, sliced)
+    cut = index_mask(sliced)
+    live = ~cut
 
     groups = list(_gate_groups(tn).values())
     split = len(groups) < t_count  # gates cut in two halves
     qlegs = [functools.reduce(operator.xor, (legs[t] for t in g)) for g in groups]
-    candidates = [_expand_groups(_chain(range(len(groups)), len(groups)),
-                                 groups, t_count),
-                  _chain(_wire_major_order(tn), t_count)]
+    time_sweep = _MergeList(t_count)
+    time_sweep.chain([time_sweep.chain(g) for g in groups])
+    wire_major = _MergeList(t_count)
+    wire_major.chain(_wire_major_order(tn))
+    candidates = [time_sweep.merges, wire_major.merges]
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     for t, child in enumerate(ss.spawn(max(budget, 0))):
@@ -179,9 +172,10 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
             qmerges = _greedy_merges(qlegs, live, qrng, noise)
             candidates.append(_expand_groups(qmerges, groups, t_count))
 
-    best = min(candidates, key=priced)
-    tree = ContractionTree(t_count, best, sliced=tuple(sliced))
-    return tree.attach_stats(legs)
+    # the first candidate with the fewest FLOPs, priced once
+    stats, merges = min(((walk_merges(m, legs, cut), m) for m in candidates),
+                        key=lambda pair: pair[0].flops)
+    return ContractionTree(merges, tuple(sliced), stats)
 
 
 def light_cone_order(tn: TensorNetwork) -> ContractionTree:
@@ -195,8 +189,6 @@ def light_cone_order(tn: TensorNetwork) -> ContractionTree:
     n(1 - 2^{1-depth}) + 2, inside the n(1 - 2^{-depth}) + 2 budget.
     Split-gate halves are pre-merged so transients stay within the bound.
     """
-    if tn.n_tensors == 0:
-        return ContractionTree(0, []).attach_stats([])
     groups = _gate_groups(tn)
 
     # wire -> its gates in time order
@@ -259,5 +251,4 @@ def light_cone_order(tn: TensorNetwork) -> ContractionTree:
         acc = node if acc is None else out.join(acc, node)
         done.add(key)
 
-    tree = ContractionTree(tn.n_tensors, out.merges)
-    return tree.attach_stats(leg_sets(tn.indices))
+    return price(out.merges, leg_sets(tn.indices))

@@ -34,13 +34,11 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
         raise InfeasibleBudget("width budget below a single binary index")
     legs = leg_sets(tn.indices)
     sliced = list(tree.sliced)
-    merges = list(tree.merges)
+    merges, stats = tree.merges, tree.stats
     seeds = iter(np.random.SeedSequence(seed).spawn(MAX_SLICES + 1))
     since_reopt = 0
     while True:
-        live = ~index_mask(sliced)
-        walk = walk_merges(merges, legs, live)
-        if 2.0 ** walk.log2_width <= width_budget:
+        if 2.0 ** stats.log2_width <= width_budget:
             break
         if len(sliced) >= MAX_SLICES:
             raise InfeasibleBudget(
@@ -48,20 +46,18 @@ def slice_tree(tn: TensorNetwork, tree: ContractionTree, width_budget: float,
                 f"2^{math.log2(width_budget):g}")
         # only the first widest node's unsliced legs are tried, so a step
         # costs at most its rank in trials
-        candidates = walk.widest & live
+        cut = index_mask(sliced)
+        candidates = stats.widest & ~cut
         if not candidates:
             raise InfeasibleBudget("no index left to slice in oversized nodes")
-        best = None
-        for i in mask_indices(candidates):
-            trial = walk_merges(merges, legs, live & ~(1 << i))
-            key = (trial.log2_width, trial.flops, i)
-            if best is None or key < best[0]:
-                best = (key, i)
-        sliced.append(best[1])
+        trials = [(walk_merges(merges, legs, cut | 1 << i), i)
+                  for i in mask_indices(candidates)]
+        stats, i = min(trials, key=lambda t: (t[0].log2_width, t[0].flops, t[1]))
+        sliced.append(i)
         since_reopt += 1
         if since_reopt >= REOPT_EVERY:
             since_reopt = 0
-            merges = list(optimize_order(tn, budget=budget, seed=next(seeds),
-                                         sliced=tuple(sliced)).merges)
-    out = ContractionTree(tn.n_tensors, merges, sliced=tuple(sliced))
-    return out.attach_stats(legs)
+            reopt = optimize_order(tn, budget=budget, seed=next(seeds),
+                                   sliced=tuple(sliced))
+            merges, stats = reopt.merges, reopt.stats
+    return ContractionTree(merges, tuple(sliced), stats)

@@ -6,27 +6,29 @@ produces node T+s.  A leg set is a Python int with bit i set for index i.
 Because every index appears in exactly two tensors, the legs of a merged
 node are the XOR of its children's legs.  Every index has dimension 2 and
 a sliced index has one fixed value per task, so the log2 size of a leg set
-is the number of its legs inside the ``live`` mask ``~index_mask(sliced)``;
-``log2_size`` is the one pricing rule the order search and the slicer use.
-Costs use 8*S*K real FLOPs for a complex contraction producing S entries
-from a contracted dimension K; every such term is 8 * 2^k, so FLOP totals
-are exact Python ints.
+is the number of its legs outside the ``cut`` mask ``index_mask(sliced)``;
+``log2_size`` is the one pricing rule, and ``walk_merges`` the one walk
+that the order search, the slicer and ``price`` use.  Costs use 8*S*K
+real FLOPs for a complex contraction producing S entries from a
+contracted dimension K; every such term is 8 * 2^k, so FLOP totals are
+exact Python ints.  A ``ContractionTree`` is priced when it is made and
+never changes.
 """
 from __future__ import annotations
 
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeStats:
     """Cost of one slice task and the number of tasks."""
 
     flops: int        # FLOPs of one task
     log2_width: int   # log2 of the largest node, leaves included
+    widest: int       # legs of the first node of that size, leaves first
     n_sliced: int     # sliced indices; 2^n_sliced tasks
 
     @property
@@ -40,10 +42,6 @@ class TreeStats:
     @property
     def log2_flops(self) -> float:
         return math.log2(self.flops) if self.flops > 0 else 0.0
-
-    @property
-    def sliced_multiplier(self) -> int:
-        return 1 << self.n_sliced
 
     @property
     def total_flops(self) -> int:
@@ -82,16 +80,9 @@ def log2_size(legs: int, live: int) -> int:
     return (legs & live).bit_count()
 
 
-class Walk(NamedTuple):
-    """Cost of one merge list at one ``live`` mask."""
-
-    flops: int
-    log2_width: int   # log2 of the largest node, leaves included
-    widest: int       # legs of the first node of that size, leaves first
-
-
-def walk_merges(merges, legs: list[int], live: int) -> Walk:
-    """Price a merge list at the dimensions given by ``live``."""
+def walk_merges(merges, legs: list[int], cut: int) -> TreeStats:
+    """Price a merge list with the indices in ``cut`` fixed (sliced)."""
+    live = ~cut
     node = dict(enumerate(legs))
     widest = max(legs, key=lambda ls: log2_size(ls, live), default=0)
     best = log2_size(widest, live)
@@ -108,43 +99,34 @@ def walk_merges(merges, legs: list[int], live: int) -> Walk:
         nxt += 1
     if len(node) > 1 or any(node.values()):
         raise ValueError("merge list does not contract the network to a scalar")
-    return Walk(flops, best, widest)
+    return TreeStats(flops, best, widest, cut.bit_count())
 
 
-def analyze_merges(merges, legs: list[int], sliced: tuple[int, ...] = ()) -> TreeStats:
-    """Walk a merge list and price it.
+@dataclass(frozen=True)
+class ContractionTree:
+    """Merge order over a fixed network, with the cost of one slice task."""
+
+    merges: list[tuple[int, int]]
+    sliced: tuple[int, ...]
+    stats: TreeStats
+
+
+def price(merges, legs: list[int], sliced=()) -> ContractionTree:
+    """Check a merge list over these leaves and price it as a tree.
 
     Sliced indices have one fixed value per task; the stats then describe a
     single task and the total carries the task-count multiplier.
     """
+    if legs and len(merges) != len(legs) - 1:
+        raise ValueError("a binary tree over T leaves has T-1 merges")
+    seen = set()
+    for s, (a, b) in enumerate(merges):
+        for x in (a, b):
+            if not 0 <= x < len(legs) + s or x in seen:
+                raise ValueError(f"merge {s} reuses or forward-references {x}")
+            seen.add(x)
     cut = index_mask(sliced)
     stray = cut & ~functools.reduce(operator.or_, legs, 0)
     if stray:
         raise ValueError(f"sliced indices {mask_indices(stray)} are on no tensor")
-    walk = walk_merges(merges, legs, ~cut)
-    return TreeStats(walk.flops, walk.log2_width, cut.bit_count())
-
-
-@dataclass
-class ContractionTree:
-    """Merge order over a fixed network, with cached cost totals."""
-
-    n_leaves: int
-    merges: list[tuple[int, int]]
-    sliced: tuple[int, ...] = ()
-    stats: TreeStats | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if self.n_leaves >= 1 and len(self.merges) != self.n_leaves - 1:
-            raise ValueError("a binary tree over T leaves has T-1 merges")
-        seen = set()
-        for s, (a, b) in enumerate(self.merges):
-            top = self.n_leaves + s
-            for x in (a, b):
-                if not 0 <= x < top or x in seen:
-                    raise ValueError(f"merge {s} reuses or forward-references {x}")
-                seen.add(x)
-
-    def attach_stats(self, legs) -> "ContractionTree":
-        self.stats = analyze_merges(self.merges, legs, self.sliced)
-        return self
+    return ContractionTree(list(merges), tuple(sliced), walk_merges(merges, legs, cut))

@@ -214,7 +214,8 @@ def rg_circuit(n: int, d: int, seed: int) -> Circuit:
 def analyze_merges_reference(merges, legs, sliced=()) -> TreeStats:
     """Price a merge list over frozenset leg sets, one index at a time.
 
-    The reference for the bitset pricing in ``rcsw.tn.tree``.
+    The reference for the bitset pricing in ``rcsw.tn.tree``, widest node
+    included: the legs of the first node of the largest size, leaves first.
     """
     sliced_set = frozenset(sliced)
 
@@ -225,7 +226,8 @@ def analyze_merges_reference(merges, legs, sliced=()) -> TreeStats:
         return s
 
     node: dict[int, frozenset[int]] = {t: ls for t, ls in enumerate(legs)}
-    width = max((size(ls) for ls in legs), default=1)
+    widest = max(legs, key=size, default=frozenset())
+    width = size(widest)
     flops = 0
     nxt = len(legs)
     for a, b in merges:
@@ -234,13 +236,14 @@ def analyze_merges_reference(merges, legs, sliced=()) -> TreeStats:
         s = size(parent)
         k = size(la & lb)
         flops += 8 * s * k
-        width = max(width, s)
+        if s > width:
+            width, widest = s, parent
         node[nxt] = parent
         nxt += 1
     if len(node) > 1 or any(node.values()):
         raise ValueError("merge list does not contract the network to a scalar")
     return TreeStats(flops=flops, log2_width=width.bit_length() - 1,
-                     n_sliced=len(sliced_set))
+                     widest=sum(1 << i for i in widest), n_sliced=len(sliced_set))
 
 
 def apply_zz_full_merge_reference(state: mps.MpsState, theta: float, qa: int, qb: int):
@@ -362,6 +365,7 @@ def circuit_from_qasm(text: str) -> Circuit:
 
 
 def graph_from_json(doc: dict) -> graphs.ColoredGraph:
-    """Inverse of ``graphs.graph_to_json``."""
-    g = graphs.RegularGraph(doc["n"], doc["d"], tuple(map(tuple, doc["edges"])))
-    return graphs.ColoredGraph(g, tuple(doc["colors"]))
+    """The colored graph of an rg circuit's ``graph`` document, whose d is
+    the degree and so the color count."""
+    edges = tuple(map(tuple, doc["edges"]))
+    return graphs.ColoredGraph(doc["n"], edges, tuple(doc["colors"]), doc["d"])

@@ -51,7 +51,9 @@ class TestGenerate:
 
     def test_files_match_recorded_bytes(self, tmp_path):
         # sha256 of the JSON and QASM as first recorded; the formats must not move
-        run_cli(["generate", "--n", "6", "--d", "3", "--seed", "0", "--out", str(tmp_path)])
+        for ensemble in ("rg", "2d"):
+            run_cli(["generate", "--ensemble", ensemble, "--n", "6", "--d", "3",
+                     "--seed", "0", "--out", str(tmp_path)])
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in tmp_path.iterdir() if f.name != "manifest.json"}
         assert digests == {
@@ -59,6 +61,10 @@ class TestGenerate:
                 "407a09f14a0ffbe99f730c22420422f6a4a84ac2847347df0830009293a9f693",
             "rg_n6_d3_s0.qasm":
                 "2f1435307a6b02c67e5a095aa4680b145672f68d2fbec708854c7ebbb2859bdc",
+            "2d_n6_d3_s0.json":
+                "4c3d007061eb9fbf1932a7816c8af9727ee42ca4ea582d6be0fac6863987ec54",
+            "2d_n6_d3_s0.qasm":
+                "b02f4e956b111be85ebfae8cf1dc42fd26f43e4a7defa1fb22f2193d475caf01",
         }
 
     def test_grid_ensemble_2d(self, tmp_path):
@@ -85,6 +91,20 @@ class TestCost:
             parts = r.split(",")
             med, lo, hi = float(parts[3]), float(parts[4]), float(parts[5])
             assert lo <= med <= hi
+
+    def test_small_run_matches_recorded_csv(self, tmp_path):
+        # sha256 of both CSVs as first recorded; seed 1 takes 6 slices, so the
+        # tree is re-optimised once along the way
+        run_cli(["cost", "--n", "12", "--d", "4", "--instances", "2", "--budget", "2",
+                 "--width-budget", "6", "--seed", "0", "--out", str(tmp_path)])
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in tmp_path.iterdir()}
+        assert digests == {
+            "cost_rows.csv":
+                "8f3f3703782e80eb4d8a45057cc312f2274f36f5121d9b7553c8bd0484a19342",
+            "cost_summary.csv":
+                "49e9fbedd86a74f17832b5f313afbd410a0a0f0e2ef84e772dc548928cc14485",
+        }
 
     def test_width_budget_sliced_column(self, tmp_path):
         out = tmp_path / "cost_w"

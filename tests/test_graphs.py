@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcsw import graphs
+from rcsw import circuits, graphs
 from rcsw.errors import DegreeError, ParityError, RejectSignal
 from rcsw.tn import lower_bound_rank
 
@@ -224,7 +224,7 @@ class TestGrid:
         gs = graphs.make_grid(4, offset=(0.0, 0.0), rotation=0.0)
         assert gs.n == 4
         assert len(gs.edges) == 4
-        present = sorted(set(gs.edge_colors))
+        present = sorted(set(gs.colors))
         assert present == [0, 2]  # two horizontal-even, two vertical-even edges
 
     def test_single_vertex(self):
@@ -306,6 +306,6 @@ class TestPartition:
 class TestGraphJson:
     def test_round_trip_colored(self):
         cg = graphs.sample_colored_graph(10, 3, seed=1)
-        doc = graphs.graph_to_json(cg)
+        doc = circuits.build_rg_circuit(cg, seed=2).graph
         cg2 = graph_from_json(doc)
         assert cg2 == cg

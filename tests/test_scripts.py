@@ -43,18 +43,32 @@ def test_script_runs(argv, first_line):
     (["cost_scan.py", "--sizes", "8", "--depth", "8"], "--sizes must be even and above --depth"),
     (["cost_scan.py", "--sizes", "8", "9"], "--sizes must be even and above --depth"),
     (["cost_scan.py", "--depth", "0"], "--depth must be at least 1"),
+    (["cost_scan.py", "--eps", "0"], "eps, tau_q, and n must be positive"),
+    (["cost_scan.py", "--time-budget", "0.5"],
+     "total time budget is below the per-shot time"),
     (["estimator_agreement.py", "--n", "7"], "--n must be even"),
     (["estimator_agreement.py", "--n", "6", "--depths", "2", "6"],
      "--depths must lie in [1, n)"),
+    (["estimator_agreement.py", "--eps2q", "2"], "eps_2q must lie in [0, 1]"),
+    (["estimator_agreement.py", "--eps-mem", "-0.1"], "eps_mem must lie in [0, 1]"),
+    (["estimator_agreement.py", "--trajectories", "0"],
+     "--trajectories and --shots must be at least 1"),
+    (["estimator_agreement.py", "--shots", "0"],
+     "--trajectories and --shots must be at least 1"),
     (["chi_extrapolation.py", "--instances", "0"], "--instances must be at least 1"),
     (["chi_extrapolation.py", "--n", "7"], "--n must be even"),
     (["coverage_sweep.py", "--resamples", "99"], "--resamples must be at least 100"),
     (["coverage_sweep.py", "--shots", "0"],
      "--experiments, --circuits and --shots must be at least 1"),
+    (["coverage_sweep.py", "--base-eps", "2"], "base_eps must lie in [0, 1]"),
+    (["coverage_sweep.py", "--gates", "-1"], "n_gates must be nonnegative"),
 ], ids=["cost_scan", "cost_scan-size-not-above-depth", "cost_scan-odd-size",
-        "cost_scan-depth", "estimator_agreement", "estimator_agreement-depth",
+        "cost_scan-depth", "cost_scan-eps", "cost_scan-time-budget",
+        "estimator_agreement", "estimator_agreement-depth",
+        "estimator_agreement-eps2q", "estimator_agreement-eps-mem",
+        "estimator_agreement-trajectories", "estimator_agreement-shots",
         "chi_extrapolation", "chi_extrapolation-odd-n", "coverage_sweep",
-        "coverage_sweep-shots"])
+        "coverage_sweep-shots", "coverage_sweep-base-eps", "coverage_sweep-gates"])
 def test_script_rejects_bad_flag(argv, message):
     out = _run_script(argv)
     assert out.returncode == 2

@@ -15,7 +15,6 @@ from rcsw.circuits import (
 from rcsw.errors import CapacityError, InfeasibleBudget
 from rcsw.statevector import run
 from rcsw.tn import (
-    ContractionTree,
     circuit_to_tn,
     execute_tree,
     light_cone_order,
@@ -23,7 +22,7 @@ from rcsw.tn import (
     slice_tree,
 )
 from rcsw.tn import execute, network, slicing
-from rcsw.tn.tree import analyze_merges, leg_sets
+from rcsw.tn.tree import leg_sets, price
 
 
 def amplitude_oracle(c, bits):
@@ -73,14 +72,14 @@ def test_network_records_meta():
 
 def test_analyze_two_tensor_contraction():
     legs = leg_sets([(0,), (0,)])
-    stats = analyze_merges([(0, 1)], legs)
+    stats = price([(0, 1)], legs).stats
     assert stats.flops == 16.0  # 8 * S(1) * K(2)
     assert stats.width == 2.0
 
 
 def test_analyze_chain_of_three():
     legs = leg_sets([(0,), (0, 1), (1,)])
-    stats = analyze_merges([(0, 1), (3, 2)], legs)
+    stats = price([(0, 1), (3, 2)], legs).stats
     # (A.B): S=2, K=2 -> 32; then with C: S=1, K=2 -> 16
     assert stats.flops == 48.0
     assert stats.width == 4.0  # the two-leg leaf is the largest tensor
@@ -89,13 +88,13 @@ def test_analyze_chain_of_three():
 def test_analyze_rejects_open_root():
     legs = leg_sets([(0,), (0, 1)])
     with pytest.raises(ValueError):
-        analyze_merges([(0, 1)], legs)
+        price([(0, 1)], legs)
 
 
 def test_analyze_flops_are_exact_integers():
     # 8 * 2^61 + 8 * 2^1: a float sum rounds this to exactly 2^64
     legs = leg_sets([range(61), range(60), (60,)])
-    stats = analyze_merges([(0, 1), (3, 2)], legs)
+    stats = price([(0, 1), (3, 2)], legs).stats
     assert stats.flops == (1 << 64) + 16
     assert stats.log2_width == 61
 
@@ -103,13 +102,12 @@ def test_analyze_flops_are_exact_integers():
 def test_analyze_rejects_sliced_index_on_no_tensor():
     legs = leg_sets([(0,), (0,)])
     with pytest.raises(ValueError, match=r"sliced indices \[5\] are on no tensor"):
-        analyze_merges([(0, 1)], legs, sliced=(0, 5))
+        price([(0, 1)], legs, sliced=(0, 5))
     c = rg_circuit(4, 3, seed=0)
     tn = circuit_to_tn(c)
     tree = optimize_order(tn, budget=1, seed=0)
-    stray = ContractionTree(tn.n_tensors, list(tree.merges), sliced=(10 ** 3,))
     with pytest.raises(ValueError, match="on no tensor"):
-        execute_tree(tn, stray)
+        price(tree.merges, leg_sets(tn.indices), sliced=(10 ** 3,))
 
 
 def test_validate_rejects_dimension_three():
@@ -143,29 +141,33 @@ def test_bitset_pricing_matches_frozenset_reference():
                       else optimize_order(tn, budget=1, seed=trial).merges)
             k = int(rng.integers(0, 6))
             sliced = tuple(int(i) for i in rng.choice(ids, size=k, replace=False))
-            got = analyze_merges(merges, leg_sets(tn.indices), sliced)
+            got = price(merges, leg_sets(tn.indices), sliced).stats
             ref = analyze_merges_reference(
                 merges, [frozenset(x) for x in tn.indices], sliced)
             assert got == ref
 
 
 def test_tree_validation():
-    with pytest.raises(ValueError):
-        ContractionTree(3, [(0, 1)])
-    with pytest.raises(ValueError):
-        ContractionTree(3, [(0, 1), (0, 2)])  # leaf 0 reused
-    with pytest.raises(ValueError):
-        ContractionTree(3, [(0, 4), (1, 2)])  # forward reference
+    legs = leg_sets([(0,), (0, 1), (1,)])
+    with pytest.raises(ValueError, match="T-1 merges"):
+        price([(0, 1)], legs)
+    with pytest.raises(ValueError, match="reuses or forward-references 0"):
+        price([(0, 1), (0, 2)], legs)  # leaf 0 reused
+    with pytest.raises(ValueError, match="reuses or forward-references 4"):
+        price([(0, 4), (1, 2)], legs)  # forward reference
 
 
 def test_stats_recompute_matches_cached():
     c = rg_circuit(8, 4, seed=4)
     tn = circuit_to_tn(c)
     tree = optimize_order(tn, budget=3, seed=1)
-    again = analyze_merges(tree.merges, leg_sets(tn.indices), tree.sliced)
-    assert again.flops == tree.stats.flops
-    assert again.width == tree.stats.width
+    legs = leg_sets(tn.indices)
+    assert price(tree.merges, legs, tree.sliced).stats == tree.stats
     assert tree.stats.flops >= 2.0 ** tree.stats.max_rank
+    # five slices: the tree is re-optimised after the fourth
+    out = slice_tree(tn, tree, width_budget=2.0 ** 4, budget=2, seed=1)
+    assert len(out.sliced) == 5
+    assert price(out.merges, legs, out.sliced).stats == out.stats
 
 
 def test_closed_form_split_matches_svd(monkeypatch):
@@ -227,9 +229,7 @@ def test_execute_sliced_equals_unsliced():
     tree = optimize_order(tn, budget=2, seed=0)
     plain = execute_tree(tn, tree)
     pick = sorted(set().union(*tn.indices))[:3]
-    sliced = ContractionTree(tn.n_tensors, list(tree.merges),
-                             sliced=tuple(pick))
-    sliced.attach_stats(leg_sets(tn.indices))
+    sliced = price(tree.merges, leg_sets(tn.indices), sliced=tuple(pick))
     assert abs(execute_tree(tn, sliced) - plain) < 1e-10
 
 
@@ -349,7 +349,7 @@ def test_slice_reduces_width_and_costs_more():
     assert out.stats.width <= budget
     assert len(out.sliced) >= 1
     # same-tree guarantee: slicing its own merge list cannot win
-    base = analyze_merges(out.merges, leg_sets(tn.indices))
+    base = price(out.merges, leg_sets(tn.indices)).stats
     assert out.stats.total_flops >= base.total_flops * (1 - 1e-9)
 
 
