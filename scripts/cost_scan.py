@@ -31,8 +31,10 @@ def main():
         ap.error("--depth must be at least 1")
     if any(n % 2 or n <= args.depth for n in args.sizes):
         ap.error("--sizes must be even and above --depth")
-    # the frontier is cheap: compute it first so a bad --eps or
-    # --time-budget fails before the scan
+    if not args.eps > 0:
+        ap.error("--eps must be positive")
+    # the frontier is cheap: compute it first so a bad --time-budget
+    # fails before the scan
     try:
         frontier = [(ensemble, max_effective_qubits(args.eps, 1.0, args.time_budget,
                                                     SimpleCostModel(ensemble)))

@@ -98,6 +98,25 @@ def _resample_double(table: ShotTable, r: int, rng) -> np.ndarray:
     return out
 
 
+def _percentiles(x: np.ndarray, pcts) -> list:
+    """np.percentile(x, pcts) for finite x, bit for bit, by one sort.
+
+    The same arithmetic as percentile's default linear rule, without the
+    np.unique call that imports numpy.ma on first use (10-16 ms).
+    """
+    s = np.sort(x)
+    last = s.size - 1
+    out = []
+    for p in pcts:
+        v = last * (p / 100)  # >= 0, so int() is the floor
+        # at the last index numpy's neighbours are both index -1, gamma v + 1
+        lo, t = (int(v), v - int(v)) if v < last else (last, v + 1)
+        a, b = s[lo], s[min(lo + 1, last)]
+        d = b - a
+        out.append(b - d * (1 - t) if t >= 0.5 else a + d * t)
+    return out
+
+
 def bootstrap_ci(table: ShotTable, method: str = "aggregate",
                  r: int = 1000, seed=0) -> BootCI:
     """Bootstrap the pooled mean of a shot table.
@@ -118,7 +137,7 @@ def bootstrap_ci(table: ShotTable, method: str = "aggregate",
         boots = _resample_aggregate(pooled, r, rng)
     else:
         boots = _resample_double(table, r, rng)
-    q_lo, q_hi = np.percentile(boots, [_SIGMA_LO, _SIGMA_HI])
+    q_lo, q_hi = _percentiles(boots, (_SIGMA_LO, _SIGMA_HI))
     return BootCI(estimate=fhat, lo=2.0 * fhat - q_hi, hi=2.0 * fhat - q_lo,
                   q_lo=float(q_lo), q_hi=float(q_hi), method=method, r=r)
 

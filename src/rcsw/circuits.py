@@ -185,7 +185,8 @@ def _colored_circuit(cg: graphs.ColoredGraph, d: int, seed, ensemble: str) -> Ci
 
     Every two-qubit gate is UZZ(pi/2); the d+1 single-qubit layers are
     independent Haar-random SU(2) gates on every qubit.  The circuit's
-    graph document records the colored graph and d.
+    graph document records the colored graph (its color count included)
+    and d.
     """
     if d < 1:
         raise ValueError("depth must be positive")
@@ -201,6 +202,7 @@ def _colored_circuit(cg: graphs.ColoredGraph, d: int, seed, ensemble: str) -> Ci
             "d": d,
             "edges": [[u, v] for u, v in cg.edges],
             "colors": list(cg.colors),
+            "n_colors": cg.n_colors,
         },
     )
 

@@ -7,19 +7,25 @@ and a measured outcome is that index.
 Noisy and noiseless runs share one layer loop over a compiled circuit.  A
 1q layer is applied as Kronecker blocks of up to _BLOCK qubits, each one
 matmul; its gate matrices are built once per circuit.  A 2q layer applies
-each ZZ gate as one broadcast multiply by a 2x2 phase table, and memory
-dephasing is one precomputed phase vector.  Within a layer, Pauli errors
-come after the gates (after all ZZ phases of a 2q layer, with which they
-commute) and before the dephasing.
+each ZZ gate as one in-place multiply of a reshaped view by a phase table:
+the 2x2 table, or for a gate on the last _TAIL qubits a cached read-only
+table spanning them (at most 2 * 2^_TAIL phases), so the innermost loop is
+long either way.  Memory dephasing is one precomputed phase vector.  Within
+a layer, Pauli errors come after the gates (after all ZZ phases of a 2q
+layer, with which they commute) and before the dephasing.
 
 run_trajectories draws every trajectory's errors first, from that
 trajectory's own generator and in circuit order, then samples its shots
 from the same generator; the draws never depend on the state, so results
-are seed-for-seed those of simulating each trajectory gate by gate.  The
-error-free path is walked once.  A trajectory with errors is forked from it
-at the layer of its first error and run to the end; one without errors
-reuses the final error-free state and its overlap.  Extra memory is a few
-state vectors, whatever the depth or the number of trajectories.
+are seed-for-seed those of simulating each trajectory gate by gate.  Where
+errors are sparse, a trajectory's per-gate uniforms are one vector draw,
+and at each hit the generator is rewound to just past that uniform before
+the Pauli pair is drawn, which leaves the per-gate stream.  The error-free
+path is walked once.  A trajectory with errors is forked from it at the
+layer of its first error and run to the end; one without errors reuses the
+final error-free state, its overlap and one shared sampling table (the
+normalised cumulative distribution).  Extra memory is a few state vectors,
+whatever the depth or the number of trajectories.
 """
 from __future__ import annotations
 
@@ -124,25 +130,59 @@ class _OneQubitLayer:
 
 _EQ, _NE = np.exp(-0.5j * ZZ_ANGLE), np.exp(0.5j * ZZ_ANGLE)
 _ZZ_PHASES = np.array([[_EQ, _NE], [_NE, _EQ]])  # UZZ's diagonal, indexed (bit0, bit1)
+_ZZ_PHASES.flags.writeable = False
+# Trailing qubits a ZZ phase table spans when a gate touches them, so that the
+# innermost loop of its multiply is 2^_TAIL long instead of 1-2.  Per ZZ layer
+# of an rg circuit (one thread, median of 11), 4, 6 and 8 took 0.059, 0.053
+# and 0.047 ms at n = 12 and 17.9, 16.5 and 16.2 ms at n = 20, against 0.100
+# and 24.1 ms for one 2x2 table broadcast over the (2,)*n view.
+_TAIL = 8
+
+
+@functools.cache
+def _tail_phases(width: int, a: int, b: int) -> np.ndarray:
+    """UZZ's phases over the last `width` qubits, for a gate on their bits a and b.
+
+    a = -1 stands for a qubit before the tail; its bit is then a leading axis
+    of 2, so the table holds at most 2 * 2^width entries.  Read-only.
+    """
+    x = np.arange(2 ** width)
+    bit_b = (x >> (width - 1 - b)) & 1
+    if a < 0:
+        table = _ZZ_PHASES[:, bit_b][:, None, :]
+    else:
+        table = _ZZ_PHASES[(x >> (width - 1 - a)) & 1, bit_b]
+    table.flags.writeable = False
+    return table
+
+
+def _zz_view(n: int, a: int, b: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The state's view shape for a ZZ gate on qubits a < b, and its phase table.
+
+    The table broadcasts against the view's trailing axes.  A gate before the
+    last _TAIL qubits multiplies (2^a, 2, 2^(b-a-1), 2, 2^(n-b-1)) by the
+    2x2 table, whose innermost loop is then at least 2^_TAIL long.
+    """
+    t0 = max(0, n - _TAIL)
+    if b < t0:
+        return (2 ** a, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1)), _ZZ_PHASES[:, None, :, None]
+    if a < t0:
+        return (2 ** a, 2, 2 ** (t0 - a - 1), 2 ** (n - t0)), _tail_phases(n - t0, -1, b - t0)
+    return (2 ** t0, 2 ** (n - t0)), _tail_phases(n - t0, a - t0, b - t0)
 
 
 class _PhaseLayer:
-    """A layer of ZZ gates, each one broadcast multiply by the 2x2 phase table."""
+    """A layer of ZZ gates, each one in-place multiply of a view by its phase table."""
 
     dephased = True
 
     def __init__(self, lay: Layer, n: int):
-        self.shape = (2,) * n
-        self.tables = []
-        for g in lay.gates:
-            axes = [1] * n
-            axes[g.q0] = axes[g.q1] = 2
-            self.tables.append(_ZZ_PHASES.reshape(axes))
+        self.views = [_zz_view(n, min(g.q0, g.q1), max(g.q0, g.q1)) for g in lay.gates]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        view = psi.reshape(self.shape)
-        for t in self.tables:
-            view *= t
+        for shape, table in self.views:
+            view = psi.reshape(shape)
+            np.multiply(view, table, out=view)
         return psi
 
 
@@ -184,12 +224,21 @@ def run(c: Circuit) -> StateVector:
     return StateVector(c.n, _run_layers(_initial_state(c), _compile(c)))
 
 
+def _sampling_table(psi: np.ndarray) -> np.ndarray:
+    """The normalised cumulative measurement distribution of psi."""
+    cum = np.cumsum(np.abs(psi) ** 2)
+    cum /= cum[-1]
+    return cum
+
+
+def _draw_outcomes(table: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    return np.searchsorted(table, rng.random(shots), side="right")
+
+
 def sample(sv: StateVector, shots: int, seed) -> np.ndarray:
     """Draw outcome indices from the measurement distribution."""
-    rng = np.random.default_rng(seed)
-    cum = np.cumsum(sv.probabilities())
-    cum /= cum[-1]
-    return np.searchsorted(cum, rng.random(shots), side="right")
+    return _draw_outcomes(_sampling_table(sv.amplitudes), shots,
+                          np.random.default_rng(seed))
 
 
 def bipartite_purity(sv: StateVector, subset) -> float:
@@ -216,24 +265,58 @@ class TrajectoryResult:
     samples: np.ndarray  # int64 outcome indices, in trajectory order
 
 
-def _draw_errors(c: Circuit, nm: NoiseModel, rng: np.random.Generator) -> dict:
+# Error rate per gate from which errors are drawn gate by gate.  Drawing the
+# uniforms as one vector costs a generator rewind per hit, so it pays only
+# while hits are sparse: on rg n=12, d=10 and its mirror (60 and 120 gates,
+# 128 trajectories, median of 15) it took 0.64-0.81x the per-gate loop's time
+# at eps_2q 0.04-0.05, 0.88-0.93x at 1/16 and 1.07-1.10x at 0.08.
+_DENSE = 1 / 16
+
+
+def _two_qubit_gates(c: Circuit) -> list[tuple[int, int, int]]:
+    """The circuit's 2q gates in order, as (layer index, q0, q1)."""
+    return [(i, g.q0, g.q1) for i, lay in enumerate(c.layers) if lay.kind == "2q"
+            for g in lay.gates]
+
+
+def _draw_errors(gates: list, p2: float, rng: np.random.Generator) -> dict:
     """One trajectory's Pauli errors as {layer index: [(qubit, label), ...]}.
 
-    The draws never depend on the state; they are made per gate, layer by
-    layer in circuit order.
+    Each gate of gates (see _two_qubit_gates) draws a uniform and, when it
+    is below p2, a Pauli pair index: the stream of a per-gate loop, and the
+    generator ends where that loop leaves it.  Below _DENSE the uniforms up
+    to the last gate are drawn as one vector; at a hit the generator is set
+    back to its saved state from before that vector and redraws up to the
+    hit's uniform, then draws the pair.  The draws never depend on the state.
     """
-    p2 = min(nm.eps_2q * nm.scale(c.n), 1.0)
-    errors = {}
-    for i, lay in enumerate(c.layers):
-        if lay.kind == "1q" or p2 == 0.0:
-            continue
-        hits = []
-        for g in lay.gates:
+    errors: dict[int, list] = {}
+
+    def hit(i: int, q0: int, q1: int):
+        la, lb = _PAULI_PAIRS[rng.integers(0, 15)]
+        layer = errors.setdefault(i, [])
+        if la != "I":
+            layer.append((q0, la))
+        if lb != "I":
+            layer.append((q1, lb))
+
+    if p2 >= _DENSE:
+        for g in gates:
             if rng.random() < p2:
-                la, lb = _PAULI_PAIRS[rng.integers(0, 15)]
-                hits += [(q, p) for q, p in ((g.q0, la), (g.q1, lb)) if p != "I"]
-        if hits:
-            errors[i] = hits
+                hit(*g)
+        return errors
+    bg = rng.bit_generator
+    j = 0
+    while p2 > 0.0 and j < len(gates):
+        saved = bg.state
+        u = rng.random(len(gates) - j)
+        h = int((u < p2).argmax())
+        if u[h] >= p2:
+            break
+        if h + 1 < u.size:
+            bg.state = saved
+            rng.random(h + 1)
+        hit(*gates[j + h])
+        j += h + 1
     return errors
 
 
@@ -260,7 +343,9 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
         raise ValueError("shots_per_traj must be nonnegative")
     _check_cap(c.n, cap)
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_traj)]
-    errors = [_draw_errors(c, nm, rng) for rng in rngs]
+    gates = _two_qubit_gates(c)
+    p2 = min(nm.eps_2q * nm.scale(c.n), 1.0)
+    errors = [_draw_errors(gates, p2, rng) for rng in rngs]
     forks: dict[int, list[int]] = {}
     for t, e in enumerate(errors):
         if e:
@@ -272,10 +357,12 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
     overlaps = np.empty(n_traj)
     shots = [np.empty(0, dtype=np.int64)] * n_traj
 
-    def finish(t: int, psi: np.ndarray, overlap=None):
+    def finish(t: int, psi: np.ndarray, overlap=None, table=None):
         overlaps[t] = abs(np.vdot(ideal, psi)) ** 2 if overlap is None else overlap
         if shots_per_traj > 0:
-            shots[t] = sample(StateVector(c.n, psi), shots_per_traj, rngs[t])
+            if table is None:
+                table = _sampling_table(psi)
+            shots[t] = _draw_outcomes(table, shots_per_traj, rngs[t])
 
     def fork(i: int, psi: np.ndarray):
         for t in forks.get(i, ()):
@@ -283,10 +370,12 @@ def run_trajectories(c: Circuit, nm: NoiseModel, n_traj: int, seed,
             finish(t, _run_layers(branch, layers, dephase, errors[t], start=i + 1))
 
     clean = _run_layers(_initial_state(c), layers, dephase, fork=fork)
-    clean_overlap = abs(np.vdot(ideal, clean)) ** 2
-    for t, e in enumerate(errors):
-        if not e:
-            finish(t, clean, clean_overlap)
+    clean_ts = [t for t, e in enumerate(errors) if not e]
+    if clean_ts:
+        clean_overlap = abs(np.vdot(ideal, clean)) ** 2
+        table = _sampling_table(clean) if shots_per_traj > 0 else None
+        for t in clean_ts:
+            finish(t, clean, clean_overlap, table)
     stderr = float(np.std(overlaps, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else 0.0
     return TrajectoryResult(float(np.mean(overlaps)), stderr, overlaps,
                             StateVector(c.n, ideal), np.concatenate(shots))

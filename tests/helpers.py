@@ -128,6 +128,36 @@ def noisy_trajectory_reference(c: Circuit, nm: NoiseModel,
     return state
 
 
+def draw_errors_reference(c: Circuit, nm: NoiseModel, rng: np.random.Generator) -> dict:
+    """One trajectory's Pauli errors, one scalar draw per gate in circuit
+    order; the reference for ``statevector._draw_errors``."""
+    p2 = min(nm.eps_2q * nm.scale(c.n), 1.0)
+    errors = {}
+    for i, lay in enumerate(c.layers):
+        if lay.kind == "1q" or p2 == 0.0:
+            continue
+        hits = []
+        for g in lay.gates:
+            if rng.random() < p2:
+                la, lb = _PAULI_PAIRS[rng.integers(0, 15)]
+                hits += [(q, p) for q, p in ((g.q0, la), (g.q1, lb)) if p != "I"]
+        if hits:
+            errors[i] = hits
+    return errors
+
+
+def apply_zz_layer_reference(psi: np.ndarray, n: int, lay: Layer) -> np.ndarray:
+    """A ZZ layer as one broadcast multiply per gate on the (2,)*n view by
+    the 2x2 phase table; the reference for ``statevector._PhaseLayer``."""
+    phases = np.diag(uzz_matrix(ZZ_ANGLE)).reshape(2, 2)
+    view = psi.reshape((2,) * n)
+    for g in lay.gates:
+        axes = [1] * n
+        axes[g.q0] = axes[g.q1] = 2
+        view *= phases.reshape(axes)
+    return psi
+
+
 def run_trajectories_reference(c: Circuit, nm: NoiseModel, n_traj: int, seed,
                                shots_per_traj: int = 0) -> TrajectoryResult:
     """One per-gate simulation per trajectory; the reference for
@@ -365,7 +395,6 @@ def circuit_from_qasm(text: str) -> Circuit:
 
 
 def graph_from_json(doc: dict) -> graphs.ColoredGraph:
-    """The colored graph of an rg circuit's ``graph`` document, whose d is
-    the degree and so the color count."""
+    """The colored graph of an rg or 2D circuit's ``graph`` document."""
     edges = tuple(map(tuple, doc["edges"]))
-    return graphs.ColoredGraph(doc["n"], edges, tuple(doc["colors"]), doc["d"])
+    return graphs.ColoredGraph(doc["n"], edges, tuple(doc["colors"]), doc["n_colors"])

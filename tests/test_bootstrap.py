@@ -6,6 +6,8 @@ import pytest
 from scipy import stats as sps
 
 from rcsw.bootstrap import (
+    _SIGMA_HI,
+    _SIGMA_LO,
     COVERAGE_CSV_HEADER,
     BootCI,
     CoverageResult,
@@ -15,6 +17,7 @@ from rcsw.bootstrap import (
     coverage,
     p_aggregate,
     p_double,
+    _percentiles,
 )
 from rcsw.errors import EmptyTable
 
@@ -90,6 +93,27 @@ def test_p_double_matches_monte_carlo():
         freq = float(np.mean(counts == k))
         sigma = math.sqrt(p * (1.0 - p) / trials)
         assert abs(freq - p) < 3.0 * sigma
+
+
+def _percentile_cases():
+    rng = np.random.default_rng(0)
+    yield np.array([0.3])
+    yield np.array([-0.0])
+    yield np.array([2.0, -1.0])
+    yield np.array([1.0, 1.0])
+    yield np.array([0.5, 0.5, 0.25, 0.5, 0.25, 0.75])  # ties
+    yield rng.integers(-2, 3, size=1000).astype(float)  # r = 1000, heavy ties
+    for n in (3, 7, 100, 101, 300, 1000, 1001):
+        yield rng.normal(size=n) * 10.0 ** rng.integers(-5, 5)
+
+
+@pytest.mark.parametrize("x", list(_percentile_cases()), ids=str)
+def test_percentiles_match_numpy_bitwise(x):
+    for q in ([_SIGMA_LO, _SIGMA_HI], [0.0, 50.0, 100.0]):
+        got = _percentiles(x.copy(), q)
+        expect = np.percentile(x, q)
+        assert np.array(got).tobytes() == expect.tobytes()
+        assert all(type(g) is type(e) for g, e in zip(got, expect))
 
 
 def test_shot_table_validation():

@@ -50,7 +50,8 @@ class TestGenerate:
             assert f.read_bytes() == (b / f.name).read_bytes()
 
     def test_files_match_recorded_bytes(self, tmp_path):
-        # sha256 of the JSON and QASM as first recorded; the formats must not move
+        # sha256 of the JSON and QASM; the formats must not move.  The JSON was
+        # re-recorded when the graph document gained its color count.
         for ensemble in ("rg", "2d"):
             run_cli(["generate", "--ensemble", ensemble, "--n", "6", "--d", "3",
                      "--seed", "0", "--out", str(tmp_path)])
@@ -58,11 +59,11 @@ class TestGenerate:
                    for f in tmp_path.iterdir() if f.name != "manifest.json"}
         assert digests == {
             "rg_n6_d3_s0.json":
-                "407a09f14a0ffbe99f730c22420422f6a4a84ac2847347df0830009293a9f693",
+                "ce844b3430ea0538f57c973e1caa97582315575f4775db8e1c885e9a63c6b4fd",
             "rg_n6_d3_s0.qasm":
                 "2f1435307a6b02c67e5a095aa4680b145672f68d2fbec708854c7ebbb2859bdc",
             "2d_n6_d3_s0.json":
-                "4c3d007061eb9fbf1932a7816c8af9727ee42ca4ea582d6be0fac6863987ec54",
+                "9623d60b4e2dc3075a4e7c202f0dac1db52d96d6f3bbe9e6e3a2cdc8bf176a21",
             "2d_n6_d3_s0.qasm":
                 "b02f4e956b111be85ebfae8cf1dc42fd26f43e4a7defa1fb22f2193d475caf01",
         }
@@ -369,6 +370,22 @@ def test_import_defers_scipy_submodules():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_fidelity_run_never_imports_numpy_ma(tmp_path):
+    # np.percentile's first call imports numpy.ma (10-16 ms); the interval
+    # quantiles are taken without it
+    code = ("import sys; from rcsw import cli; "
+            f"cli.main(['fidelity', '--n', '6', '--d', '3', '--instances', '2', "
+            f"'--trajectories', '8', '--out', {str(tmp_path)!r}]); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert (tmp_path / "fidelity.csv").exists()
+    assert out.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_atomic_write_replaces_existing(tmp_path):

@@ -1,4 +1,5 @@
 """Tests for graph sampling, coloring, grids, bounds, and partitioning."""
+import json
 import math
 
 import numpy as np
@@ -309,3 +310,13 @@ class TestGraphJson:
         doc = circuits.build_rg_circuit(cg, seed=2).graph
         cg2 = graph_from_json(doc)
         assert cg2 == cg
+
+    @pytest.mark.parametrize("ensemble,n,d", [("rg", 10, 3), ("2d", 6, 3), ("2d", 12, 5)])
+    def test_round_trip_through_json_text(self, ensemble, n, d):
+        # a 2D document's d is the depth, so it records the color count too
+        c = circuits.build_instance(ensemble, n, d, 4)
+        doc = json.loads(json.dumps(c.graph))
+        assert doc["n_colors"] == (d if ensemble == "rg" else 4)
+        cg = (graphs.sample_colored_graph(n, d, 4) if ensemble == "rg"
+              else graphs.sample_grid(n, 4))
+        assert graph_from_json(doc) == cg

@@ -43,7 +43,7 @@ def test_script_runs(argv, first_line):
     (["cost_scan.py", "--sizes", "8", "--depth", "8"], "--sizes must be even and above --depth"),
     (["cost_scan.py", "--sizes", "8", "9"], "--sizes must be even and above --depth"),
     (["cost_scan.py", "--depth", "0"], "--depth must be at least 1"),
-    (["cost_scan.py", "--eps", "0"], "eps, tau_q, and n must be positive"),
+    (["cost_scan.py", "--eps", "0"], "--eps must be positive"),
     (["cost_scan.py", "--time-budget", "0.5"],
      "total time budget is below the per-shot time"),
     (["estimator_agreement.py", "--n", "7"], "--n must be even"),

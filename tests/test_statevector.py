@@ -12,11 +12,13 @@ from rcsw.circuits import (
 )
 from rcsw.errors import CapacityError
 from rcsw.statevector import (
-    NoiseModel, StateVector, _compile, _run_layers, bipartite_purity, run,
+    _TAIL, NoiseModel, StateVector, _compile, _draw_errors, _PhaseLayer,
+    _run_layers, _two_qubit_gates, _zz_view, bipartite_purity, run,
     run_trajectories, sample,
 )
 from helpers import (
-    apply_circuit_reference, dense_unitary, initial_state_reference, rg_circuit,
+    apply_circuit_reference, apply_zz_layer_reference, dense_unitary,
+    draw_errors_reference, initial_state_reference, rg_circuit,
     run_trajectories_reference,
 )
 
@@ -111,6 +113,53 @@ class TestPerGateReference:
             np.testing.assert_array_equal(got.samples, ref.samples, err_msg=name)
             assert np.max(np.abs(got.overlaps - ref.overlaps)) < 1e-12, name
             assert got.fidelity == pytest.approx(ref.fidelity, abs=1e-12)
+
+
+class TestFastPathOracles:
+    """The vector error draws and the ZZ kernel against the loops they replace."""
+
+    @pytest.mark.parametrize("eps", [1.5e-3, 0.05, 0.3, 1.0])
+    def test_draws_match_scalar_loop(self, eps):
+        rg = rg_circuit(12, 10, 0)
+        circs = {"rg": rg, "2d": build_instance("2d", 12, 10, 1),
+                 "mirror": build_mirror(rg, seed=3)}
+        nm = NoiseModel(eps_2q=eps)
+        n_hits = 0
+        for name, c in circs.items():
+            gates = _two_qubit_gates(c)
+            for seed in range(200):
+                ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                expect = draw_errors_reference(c, nm, ref_rng)
+                assert _draw_errors(gates, eps, rng) == expect, (name, seed)
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, (name, seed)
+                n_hits += sum(map(len, expect.values()))
+        assert n_hits > 0
+
+    @pytest.mark.parametrize("n", [2, 5, 6, 7, 12, 14])
+    def test_zz_kernel_bitwise(self, n):
+        # every ordered pair: below _TAIL qubits, and gates with both, one
+        # or neither qubit in the tail
+        rng = np.random.default_rng(n)
+        for a in range(n):
+            for b in range(n):
+                if a == b:
+                    continue
+                lay = Layer("2q", (TwoQubitGate(a, b),))
+                psi = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+                expect = apply_zz_layer_reference(psi.copy(), n, lay)
+                got = _PhaseLayer(lay, n).apply(psi.copy())
+                assert got.tobytes() == expect.tobytes(), (n, a, b)
+
+    @pytest.mark.parametrize("n", [12, 20, 26])
+    def test_phase_tables_small_and_read_only(self, n):
+        tables = {}  # by identity: gates that share a cached table count it once
+        for a in range(n):
+            for b in range(a + 1, n):
+                t = _zz_view(n, a, b)[1]
+                tables[id(t)] = t
+        assert all(t.size <= 2 * 2 ** _TAIL for t in tables.values())
+        assert not any(t.flags.writeable for t in tables.values())
+        assert sum(t.nbytes for t in tables.values()) < 2 ** 20
 
 
 class TestSample:
