@@ -30,17 +30,25 @@ PAULIS = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
 ZZ_ANGLE = math.pi / 2.0  # the entangler is UZZ(ZZ_ANGLE) = exp(-i(ZZ_ANGLE/2) Z x Z)
 
 
+def _rz_entries(psi: float) -> list[list]:
+    return [[cmath.exp(-0.5j * psi), 0], [0, cmath.exp(0.5j * psi)]]
+
+
+def _u1q_entries(theta: float, phi: float) -> list[list]:
+    c = math.cos(theta / 2.0)
+    s = math.sin(theta / 2.0)
+    return [
+        [c, -1j * cmath.exp(-1j * phi) * s],
+        [-1j * cmath.exp(1j * phi) * s, c],
+    ]
+
+
 def rz_matrix(psi: float) -> np.ndarray:
-    return np.array([[cmath.exp(-0.5j * psi), 0], [0, cmath.exp(0.5j * psi)]])
+    return np.array(_rz_entries(psi))
 
 
 def u1q_matrix(theta: float, phi: float) -> np.ndarray:
-    c = math.cos(theta / 2.0)
-    s = math.sin(theta / 2.0)
-    return np.array([
-        [c, -1j * cmath.exp(-1j * phi) * s],
-        [-1j * cmath.exp(1j * phi) * s, c],
-    ])
+    return np.array(_u1q_entries(theta, phi))
 
 
 def su2_matrix(psi: float, theta: float, phi: float) -> np.ndarray:
@@ -149,10 +157,19 @@ class Circuit:
 
 
 def layer_matrices(lay: Layer, n: int) -> list[np.ndarray]:
-    """Each qubit's product of a 1q layer's gates, in gate order; I on idle qubits."""
+    """Each qubit's product of a 1q layer's gates, in gate order; I on idle qubits.
+
+    The gates' Rz and U1q factors come from the same scalars as
+    ``su2_matrix`` and meet in one stacked matmul, which multiplies each
+    pair as the 2x2 matmul there does, so every gate's matrix equals
+    ``g.matrix()`` bit for bit.
+    """
+    if not lay.gates:
+        return [_I2] * n
+    rz = np.array([_rz_entries(g.psi) for g in lay.gates])
+    u1q = np.array([_u1q_entries(g.theta, g.phi) for g in lay.gates])
     mats: list[np.ndarray | None] = [None] * n
-    for g in lay.gates:
-        m = g.matrix()
+    for g, m in zip(lay.gates, np.matmul(rz, u1q)):
         mats[g.q] = m if mats[g.q] is None else m @ mats[g.q]
     return [_I2 if m is None else m for m in mats]
 

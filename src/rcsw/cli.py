@@ -76,33 +76,36 @@ class RunConfig:
     def __post_init__(self):
         if self.ensemble not in ("rg", "2d"):
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
-        if self.instances < 1 or self.budget < 1 or self.shots < 1:
-            raise ValueError("instances, budget, and shots must be positive")
+        # each message names only the value that failed, as its flag is named
+        for name in ("instances", "budget", "shots", "trajectories"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.width_budget is not None and self.width_budget < 1:
-            raise ValueError("width budget must be at least 1")
-        if self.trajectories < 1:
-            raise ValueError("trajectories must be positive")
+            raise ValueError("width_budget must be at least 1")
         if self.resamples < 100:
             raise ValueError("resamples must be at least 100")
-        if min(self.n, default=1) < 1 or min(self.d, default=1) < 1:
-            raise ValueError("qubit counts and depths must be positive")
+        for name in ("n", "d"):
+            if min(getattr(self, name), default=1) < 1:
+                raise ValueError(f"{name} must be positive")
         if self.ensemble == "rg":
             for n, d in itertools.product(self.n, self.d):
                 if n % 2 or d >= n:
                     raise ValueError(f"rg circuits need an even n and d < n, "
                                      f"got n={n}, d={d}")
         if min(self.chi, default=1) < 1:
-            raise ValueError("bond dimensions must be positive")
+            raise ValueError("chi must be positive")
         top = min(self.n, default=1)
         if self.command == "mps" and not 1 <= min(self.blocks) <= max(self.blocks) <= top:
-            raise ValueError(f"block counts must lie in [1, {top}]")
+            raise ValueError(f"blocks must lie in [1, {top}]")
         for name in ("noise_eps2q", "noise_mem", "spam", "base_eps"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if min(self.mu, self.gates, self.max_k, self.xeb_cap) < 0:
-            raise ValueError("mu, gates, max_k, and xeb_cap must be nonnegative")
-        if self.circuits < 1 or self.n_jobs < 1 or self.n_per < 1:
-            raise ValueError("circuits, n_jobs, and n_per must be positive")
+        for name in ("mu", "gates", "max_k", "xeb_cap"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("circuits", "n_jobs", "n_per"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -195,10 +198,18 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
     for n, d in _grid(cfg):
         dens = [s.c_density for s, (nn, dd, _) in zip(summaries, items)
                 if (nn, dd) == (n, d)]
-        agg_rows.append(f"{cfg.ensemble},{n},{d},{float(np.median(dens))!r},"
+        agg_rows.append(f"{cfg.ensemble},{n},{d},{_median(dens)!r},"
                         f"{min(dens)!r},{max(dens)!r},{len(dens)},{cfg.seed}")
     sum_path = _write_csv(out / "cost_summary.csv", COST_SUMMARY_HEADER, agg_rows)
     return [rows_path, sum_path]
+
+
+def _median(xs: list[float]) -> float:
+    """np.median's value without its first-call import of numpy.ma: the
+    middle value, or the mean (a + b) / 2 of the middle two."""
+    s = sorted(xs)
+    m = len(s) // 2
+    return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2
 
 
 def _fidelity_report(cfg: RunConfig, estimator: str, cs, nm, cap: int,

@@ -20,8 +20,7 @@ from collections import defaultdict
 import numpy as np
 
 from .network import TensorNetwork
-from .tree import (ContractionTree, index_mask, leg_sets, log2_size, mask_indices,
-                   price, walk_merges)
+from .tree import ContractionTree, index_mask, leg_sets, mask_indices, price, walk_merges
 
 
 class _MergeList:
@@ -56,11 +55,19 @@ def _greedy_merges(legs: list[int], live: int, rng,
                    noise: float) -> list[tuple[int, int]]:
     """Merge the neighbour pair sharing the most live legs, repeatedly.
 
-    The score is -2 * log2_size(a & b), optionally plus Gaussian noise: it
-    counts only the live legs a and b share and ignores how large a and b
-    are.  It is not the linear-size score of Gray & Kourtis
-    (arXiv:2002.01935), size(a ^ b) - size(a) - size(b) in entries; that
-    score is an open roadmap item.
+    The score is -2 times the number of live legs a and b share, optionally
+    plus Gaussian noise: it ignores how large a and b are.  It is not the
+    linear-size score of Gray & Kourtis (arXiv:2002.01935),
+    size(a ^ b) - size(a) - size(b) in entries; that score is an open
+    roadmap item.
+
+    Each heap entry carries a uniform tie-break draw.  Pairs are scored in
+    a fixed order: the initial pairs by ascending ids, then at each merge
+    step the new node against its neighbours in ascending id order.  A
+    noisy trial draws each pair's normal and then its uniform, one scalar
+    at a time; a noise-free trial draws only uniforms, one
+    ``rng.random(k)`` vector for the k pairs of the initial heap or of a
+    merge step, which gives the same doubles as k scalar draws.
     """
     n_leaves = len(legs)
     node = dict(enumerate(legs))
@@ -75,15 +82,19 @@ def _greedy_merges(legs: list[int], live: int, rng,
             nbrs[a].add(b)
             nbrs[b].add(a)
 
-    def score(a, b):
-        s = -2 * log2_size(node[a] & node[b], live)
-        return s + (noise * rng.standard_normal() if noise else 0.0)
+    def entries(pairs):
+        """Heap entries (score, tie-break, a, b) in pair order."""
+        if noise:
+            return [(-2 * (node[a] & node[b] & live).bit_count()
+                     + noise * rng.standard_normal(), rng.random(), a, b)
+                    for a, b in pairs]
+        ties = rng.random(len(pairs)).tolist()
+        return [(-2 * (node[a] & node[b] & live).bit_count() + 0.0, u, a, b)
+                for (a, b), u in zip(pairs, ties)]
 
-    heap = []
-    for a in node:
-        for b in sorted(nbrs[a]):
-            if a < b:
-                heapq.heappush(heap, (score(a, b), rng.random(), a, b))
+    # distinct entries pop in one order however the heap was built
+    heap = entries([(a, b) for a in node for b in sorted(nbrs[a]) if a < b])
+    heapq.heapify(heap)
 
     merges = []
     nxt = n_leaves
@@ -96,24 +107,23 @@ def _greedy_merges(legs: list[int], live: int, rng,
                 break
         if pick is None:
             # disconnected parts: outer-product the survivors in id order
-            rest = sorted(node)
-            a, b = rest[0], rest[1]
-            pick = (a, b)
-        a, b = pick
-        la, lb = node.pop(a), node.pop(b)
+            a, b = sorted(node)[:2]
         w = nxt
         nxt += 1
         merges.append((a, b))
-        node[w] = la ^ lb
-        nbrs_w = (nbrs.pop(a, set()) | nbrs.pop(b, set())) - {a, b}
-        nbrs[w] = set()
-        for x in sorted(nbrs_w):
-            if x in node:
-                nbrs[x].discard(a)
-                nbrs[x].discard(b)
-                nbrs[x].add(w)
-                nbrs[w].add(x)
-                heapq.heappush(heap, (score(w, x), rng.random(), w, x))
+        node[w] = node.pop(a) ^ node.pop(b)
+        # neighbour sets are symmetric and hold only live nodes
+        nbrs[w] = nw = nbrs.pop(a, set()) | nbrs.pop(b, set())
+        nw -= {a, b}
+        xs = sorted(nw)
+        for x in xs:
+            nx = nbrs[x]
+            nx.discard(a)
+            nx.discard(b)
+            nx.add(w)
+        if xs:
+            for entry in entries([(w, x) for x in xs]):
+                heapq.heappush(heap, entry)
     return merges
 
 

@@ -6,13 +6,13 @@ produces node T+s.  A leg set is a Python int with bit i set for index i.
 Because every index appears in exactly two tensors, the legs of a merged
 node are the XOR of its children's legs.  Every index has dimension 2 and
 a sliced index has one fixed value per task, so the log2 size of a leg set
-is the number of its legs outside the ``cut`` mask ``index_mask(sliced)``;
-``log2_size`` is the one pricing rule, and ``walk_merges`` the one walk
-that the order search, the slicer and ``price`` use.  Costs use 8*S*K
-real FLOPs for a complex contraction producing S entries from a
-contracted dimension K; every such term is 8 * 2^k, so FLOP totals are
-exact Python ints.  A ``ContractionTree`` is priced when it is made and
-never changes.
+is the number of its legs outside the ``cut`` mask ``index_mask(sliced)``,
+``(legs & ~cut).bit_count()``.  ``walk_merges`` is the one walk
+that prices a tree for the order search, the slicer and ``price``.  Costs
+use 8*S*K real FLOPs for a complex contraction producing S entries from a
+contracted dimension K.  S*K spans the live legs of the two children
+together, so every such term is 8 * 2^k and FLOP totals are exact Python
+ints.  A ``ContractionTree`` is priced when it is made and never changes.
 """
 from __future__ import annotations
 
@@ -75,29 +75,27 @@ def leg_sets(indices: list[tuple[int, ...]]) -> list[int]:
     return [index_mask(ids) for ids in indices]
 
 
-def log2_size(legs: int, live: int) -> int:
-    """log2 of the number of entries of a tensor with these legs."""
-    return (legs & live).bit_count()
-
-
 def walk_merges(merges, legs: list[int], cut: int) -> TreeStats:
     """Price a merge list with the indices in ``cut`` fixed (sliced)."""
     live = ~cut
-    node = dict(enumerate(legs))
-    widest = max(legs, key=lambda ls: log2_size(ls, live), default=0)
-    best = log2_size(widest, live)
+    best, widest = -1, 0
+    for ls in legs:
+        k = (ls & live).bit_count()
+        if k > best:
+            best, widest = k, ls
+    best = max(best, 0)
+    node = list(legs)  # node legs by SSA id
     flops = 0
-    nxt = len(legs)
     for a, b in merges:
-        la, lb = node.pop(a), node.pop(b)
+        la, lb = node[a], node[b]
         parent = la ^ lb
-        k = log2_size(parent, live)
-        flops += 8 << (k + log2_size(la & lb, live))
+        k = (parent & live).bit_count()
+        # S * K = size(parent) * size(la & lb): the live legs of la | lb
+        flops += 8 << ((la | lb) & live).bit_count()
         if k > best:
             best, widest = k, parent
-        node[nxt] = parent
-        nxt += 1
-    if len(node) > 1 or any(node.values()):
+        node.append(parent)
+    if legs and (len(merges) != len(legs) - 1 or node[-1]):
         raise ValueError("merge list does not contract the network to a scalar")
     return TreeStats(flops, best, widest, cut.bit_count())
 

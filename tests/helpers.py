@@ -1,5 +1,6 @@
 """Shared oracles and factories for the test suite."""
 import cmath
+import heapq
 import json
 import math
 import re
@@ -11,7 +12,7 @@ from rcsw.circuits import (
     PAULIS, ZZ_ANGLE, Circuit, Layer, OneQubitGate, TwoQubitGate, build_rg_circuit,
 )
 from rcsw.statevector import NoiseModel, StateVector, TrajectoryResult, sample
-from rcsw.tn.tree import TreeStats
+from rcsw.tn.tree import TreeStats, mask_indices, walk_merges
 
 
 def uzz_matrix(theta: float) -> np.ndarray:
@@ -274,6 +275,69 @@ def analyze_merges_reference(merges, legs, sliced=()) -> TreeStats:
         raise ValueError("merge list does not contract the network to a scalar")
     return TreeStats(flops=flops, log2_width=width.bit_length() - 1,
                      widest=sum(1 << i for i in widest), n_sliced=len(sliced_set))
+
+
+def slice_choice_reference(merges, legs: list[int], cut: int,
+                           candidates: int) -> tuple[int, int, int]:
+    """(log2_width, flops, i) of the index ``slice_tree`` slices next, with
+    each candidate i priced by its own walk of the whole merge list."""
+    trials = [(walk_merges(merges, legs, cut | 1 << i), i)
+              for i in mask_indices(candidates)]
+    stats, i = min(trials, key=lambda t: (t[0].log2_width, t[0].flops, t[1]))
+    return stats.log2_width, stats.flops, i
+
+
+def greedy_merges_reference(legs: list[int], live: int, rng,
+                            noise: float) -> list[tuple[int, int]]:
+    """The greedy pairing of ``rcsw.tn.order``, one scalar draw per heap push.
+
+    Every pair's score (with its normal draw when noisy) and then its
+    uniform tie-break are drawn as the pair is pushed, initial pairs first.
+    """
+    node = dict(enumerate(legs))
+    nbrs = {t: set() for t in node}
+    owner: dict[int, list[int]] = {}
+    for t, ls in enumerate(legs):
+        for i in mask_indices(ls):
+            owner.setdefault(i, []).append(t)
+    for pair in owner.values():
+        if len(pair) == 2:
+            a, b = pair
+            nbrs[a].add(b)
+            nbrs[b].add(a)
+
+    def score(a, b):
+        s = -2 * (node[a] & node[b] & live).bit_count()
+        return s + (noise * rng.standard_normal() if noise else 0.0)
+
+    heap = []
+    for a in list(node):
+        for b in sorted(nbrs[a]):
+            if a < b:
+                heapq.heappush(heap, (score(a, b), rng.random(), a, b))
+    merges = []
+    nxt = len(legs)
+    while len(node) > 1:
+        pick = None
+        while heap:
+            _, _, a, b = heapq.heappop(heap)
+            if a in node and b in node:
+                pick = (a, b)
+                break
+        if pick is None:
+            pick = tuple(sorted(node)[:2])
+        a, b = pick
+        w = nxt
+        nxt += 1
+        merges.append((a, b))
+        node[w] = node.pop(a) ^ node.pop(b)
+        nbrs[w] = set()
+        for x in sorted((nbrs.pop(a) | nbrs.pop(b)) - {a, b}):
+            nbrs[x] -= {a, b}
+            nbrs[x].add(w)
+            nbrs[w].add(x)
+            heapq.heappush(heap, (score(w, x), rng.random(), w, x))
+    return merges
 
 
 def apply_zz_full_merge_reference(state: mps.MpsState, theta: float, qa: int, qb: int):

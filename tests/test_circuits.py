@@ -170,6 +170,29 @@ class TestMirrorAlgebra:
         assert np.array_equal(mats[1], b.matrix() @ a.matrix())
         assert np.array_equal(mats[0], np.eye(2)) and np.array_equal(mats[2], np.eye(2))
 
+    def test_layer_matrices_equal_su2_matrix_bitwise(self):
+        # one stacked build per layer, the same bits as one su2_matrix per gate
+        rng = np.random.default_rng(12)
+        angles = [(0.0, 0.0, 0.0), (math.pi, math.pi, -math.pi), (-0.0, 2.0, -0.0)]
+        angles += [tuple(map(float, rng.uniform(-4 * math.pi, 4 * math.pi, 3)))
+                   for _ in range(61)]
+        drawn = [Layer("1q", tuple(OneQubitGate(k % 12, *a)
+                                   for k, a in enumerate(angles[j:j + 8])))
+                 for j in range(0, len(angles), 8)]
+        rg = build_instance("rg", 12, 10, 3)
+        planar = build_instance("2d", 12, 6, 4)
+        layers = drawn + [lay for c in (rg, planar, build_mirror(rg, seed=5))
+                          for lay in c.layers[0::2]]
+        checked = 0
+        for lay in layers:
+            mats = layer_matrices(lay, 12)
+            for g in lay.gates:
+                want = su2_matrix(g.psi, g.theta, g.phi)
+                assert mats[g.q].tobytes() == want.tobytes()
+                checked += 1
+        assert checked == len(angles) + 12 * 11 + 12 * 21 + sum(
+            len(lay.gates) for lay in planar.layers[0::2])
+
 
 class TestSerialization:
     def test_json_round_trip(self):

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -338,17 +339,31 @@ class TestConfig:
     ["bootstrap", "--n-jobs", "0"],
     ["bootstrap", "--n-per", "0"],
     ["bootstrap", "--max-k", "-1"],
+    ["mps", "--instances", "0"],
+    ["generate", "--instances", "0"],
+    ["cost", "--instances", "0"],
+    ["cost", "--budget", "0"],
+    ["fidelity", "--shots", "0"],
 ], ids=["zero-trajectories", "fidelity-resamples", "negative-xeb-cap",
         "coverage-resamples", "odd-n-odd-degree", "odd-n", "degree-not-below-n",
         "too-many-blocks", "zero-width-budget", "negative-width-budget",
         "zero-circuits", "negative-gates", "negative-mu", "base-eps-above-one",
-        "zero-n-jobs", "zero-n-per", "negative-max-k"])
+        "zero-n-jobs", "zero-n-per", "negative-max-k", "mps-zero-instances",
+        "generate-zero-instances", "cost-zero-instances", "cost-zero-budget",
+        "fidelity-zero-shots"])
 def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"rcsw {argv[0]}: error: ") and err.count("\n") == 1
     assert not out.exists()
+    # the message names the flag given last, as its RunConfig field, and
+    # none of the shared checks' other flags, which some subcommands lack
+    message = err.removeprefix(f"rcsw {argv[0]}: error: ")
+    named = argv[-2].removeprefix("--").replace("-", "_")
+    assert re.search(rf"\b{named}\b", message)
+    for other in {"instances", "budget", "shots"} - {named}:
+        assert not re.search(rf"\b{other}\b", message)
 
 
 def test_method_flag_removed():
@@ -386,6 +401,30 @@ def test_fidelity_run_never_imports_numpy_ma(tmp_path):
                          text=True, check=True, timeout=120)
     assert (tmp_path / "fidelity.csv").exists()
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_cost_run_never_imports_numpy_ma(tmp_path):
+    # np.median's first call imports numpy.ma; the summary median is taken
+    # without it
+    code = ("import sys; from rcsw import cli; "
+            f"cli.main(['cost', '--n', '12', '--d', '4', '--instances', '2', "
+            f"'--out', {str(tmp_path)!r}]); "
+            "print('numpy.ma' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert (tmp_path / "cost_summary.csv").exists()
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_median_matches_numpy_bitwise():
+    rng = np.random.default_rng(3)
+    for size in range(1, 12):
+        for _ in range(50):
+            xs = [float(x) for x in rng.lognormal(0.0, 1.0, size)]
+            assert cli._median(xs).hex() == float(np.median(xs)).hex()
 
 
 def test_atomic_write_replaces_existing(tmp_path):

@@ -3,13 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import analyze_merges_reference, rg_circuit, schmidt_split_svd_reference
+from helpers import (
+    analyze_merges_reference,
+    greedy_merges_reference,
+    rg_circuit,
+    schmidt_split_svd_reference,
+    slice_choice_reference,
+)
 from rcsw.circuits import (
     ZZ_ANGLE,
     Circuit,
     Layer,
     OneQubitGate,
     build_brickwork_circuit,
+    build_instance,
     build_mirror,
 )
 from rcsw.errors import CapacityError, InfeasibleBudget
@@ -21,8 +28,8 @@ from rcsw.tn import (
     optimize_order,
     slice_tree,
 )
-from rcsw.tn import execute, network, slicing
-from rcsw.tn.tree import leg_sets, price
+from rcsw.tn import execute, network, order, slicing
+from rcsw.tn.tree import index_mask, leg_sets, mask_indices, price, walk_merges
 
 
 def amplitude_oracle(c, bits):
@@ -155,6 +162,15 @@ def test_tree_validation():
         price([(0, 1), (0, 2)], legs)  # leaf 0 reused
     with pytest.raises(ValueError, match="reuses or forward-references 4"):
         price([(0, 4), (1, 2)], legs)  # forward reference
+
+
+def test_walk_rejects_unclosed_merge_list():
+    legs = leg_sets([(0,), (0,), (1,), (1,)])
+    assert walk_merges([(0, 1), (2, 3), (4, 5)], legs, 0).flops == 16 + 16 + 8
+    with pytest.raises(ValueError, match="does not contract the network"):
+        walk_merges([(0, 1), (2, 3)], legs, 0)  # two nodes left
+    with pytest.raises(ValueError, match="does not contract the network"):
+        walk_merges([(0, 1)], leg_sets([(0,), (0, 1)]), 0)  # leg 1 stays open
 
 
 def test_stats_recompute_matches_cached():
@@ -372,6 +388,87 @@ def test_slice_infeasible_budgets(monkeypatch):
     with pytest.raises(InfeasibleBudget):
         monkeypatch.setattr(slicing, "MAX_SLICES", 2)
         slice_tree(tn, tree, width_budget=4.0)
+
+
+def _slicing_networks():
+    """rg, 2D and brickwork networks, each with gates split in rank 2 and 4."""
+    circs = [rg_circuit(10, 5, seed=40), build_instance("2d", 12, 6, 41),
+             build_brickwork_circuit(8, 6, seed=42)]
+    return [circuit_to_tn(c, split_rank=r) for c in circs for r in (2, 4)]
+
+
+def test_one_walk_prices_every_slice_candidate():
+    # each candidate's (log2_width, flops) equals its own walk's, under random
+    # merge lists and random cuts, for the widest node's legs and for random
+    # index sets; the choice equals the per-candidate walk's
+    rng = np.random.default_rng(43)
+    ties = 0
+    for tn in _slicing_networks():
+        legs = leg_sets(tn.indices)
+        ids = sorted(set().union(*tn.indices))
+        for trial in range(8):
+            merges = (_random_merges(tn.n_tensors, rng) if trial % 2
+                      else optimize_order(tn, budget=1, seed=trial).merges)
+            k = int(rng.integers(0, 6))
+            cut = index_mask(int(i) for i in rng.choice(ids, size=k, replace=False))
+            widest = walk_merges(merges, legs, cut).widest
+            drawn = index_mask(int(i) for i in rng.choice(ids, size=8, replace=False))
+            for candidates in (widest & ~cut, drawn & ~cut):
+                if not candidates:
+                    continue
+                prices = slicing._candidate_prices(merges, legs, cut, candidates)
+                walks = [(walk_merges(merges, legs, cut | 1 << i), i)
+                         for i in mask_indices(candidates)]
+                assert prices == [(s.log2_width, s.flops, i) for s, i in walks]
+                best = min(prices)
+                assert best == slice_choice_reference(merges, legs, cut, candidates)
+                ties += sum(p[:2] == best[:2] for p in prices) > 1
+    assert ties >= 5  # steps where several candidates tie on width and FLOPs
+
+
+def test_slice_step_takes_the_reference_choice_in_two_walks(monkeypatch):
+    counts = {"priced": 0, "walked": 0}
+    one_walk, walk = slicing._candidate_prices, slicing.walk_merges
+
+    def priced(merges, legs, cut, candidates):
+        counts["priced"] += 1
+        prices = one_walk(merges, legs, cut, candidates)
+        assert min(prices) == slice_choice_reference(merges, legs, cut, candidates)
+        return prices
+
+    def walked(merges, legs, cut):
+        counts["walked"] += 1
+        return walk(merges, legs, cut)
+
+    monkeypatch.setattr(slicing, "_candidate_prices", priced)
+    monkeypatch.setattr(slicing, "walk_merges", walked)
+    steps = 0
+    for tn in _slicing_networks():
+        tree = optimize_order(tn, budget=1, seed=0)
+        w = max(1, tree.stats.log2_width - 4)
+        out = slice_tree(tn, tree, width_budget=2.0 ** w, budget=1, seed=3)
+        assert out.stats.log2_width <= w
+        assert price(out.merges, leg_sets(tn.indices), out.sliced).stats == out.stats
+        steps += len(out.sliced)
+    # one walk prices every candidate of a step, one prices the winner
+    assert counts["priced"] == counts["walked"] == steps > 0
+
+
+def test_greedy_draws_match_scalar_reference():
+    # noise-free trials draw their tie-breaks as one vector per merge step,
+    # noisy ones a normal and a uniform per pair; both give the merges and
+    # leave the generator where one scalar draw per push does
+    nets = _slicing_networks()
+    for seed in range(120):
+        tn = nets[seed % len(nets)]
+        legs = leg_sets(tn.indices)
+        ids = sorted(set().union(*tn.indices))
+        cut = index_mask(ids[seed % len(ids)::17])
+        for noise in (0.0, 0.5):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = order._greedy_merges(legs, ~cut, rng, noise)
+            assert got == greedy_merges_reference(legs, ~cut, ref, noise)
+            assert rng.random() == ref.random()
 
 
 @given(st.integers(min_value=0, max_value=10))
