@@ -22,6 +22,8 @@ def main():
     ap.add_argument("--target-eps", type=float, default=1e-3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.seed < 0:
+        ap.error("--seed must be nonnegative")
     if args.n % 2:
         ap.error("--n must be even (rg circuits need an even qubit count)")
     if not 1 <= args.depth < args.n:

@@ -25,6 +25,8 @@ def main():
     ap.add_argument("--time-budget", type=float, default=100.0,
                     help="quantum time budget in units of the gate time")
     args = ap.parse_args()
+    if args.seed < 0:
+        ap.error("--seed must be nonnegative")
     if args.instances < 1:
         ap.error("--instances must be at least 1")
     if args.depth < 1:

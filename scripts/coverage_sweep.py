@@ -24,6 +24,8 @@ def main():
     ap.add_argument("--resamples", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.seed < 0:
+        ap.error("--seed must be nonnegative")
     if args.resamples < 100:
         ap.error("--resamples must be at least 100")
     if min(args.experiments, args.circuits, args.shots) < 1:

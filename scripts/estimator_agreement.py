@@ -25,6 +25,8 @@ def main():
     ap.add_argument("--eps-mem", type=float, default=0.001)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.seed < 0:
+        ap.error("--seed must be nonnegative")
     if args.n % 2:
         ap.error("--n must be even (rg circuits need an even qubit count)")
     if args.instances < 1:

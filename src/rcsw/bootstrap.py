@@ -190,8 +190,8 @@ class ExperimentModel:
     observable: str = "xeb"
 
     def __post_init__(self):
-        if self.mu < 0.0:
-            raise ValueError("mu must be nonnegative")
+        if not (np.isfinite(self.mu) and self.mu >= 0.0):
+            raise ValueError("mu must be finite and nonnegative")
         if not 0.0 <= self.base_eps <= 1.0:
             raise ValueError("base_eps must lie in [0, 1]")
         if self.n_gates < 0:

@@ -1,4 +1,4 @@
-"""Circuit construction and serialization.
+"""Circuit construction and serialization; the one place gates become numbers.
 
 Circuits alternate single-qubit layers S_k with two-qubit layers E_k,
 
@@ -8,7 +8,10 @@ so a depth-d circuit has d two-qubit layers and d+1 single-qubit layers.
 Every two-qubit gate is the one entangler UZZ(ZZ_ANGLE) = exp(-i(pi/4) Z x Z),
 so a TwoQubitGate records only its qubits; single-qubit gates are stored
 as Rz(psi) * U1q(theta, phi) with
-U1q(theta, phi) = exp(-i(theta/2)(X cos phi + Y sin phi)).
+U1q(theta, phi) = exp(-i(theta/2)(X cos phi + Y sin phi)).  All three
+simulators read their numbers from here: layer_matrices gives a 1q layer's
+matrix per qubit, ZZ_PHASES is UZZ's diagonal, ZZ_TERMS its
+operator-Schmidt form.
 """
 from __future__ import annotations
 
@@ -28,6 +31,11 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": _I2, "X": _X, "Y": _Y, "Z": _Z}
 ZZ_ANGLE = math.pi / 2.0  # the entangler is UZZ(ZZ_ANGLE) = exp(-i(ZZ_ANGLE/2) Z x Z)
+# UZZ's diagonal exp(-i(ZZ_ANGLE/2) z0 z1), indexed (bit0, bit1); read-only
+ZZ_PHASES = np.exp(-0.5j * ZZ_ANGLE * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+ZZ_PHASES.flags.writeable = False
+# UZZ = sum of w P x P over (w, P): cos(ZZ_ANGLE/2) I x I - i sin(ZZ_ANGLE/2) Z x Z
+ZZ_TERMS = ((math.cos(0.5 * ZZ_ANGLE), "I"), (-1j * math.sin(0.5 * ZZ_ANGLE), "Z"))
 
 
 def _rz_entries(psi: float) -> list[list]:
@@ -41,18 +49,6 @@ def _u1q_entries(theta: float, phi: float) -> list[list]:
         [c, -1j * cmath.exp(-1j * phi) * s],
         [-1j * cmath.exp(1j * phi) * s, c],
     ]
-
-
-def rz_matrix(psi: float) -> np.ndarray:
-    return np.array(_rz_entries(psi))
-
-
-def u1q_matrix(theta: float, phi: float) -> np.ndarray:
-    return np.array(_u1q_entries(theta, phi))
-
-
-def su2_matrix(psi: float, theta: float, phi: float) -> np.ndarray:
-    return rz_matrix(psi) @ u1q_matrix(theta, phi)
 
 
 def su2_decompose(u: np.ndarray) -> tuple[float, float, float]:
@@ -88,9 +84,6 @@ class OneQubitGate:
     psi: float
     theta: float
     phi: float
-
-    def matrix(self) -> np.ndarray:
-        return su2_matrix(self.psi, self.theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -159,10 +152,11 @@ class Circuit:
 def layer_matrices(lay: Layer, n: int) -> list[np.ndarray]:
     """Each qubit's product of a 1q layer's gates, in gate order; I on idle qubits.
 
-    The gates' Rz and U1q factors come from the same scalars as
-    ``su2_matrix`` and meet in one stacked matmul, which multiplies each
-    pair as the 2x2 matmul there does, so every gate's matrix equals
-    ``g.matrix()`` bit for bit.
+    The one 1q gate builder: every simulator applies these matrices, one
+    per gated qubit, so a qubit with two gates in a layer gets their
+    product once.  Each gate is Rz(psi) U1q(theta, phi), the factors of all
+    gates meeting in one stacked matmul, which multiplies each pair as a
+    2x2 matmul does.
     """
     if not lay.gates:
         return [_I2] * n

@@ -100,7 +100,9 @@ class RunConfig:
         for name in ("noise_eps2q", "noise_mem", "spam", "base_eps"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        for name in ("mu", "gates", "max_k", "xeb_cap"):
+        if not (np.isfinite(self.mu) and self.mu >= 0.0):
+            raise ValueError("mu must be finite and nonnegative")
+        for name in ("seed", "gates", "max_k", "xeb_cap"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         for name in ("circuits", "n_jobs", "n_per"):
@@ -343,9 +345,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reproducible experiment batches over random-geometry circuits")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def out_flag(p):
+        p.add_argument("--out", default="results", help="output directory")
+
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="results", help="output directory")
+        out_flag(p)
 
     def circuit_flags(p):
         p.add_argument("--ensemble", choices=["rg", "2d"], default="rg")
@@ -390,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--n-jobs", type=int, default=50)
     b.add_argument("--n-per", type=int, default=20)
     b.add_argument("--max-k", type=int, default=12)
-    common(b)
+    out_flag(b)  # closed-form tables: no seed
 
     v = sub.add_parser("coverage", help="interval coverage of simulated experiments")
     v.add_argument("--mu", type=float, default=0.0,

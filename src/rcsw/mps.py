@@ -3,21 +3,22 @@
 The state is a chain of block tensors with shape (l, 2**s_j, r): the middle
 axis is the joint computational index of the qubits assigned to block j
 (first listed qubit most significant) and l, r are bond indices capped at
-chi.  Every entangler is the diagonal gate UZZ(ZZ_ANGLE), so a gate
-inside one block is a phase per basis state.  A gate across two adjacent
-blocks is written in operator-Schmidt form cos(ZZ_ANGLE/2) I x I -
-i sin(ZZ_ANGLE/2) Z x Z and its two terms are stacked onto the bond, which
-at most doubles it to 2k.  The left block is then QR-factored and the right
-block LQ-factored, and only the core of at most 2k x 2k is split with a
-truncated SVD; its singular values are those of the merged pair, so the
-truncation is the one a full SVD of the pair would make (the reduced update
-of Zhou, Stoudenmire and Waintal, PRX 10, 041038 (2020)).  Blocks that are
-not adjacent in the chain are first brought together by swapping whole
-blocks, each swap a full SVD of the merged pair, and are swapped back
-afterwards, so the chain layout never drifts.  Each truncation multiplies
-f_acc by one minus the discarded weight and renormalizes the state, so
-f_acc estimates the squared overlap with the exact state under the usual
-assumption that truncation losses compound multiplicatively.
+chi.  A 1q layer is one circuits.layer_matrices matrix per gated qubit.
+The entangler UZZ(ZZ_ANGLE) is diagonal, so inside one block it is a phase
+per basis state (circuits.ZZ_PHASES).  Across two adjacent blocks the two
+terms of its operator-Schmidt form (circuits.ZZ_TERMS, I x I and Z x Z)
+are stacked onto the bond, which at most doubles it to 2k.  The left block
+is then QR-factored and the right block LQ-factored, and only the core of
+at most 2k x 2k is split with a truncated SVD; its singular values are
+those of the merged pair, so the truncation is the one a full SVD of the
+pair would make (the reduced update of Zhou, Stoudenmire and Waintal, PRX
+10, 041038 (2020)).  Blocks that are not adjacent in the chain are first
+brought together by swapping whole blocks, each swap a full SVD of the
+merged pair, and are swapped back afterwards, so the chain layout never
+drifts.  Each truncation multiplies f_acc by one minus the discarded weight
+and renormalizes the state, so f_acc estimates the squared overlap with the
+exact state under the usual assumption that truncation losses compound
+multiplicatively.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuits import ZZ_ANGLE, Circuit, _seed_int
+from .circuits import ZZ_PHASES, ZZ_TERMS, Circuit, _seed_int, layer_matrices
 from .errors import CapacityError, FitError
 from .graphs import partition_nodes
 from .statevector import DEFAULT_CAP, StateVector
@@ -269,25 +270,21 @@ def _apply_1q(state: MpsState, u: np.ndarray, q: int):
     state.counters.gates_1q += 1
 
 
-def _z_signs(state: MpsState, q: int) -> tuple[int, np.ndarray]:
-    """Chain position of qubit q and the Z eigenvalue of q per block index."""
+def _qubit_bits(state: MpsState, q: int) -> tuple[int, np.ndarray]:
+    """Chain position of qubit q and the bit of q per block index."""
     pos, t = state.locate(q)
     s = len(state.blocks[pos])
-    bits = (np.arange(2 ** s) >> (s - 1 - t)) & 1
-    return pos, 1.0 - 2.0 * bits
-
-
-_ZZ_COS, _ZZ_SIN = math.cos(0.5 * ZZ_ANGLE), math.sin(0.5 * ZZ_ANGLE)
+    return pos, (np.arange(2 ** s) >> (s - 1 - t)) & 1
 
 
 def _apply_zz(state: MpsState, qa: int, qb: int):
     """UZZ(ZZ_ANGLE) on qa and qb, with the reduced two-site update across blocks."""
     state.counters.gates_2q += 1
-    pa, za = _z_signs(state, qa)
-    pb, zb = _z_signs(state, qb)
+    pa, ba = _qubit_bits(state, qa)
+    pb, bb = _qubit_bits(state, qb)
     if pa == pb:
         arr = state.tensors[pa]
-        state.tensors[pa] = np.exp(-0.5j * ZZ_ANGLE * za * zb)[:, None] * arr
+        state.tensors[pa] = ZZ_PHASES[ba, bb][:, None] * arr
         state.flops += 8.0 * arr.size
         return
     lo, hi = min(pa, pb), max(pa, pb)
@@ -295,12 +292,14 @@ def _apply_zz(state: MpsState, qa: int, qb: int):
         _swap_blocks(state, p)
     _center_into(state, lo)
     _check_pair_cap(state, lo)
-    zl, zr = (za, zb) if pa == lo else (zb, za)
+    bl, br = (ba, bb) if pa == lo else (bb, ba)
+    zl, zr = 1.0 - 2.0 * bl, 1.0 - 2.0 * br  # Z eigenvalues per block index
     left, right = state.tensors[lo], state.tensors[lo + 1]
     l, pl, k = left.shape
     _, pr, r = right.shape
-    # the terms cos I x I and -i sin Z x Z, indexed (term, k) on the bond
-    left2 = np.stack([_ZZ_COS * left, (-1j * _ZZ_SIN) * (zl[:, None] * left)], axis=2)
+    # the terms w_i I x I and w_z Z x Z of ZZ_TERMS, indexed (term, k) on the bond
+    (w_i, _), (w_z, _) = ZZ_TERMS
+    left2 = np.stack([w_i * left, w_z * (zl[:, None] * left)], axis=2)
     right2 = np.concatenate([right, zr[:, None] * right])
     state.flops += 8.0 * (left.size + right.size)
     q_left, r_left = _qr(state, left2.reshape(l * pl, 2 * k))
@@ -317,11 +316,15 @@ def _apply_zz(state: MpsState, qa: int, qb: int):
 
 
 def _apply_layers(state: MpsState, layers):
+    """Apply the layers in order; a 1q layer as one matrix per gated qubit, in
+    first-gate order, so two gates on one qubit are applied as their product."""
     for lay in layers:
-        for g in lay.gates:
-            if lay.kind == "1q":
-                _apply_1q(state, g.matrix(), g.q)
-            else:
+        if lay.kind == "1q":
+            mats = layer_matrices(lay, state.n)
+            for q in dict.fromkeys(g.q for g in lay.gates):
+                _apply_1q(state, mats[q], q)
+        else:
+            for g in lay.gates:
                 _apply_zz(state, g.q0, g.q1)
 
 

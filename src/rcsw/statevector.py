@@ -6,13 +6,14 @@ and a measured outcome is that index.
 
 Noisy and noiseless runs share one layer loop over a compiled circuit.  A
 1q layer is applied as Kronecker blocks of up to _BLOCK qubits, each one
-matmul; its gate matrices are built once per circuit.  A 2q layer applies
-each ZZ gate as one in-place multiply of a reshaped view by a phase table:
-the 2x2 table, or for a gate on the last _TAIL qubits a cached read-only
-table spanning them (at most 2 * 2^_TAIL phases), so the innermost loop is
-long either way.  Memory dephasing is one precomputed phase vector.  Within
-a layer, Pauli errors come after the gates (after all ZZ phases of a 2q
-layer, with which they commute) and before the dephasing.
+matmul, of the per-qubit matrices circuits.layer_matrices builds once per
+circuit.  A 2q layer applies each ZZ gate as one in-place multiply of a
+reshaped view by a phase table read from circuits.ZZ_PHASES: the 2x2 table,
+or for a gate on the last _TAIL qubits a cached read-only table spanning
+them (at most 2 * 2^_TAIL phases), so the innermost loop is long either way.
+Memory dephasing is one precomputed phase vector.  Within a layer, Pauli
+errors come after the gates (after all ZZ phases of a 2q layer, with which
+they commute) and before the dephasing.
 
 run_trajectories draws every trajectory's errors first, from that
 trajectory's own generator and in circuit order, then samples its shots
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import PAULIS, ZZ_ANGLE, Circuit, Layer, layer_matrices
+from .circuits import PAULIS, ZZ_PHASES, Circuit, Layer, layer_matrices
 from .errors import CapacityError
 
 DEFAULT_CAP = 26  # qubits; 2^26 complex128 amplitudes is 1 GiB
@@ -128,9 +129,6 @@ class _OneQubitLayer:
         return psi
 
 
-_EQ, _NE = np.exp(-0.5j * ZZ_ANGLE), np.exp(0.5j * ZZ_ANGLE)
-_ZZ_PHASES = np.array([[_EQ, _NE], [_NE, _EQ]])  # UZZ's diagonal, indexed (bit0, bit1)
-_ZZ_PHASES.flags.writeable = False
 # Trailing qubits a ZZ phase table spans when a gate touches them, so that the
 # innermost loop of its multiply is 2^_TAIL long instead of 1-2.  Per ZZ layer
 # of an rg circuit (one thread, median of 11), 4, 6 and 8 took 0.059, 0.053
@@ -149,9 +147,9 @@ def _tail_phases(width: int, a: int, b: int) -> np.ndarray:
     x = np.arange(2 ** width)
     bit_b = (x >> (width - 1 - b)) & 1
     if a < 0:
-        table = _ZZ_PHASES[:, bit_b][:, None, :]
+        table = ZZ_PHASES[:, bit_b][:, None, :]
     else:
-        table = _ZZ_PHASES[(x >> (width - 1 - a)) & 1, bit_b]
+        table = ZZ_PHASES[(x >> (width - 1 - a)) & 1, bit_b]
     table.flags.writeable = False
     return table
 
@@ -165,7 +163,7 @@ def _zz_view(n: int, a: int, b: int) -> tuple[tuple[int, ...], np.ndarray]:
     """
     t0 = max(0, n - _TAIL)
     if b < t0:
-        return (2 ** a, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1)), _ZZ_PHASES[:, None, :, None]
+        return (2 ** a, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1)), ZZ_PHASES[:, None, :, None]
     if a < t0:
         return (2 ** a, 2, 2 ** (t0 - a - 1), 2 ** (n - t0)), _tail_phases(n - t0, -1, b - t0)
     return (2 ** t0, 2 ** (n - t0)), _tail_phases(n - t0, a - t0, b - t0)

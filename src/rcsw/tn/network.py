@@ -4,21 +4,21 @@ A layered circuit with fixed input and output bitstrings becomes a closed
 network: each two-qubit gate is Schmidt-split across the two wires into a
 pair of wire-local tensors, which split_rank=4 contracts back into one
 rank-4 tensor, and all single-qubit gates and boundary states are absorbed
-into the neighboring gate tensors.  The entangler UZZ(ZZ_ANGLE) =
-cos(ZZ_ANGLE/2) I x I - i sin(ZZ_ANGLE/2) Z x Z has two nonzero
-operator-Schmidt values, so every bond, like every wire index, has
-dimension 2.
+into the neighboring gate tensors.  The numbers come from rcsw.circuits:
+one layer_matrices matrix per gated qubit of a 1q layer, and the
+entangler's operator-Schmidt form ZZ_TERMS, cos(ZZ_ANGLE/2) I x I -
+i sin(ZZ_ANGLE/2) Z x Z, whose two terms make every bond, like every wire
+index, of dimension 2.
 """
 from __future__ import annotations
 
 import collections
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..circuits import PAULIS, ZZ_ANGLE, Circuit
+from ..circuits import PAULIS, ZZ_TERMS, Circuit, layer_matrices
 
 
 @dataclass
@@ -81,13 +81,10 @@ def _schmidt_split() -> tuple[np.ndarray, np.ndarray]:
     """Split the entangler across its two wires.
 
     Returns (A[out_a, in_a, k], B[k, out_b, in_b]) with k the bond index of
-    dimension 2, from the operator-Schmidt form UZZ(ZZ_ANGLE) =
-    cos(ZZ_ANGLE/2) I x I - i sin(ZZ_ANGLE/2) Z x Z.
+    dimension 2, one per term w P x P of the operator-Schmidt form ZZ_TERMS.
     """
-    terms = ((math.cos(0.5 * ZZ_ANGLE), PAULIS["I"]),
-             (-1j * math.sin(0.5 * ZZ_ANGLE), PAULIS["Z"]))
-    a = np.stack([w * p for w, p in terms], axis=2)
-    b = np.stack([p for _, p in terms])
+    a = np.stack([w * PAULIS[p] for w, p in ZZ_TERMS], axis=2)
+    b = np.stack([PAULIS[p] for _, p in ZZ_TERMS])
     return a, b
 
 
@@ -97,10 +94,11 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
 
     split_rank=2 keeps the two wire-local halves of every two-qubit gate;
     split_rank=4 contracts them over their bond into one rank-4 tensor.
-    Either way the single-qubit layers and both boundary states are
-    absorbed, so the network has exactly one (split: two) tensor per
-    two-qubit gate, fewer where a tensor reduces to a scalar.  The network
-    records the circuit's depth, which light_cone_order reads.
+    Either way the single-qubit layers (two gates on one qubit as their
+    product) and both boundary states are absorbed, so the network has
+    exactly one (split: two) tensor per two-qubit gate, fewer where a
+    tensor reduces to a scalar.  The network records the circuit's depth,
+    which light_cone_order reads.
     """
     if split_rank not in (2, 4):
         raise ValueError("split_rank must be 2 or 4")
@@ -123,8 +121,9 @@ def circuit_to_tn(c: Circuit, bitstring_out: str | None = None,
     pos_2q = 0
     for lay in c.layers:
         if lay.kind == "1q":
-            for g in lay.gates:
-                pend[g.q] = g.matrix() @ pend[g.q]
+            mats = layer_matrices(lay, c.n)
+            for q in dict.fromkeys(g.q for g in lay.gates):
+                pend[q] = mats[q] @ pend[q]
             continue
         for g in lay.gates:
             qa, qb = g.q0, g.q1

@@ -15,6 +15,28 @@ from rcsw.statevector import NoiseModel, StateVector, TrajectoryResult, sample
 from rcsw.tn.tree import TreeStats, mask_indices, walk_merges
 
 
+def rz(psi: float) -> np.ndarray:
+    """Rz(psi) = diag(exp(-i psi/2), exp(i psi/2))."""
+    return np.array([[cmath.exp(-0.5j * psi), 0], [0, cmath.exp(0.5j * psi)]])
+
+
+def u1q(theta: float, phi: float) -> np.ndarray:
+    """U1q(theta, phi) = exp(-i(theta/2)(X cos phi + Y sin phi))."""
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, -1j * cmath.exp(-1j * phi) * s],
+                     [-1j * cmath.exp(1j * phi) * s, c]])
+
+
+def su2(psi: float, theta: float, phi: float) -> np.ndarray:
+    """One stored 1q gate, Rz(psi) U1q(theta, phi), built on its own: the
+    per-gate reference for ``circuits.layer_matrices``."""
+    return rz(psi) @ u1q(theta, phi)
+
+
+def gate_matrix(g: OneQubitGate) -> np.ndarray:
+    return su2(g.psi, g.theta, g.phi)
+
+
 def uzz_matrix(theta: float) -> np.ndarray:
     """UZZ(theta) = exp(-i(theta/2) Z x Z) as a dense 4x4 matrix, the
     reference for every place the library applies the entangler."""
@@ -31,7 +53,7 @@ def dense_unitary(c: Circuit) -> np.ndarray:
         if lay.kind == "1q":
             for g in lay.gates:
                 ops = [np.eye(2, dtype=complex)] * c.n
-                ops[g.q] = g.matrix()
+                ops[g.q] = gate_matrix(g)
                 m = ops[0]
                 for op in ops[1:]:
                     m = np.kron(m, op)
@@ -93,7 +115,7 @@ def apply_circuit_reference(state: np.ndarray, c: Circuit) -> np.ndarray:
     for lay in c.layers:
         if lay.kind == "1q":
             for g in lay.gates:
-                apply_1q(state, g.matrix(), g.q)
+                apply_1q(state, gate_matrix(g), g.q)
         else:
             for g in lay.gates:
                 apply_uzz(state, ZZ_ANGLE, g.q0, g.q1)
@@ -113,7 +135,7 @@ def noisy_trajectory_reference(c: Circuit, nm: NoiseModel,
     for lay in c.layers:
         if lay.kind == "1q":
             for g in lay.gates:
-                apply_1q(state, g.matrix(), g.q)
+                apply_1q(state, gate_matrix(g), g.q)
         else:
             for g in lay.gates:
                 apply_uzz(state, ZZ_ANGLE, g.q0, g.q1)
@@ -382,7 +404,7 @@ def _apply_layers_full_merge(state: mps.MpsState, layers):
     for lay in layers:
         for g in lay.gates:
             if lay.kind == "1q":
-                mps._apply_1q(state, g.matrix(), g.q)
+                mps._apply_1q(state, gate_matrix(g), g.q)
             else:
                 apply_zz_full_merge_reference(state, ZZ_ANGLE, g.q0, g.q1)
 

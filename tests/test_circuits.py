@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rcsw import circuits, graphs
+from rcsw import circuits, graphs, mps, statevector
 from rcsw.circuits import (
     ZZ_ANGLE, Circuit, Layer, OneQubitGate, TwoQubitGate,
     build_2d_circuit, build_brickwork_circuit, build_instance, build_mirror,
-    build_rg_circuit, export_qasm, haar_su2, layer_matrices, rz_matrix, serialize,
-    su2_decompose, su2_matrix, u1q_matrix,
+    build_rg_circuit, export_qasm, haar_su2, layer_matrices, serialize, su2_decompose,
 )
+from rcsw.tn import circuit_to_tn, execute_tree, optimize_order
 from helpers import (
-    circuit_from_qasm, dense_unitary, deserialize, pauli_pair_conjugate_reference,
-    phase_aligned, uzz_matrix,
+    apply_circuit_reference, circuit_from_qasm, dense_unitary, deserialize, gate_matrix,
+    initial_state_reference, pauli_pair_conjugate_reference, phase_aligned, rz, su2, u1q,
+    uzz_matrix,
 )
 
 
@@ -27,14 +28,13 @@ class TestSu2:
             u = (q[0] * np.eye(2) - 1j * (q[1] * circuits.PAULIS["X"]
                  + q[2] * circuits.PAULIS["Y"] + q[3] * circuits.PAULIS["Z"]))
             psi, theta, phi = su2_decompose(u)
-            v = su2_matrix(psi, theta, phi)
+            v = su2(psi, theta, phi)
             assert np.allclose(phase_aligned(u, v), u, atol=1e-12)
 
     def test_decompose_edge_cases(self):
-        for u in (np.eye(2, dtype=complex), rz_matrix(1.3), u1q_matrix(math.pi, 0.7),
-                  1j * np.eye(2)):
+        for u in (np.eye(2, dtype=complex), rz(1.3), u1q(math.pi, 0.7), 1j * np.eye(2)):
             psi, theta, phi = su2_decompose(u)
-            v = su2_matrix(psi, theta, phi)
+            v = su2(psi, theta, phi)
             assert np.allclose(phase_aligned(u, v), u, atol=1e-12)
 
     def test_haar_first_moment(self):
@@ -43,7 +43,7 @@ class TestSu2:
         vals = []
         for _ in range(4000):
             psi, theta, phi = haar_su2(rng)
-            vals.append(abs(np.trace(su2_matrix(psi, theta, phi))) ** 2)
+            vals.append(abs(np.trace(su2(psi, theta, phi))) ** 2)
         assert abs(np.mean(vals) - 1.0) < 0.06
 
     def test_uzz_schmidt_rank_two(self):
@@ -61,6 +61,13 @@ class TestSu2:
         ratio = lhs[0, 0] / rhs[0, 0]
         assert abs(abs(ratio) - 1.0) < 1e-12
         assert np.allclose(lhs, ratio * rhs, atol=1e-12)
+
+    def test_zz_phases_and_terms_rebuild_uzz(self):
+        g = uzz_matrix(ZZ_ANGLE)
+        assert np.max(np.abs(circuits.ZZ_PHASES.reshape(-1) - np.diag(g))) < 1e-15
+        rebuilt = sum(w * np.kron(circuits.PAULIS[p], circuits.PAULIS[p])
+                      for w, p in circuits.ZZ_TERMS)
+        assert np.max(np.abs(rebuilt - g)) < 1e-15
 
 
 class TestBuilders:
@@ -125,6 +132,23 @@ def _two_gates_on_qubit_0() -> Circuit:
     return Circuit(n=c.n, layers=(first,) + c.layers[1:], ensemble="rg", seed=1)
 
 
+def test_two_gates_on_one_qubit_same_state_in_every_simulator():
+    # no builder makes such a layer; each simulator applies the qubit's
+    # product once, and all agree with the gate-by-gate reference
+    c = _two_gates_on_qubit_0()
+    want = apply_circuit_reference(initial_state_reference(c), c)
+    chain, _ = mps.evolve(c, 2 ** c.n, 2)
+    assert chain.counters.gates_1q == sum(len({g.q for g in lay.gates})
+                                          for lay in c.layers[0::2])
+    amps = []
+    for x in range(2 ** c.n):
+        net = circuit_to_tn(c, bitstring_out=format(x, f"0{c.n}b"))
+        amps.append(execute_tree(net, optimize_order(net, budget=1, seed=0)))
+    for got in (statevector.run(c).amplitudes, chain.to_statevector().amplitudes,
+                np.array(amps)):
+        assert np.max(np.abs(got - want)) < 1e-10
+
+
 class TestMirrorAlgebra:
     """The closed-form frame correction against the 16-candidate scan."""
 
@@ -167,11 +191,11 @@ class TestMirrorAlgebra:
     def test_layer_matrices_compose_in_gate_order(self):
         a, b = OneQubitGate(1, 0.3, 0.5, 0.7), OneQubitGate(1, 1.1, 0.4, -0.2)
         mats = layer_matrices(Layer("1q", (a, b)), 3)
-        assert np.array_equal(mats[1], b.matrix() @ a.matrix())
+        assert np.array_equal(mats[1], gate_matrix(b) @ gate_matrix(a))
         assert np.array_equal(mats[0], np.eye(2)) and np.array_equal(mats[2], np.eye(2))
 
     def test_layer_matrices_equal_su2_matrix_bitwise(self):
-        # one stacked build per layer, the same bits as one su2_matrix per gate
+        # one stacked build per layer, the same bits as the per-gate oracle
         rng = np.random.default_rng(12)
         angles = [(0.0, 0.0, 0.0), (math.pi, math.pi, -math.pi), (-0.0, 2.0, -0.0)]
         angles += [tuple(map(float, rng.uniform(-4 * math.pi, 4 * math.pi, 3)))
@@ -187,7 +211,7 @@ class TestMirrorAlgebra:
         for lay in layers:
             mats = layer_matrices(lay, 12)
             for g in lay.gates:
-                want = su2_matrix(g.psi, g.theta, g.phi)
+                want = su2(g.psi, g.theta, g.phi)
                 assert mats[g.q].tobytes() == want.tobytes()
                 checked += 1
         assert checked == len(angles) + 12 * 11 + 12 * 21 + sum(
@@ -219,7 +243,7 @@ class TestSerialization:
         rng = np.random.default_rng(3)
         for _ in range(50):
             theta, phi = rng.uniform(-math.pi, math.pi, size=2)
-            a = u1q_matrix(theta, phi)
+            a = u1q(theta, phi)
             b = u3(theta, phi - math.pi / 2, math.pi / 2 - phi)
             k = np.argmax(np.abs(a))
             assert np.allclose(a, b * (a.flat[k] / b.flat[k]), atol=1e-12)
@@ -228,7 +252,7 @@ class TestSerialization:
         cx = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
                       dtype=complex)
         theta = 0.77
-        rz1 = np.kron(np.eye(2), rz_matrix(theta))
+        rz1 = np.kron(np.eye(2), rz(theta))
         assert np.allclose(cx @ rz1 @ cx, uzz_matrix(theta), atol=1e-12)
 
     def test_qasm_round_trip_amplitudes(self):

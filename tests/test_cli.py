@@ -344,13 +344,22 @@ class TestConfig:
     ["cost", "--instances", "0"],
     ["cost", "--budget", "0"],
     ["fidelity", "--shots", "0"],
+    ["generate", "--seed", "-1"],
+    ["cost", "--seed", "-1"],
+    ["fidelity", "--seed", "-1"],
+    ["mps", "--seed", "-1"],
+    ["coverage", "--seed", "-1"],
+    ["coverage", "--mu", "nan"],
+    ["coverage", "--mu", "inf"],
 ], ids=["zero-trajectories", "fidelity-resamples", "negative-xeb-cap",
         "coverage-resamples", "odd-n-odd-degree", "odd-n", "degree-not-below-n",
         "too-many-blocks", "zero-width-budget", "negative-width-budget",
         "zero-circuits", "negative-gates", "negative-mu", "base-eps-above-one",
         "zero-n-jobs", "zero-n-per", "negative-max-k", "mps-zero-instances",
         "generate-zero-instances", "cost-zero-instances", "cost-zero-budget",
-        "fidelity-zero-shots"])
+        "fidelity-zero-shots", "generate-negative-seed", "cost-negative-seed",
+        "fidelity-negative-seed", "mps-negative-seed", "coverage-negative-seed",
+        "nan-mu", "infinite-mu"])
 def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(argv + ["--out", str(out)]) == 2
@@ -364,6 +373,14 @@ def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     assert re.search(rf"\b{named}\b", message)
     for other in {"instances", "budget", "shots"} - {named}:
         assert not re.search(rf"\b{other}\b", message)
+
+
+def test_bootstrap_has_no_seed_flag(capsys):
+    # its tables are closed form, so a seed would be read by nothing
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bootstrap", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_method_flag_removed():

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import evolve_full_merge_reference, rg_circuit
 from rcsw import mps, statevector
-from rcsw.circuits import Circuit, Layer, OneQubitGate, build_instance
+from rcsw.circuits import ZZ_ANGLE, Circuit, Layer, OneQubitGate, build_instance
 from rcsw.errors import CapacityError, FitError
 from rcsw.mps import MPS_CSV_HEADER, blocking_label, epsilon_vs_chi, evolve
 
@@ -40,6 +42,21 @@ def test_product_layer_chi_one():
     state, report = evolve(c, 1, 2)
     assert max_state_error(state, sv) < 1e-12
     assert report.eps_mps == 0.0
+
+
+def test_in_block_phase_equals_exp_bitwise():
+    # the phase read from ZZ_PHASES has the bits of exp(-i(ZZ_ANGLE/2) z_a z_b)
+    # for every ordered pair of a block's qubits, hence every bit pair
+    block = [2, 0, 1]
+    rng = np.random.default_rng(3)
+    arr = rng.normal(size=(1, 8, 2)) + 1j * rng.normal(size=(1, 8, 2))
+    z = 1.0 - 2.0 * ((np.arange(8)[:, None] >> np.arange(2, -1, -1)) & 1)
+    for qa, qb in itertools.permutations(block, 2):
+        state = mps.MpsState(n=3, blocks=[block], tensors=[arr], chi=2)
+        mps._apply_zz(state, qa, qb)
+        za, zb = z[:, block.index(qa)], z[:, block.index(qb)]
+        want = np.exp(-0.5j * ZZ_ANGLE * za * zb)[:, None] * arr
+        assert state.tensors[0].tobytes() == want.tobytes()
 
 
 def test_blocks_restored_after_routing():

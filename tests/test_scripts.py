@@ -62,13 +62,21 @@ def test_script_runs(argv, first_line):
      "--experiments, --circuits and --shots must be at least 1"),
     (["coverage_sweep.py", "--base-eps", "2"], "base_eps must lie in [0, 1]"),
     (["coverage_sweep.py", "--gates", "-1"], "n_gates must be nonnegative"),
+    (["coverage_sweep.py", "--mus", "0.1", "nan"], "mu must be finite and nonnegative"),
+    (["coverage_sweep.py", "--mus", "inf"], "mu must be finite and nonnegative"),
+    (["cost_scan.py", "--seed", "-1"], "--seed must be nonnegative"),
+    (["estimator_agreement.py", "--seed", "-1"], "--seed must be nonnegative"),
+    (["chi_extrapolation.py", "--seed", "-1"], "--seed must be nonnegative"),
+    (["coverage_sweep.py", "--seed", "-1"], "--seed must be nonnegative"),
 ], ids=["cost_scan", "cost_scan-size-not-above-depth", "cost_scan-odd-size",
         "cost_scan-depth", "cost_scan-eps", "cost_scan-time-budget",
         "estimator_agreement", "estimator_agreement-depth",
         "estimator_agreement-eps2q", "estimator_agreement-eps-mem",
         "estimator_agreement-trajectories", "estimator_agreement-shots",
         "chi_extrapolation", "chi_extrapolation-odd-n", "coverage_sweep",
-        "coverage_sweep-shots", "coverage_sweep-base-eps", "coverage_sweep-gates"])
+        "coverage_sweep-shots", "coverage_sweep-base-eps", "coverage_sweep-gates",
+        "coverage_sweep-nan-mu", "coverage_sweep-infinite-mu", "cost_scan-seed",
+        "estimator_agreement-seed", "chi_extrapolation-seed", "coverage_sweep-seed"])
 def test_script_rejects_bad_flag(argv, message):
     out = _run_script(argv)
     assert out.returncode == 2
