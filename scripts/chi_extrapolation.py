@@ -34,6 +34,8 @@ def main():
         ap.error("--chis needs at least two distinct positive bond dimensions")
     if not 1 <= args.blocks <= args.n:
         ap.error("--blocks must lie in [1, n]")
+    if not 0 < args.target_eps < 1:
+        ap.error("--target-eps must lie in (0, 1)")
 
     cs = [build_instance("rg", args.n, args.depth, args.seed + i)
           for i in range(args.instances)]

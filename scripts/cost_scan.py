@@ -5,6 +5,7 @@ feasibility frontier: the largest effective qubit count reachable under
 a FLOP budget for each ensemble, using the fitted density model.
 """
 import argparse
+import math
 
 import numpy as np
 
@@ -33,8 +34,10 @@ def main():
         ap.error("--depth must be at least 1")
     if any(n % 2 or n <= args.depth for n in args.sizes):
         ap.error("--sizes must be even and above --depth")
-    if not args.eps > 0:
-        ap.error("--eps must be positive")
+    if not 0 < args.eps < math.inf:
+        ap.error("--eps must be positive and finite")
+    if not math.isfinite(args.time_budget):
+        ap.error("--time-budget must be finite")
     # the frontier is cheap: compute it first so a bad --time-budget
     # fails before the scan
     try:

@@ -115,6 +115,8 @@ def verifiable_depth(eps: float, tau_q: float, t_q: float, n: int) -> float:
     Sampling time grows like tau_q * exp(eps n d), so the usable depth is
     ln(t_q / tau_q) / (eps n).  Real valued; callers floor it.
     """
+    if not all(map(math.isfinite, (eps, tau_q, t_q))):
+        raise DomainError("eps, tau_q, and t_q must be finite")
     if eps <= 0 or tau_q <= 0 or n <= 0:
         raise DomainError("eps, tau_q, and n must be positive")
     if t_q < tau_q:

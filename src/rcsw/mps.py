@@ -369,8 +369,10 @@ class ChiScan:
         """Bond dimension reaching eps_target, linear in log2(chi).
 
         Fits a line through the medians at the two largest bond dimensions
-        and solves for the target error rate.
+        and solves for the target error rate, which must lie in (0, 1).
         """
+        if not 0 < eps_target < 1:
+            raise ValueError(f"target error rate {eps_target!r} must lie in (0, 1)")
         by_chi = sorted({r.chi: r for r in self.rows}.values(), key=lambda r: r.chi)
         if len(by_chi) < 2:
             raise FitError("need two distinct bond dimensions to extrapolate")

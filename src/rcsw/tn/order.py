@@ -9,6 +9,15 @@ over whole gates.  The greedy walks neighbours in ascending id order, so
 each tie-break draw goes to the same pair on every run.  Budgets are
 spent as independently seeded trials, so a larger budget only ever
 improves the returned tree.
+
+The search is branch and bound over whole trials (the cut of
+opt_einsum's ``branch`` optimizer, Smith & Gray, JOSS 3, 753 (2018)):
+the sweeps are priced first, and each greedy trial is abandoned once its
+running FLOPs reach the fewest of any candidate finished before it.
+Merge terms are positive and each trial draws from its own generator, so
+an abandoned trial could not have won and the others draw as they would
+without the bound; the returned tree is the one a search that finishes
+every trial returns.
 """
 from __future__ import annotations
 
@@ -51,9 +60,15 @@ def _wire_major_order(tn: TensorNetwork) -> list[int]:
     return sorted(range(tn.n_tensors), key=key)
 
 
-def _greedy_merges(legs: list[int], live: int, rng,
-                   noise: float) -> list[tuple[int, int]]:
+def _greedy_merges(legs: list[int], live: int, rng, noise: float,
+                   bound: int | None) -> list[tuple[int, int]] | None:
     """Merge the neighbour pair sharing the most live legs, repeatedly.
+
+    Each merge adds its FLOPs, ``8 << ((la | lb) & live).bit_count()`` as
+    in ``walk_merges``, to a running total.  With a ``bound`` given, the
+    trial is abandoned and None returned as soon as that total reaches it;
+    every term is positive, so a finished tree would cost at least that
+    much.
 
     The score is -2 times the number of live legs a and b share, optionally
     plus Gaussian noise: it ignores how large a and b are.  It is not the
@@ -98,6 +113,7 @@ def _greedy_merges(legs: list[int], live: int, rng,
 
     merges = []
     nxt = n_leaves
+    flops = 0
     while len(node) > 1:
         pick = None
         while heap:
@@ -108,10 +124,14 @@ def _greedy_merges(legs: list[int], live: int, rng,
         if pick is None:
             # disconnected parts: outer-product the survivors in id order
             a, b = sorted(node)[:2]
+        la, lb = node.pop(a), node.pop(b)
+        flops += 8 << ((la | lb) & live).bit_count()
+        if bound is not None and flops >= bound:
+            return None
         w = nxt
         nxt += 1
         merges.append((a, b))
-        node[w] = node.pop(a) ^ node.pop(b)
+        node[w] = la ^ lb
         # neighbour sets are symmetric and hold only live nodes
         nbrs[w] = nw = nbrs.pop(a, set()) | nbrs.pop(b, set())
         nw -= {a, b}
@@ -135,6 +155,17 @@ def _gate_groups(tn: TensorNetwork) -> dict[tuple, list[int]]:
     return dict(sorted(groups.items()))
 
 
+def _chain_flops(groups, legs: list[int], live: int) -> int:
+    """FLOPs of merging each group's tensors left to right, as ``_MergeList.chain``."""
+    flops = 0
+    for g in groups:
+        acc = legs[g[0]]
+        for t in g[1:]:
+            flops += 8 << ((acc | legs[t]) & live).bit_count()
+            acc ^= legs[t]
+    return flops
+
+
 def _expand_groups(qmerges, groups, n_leaves) -> list[tuple[int, int]]:
     """Lift a merge list over gate groups back to the full leaf set."""
     out = _MergeList(n_leaves)
@@ -155,6 +186,13 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
     pre-merged), so splitting gates cannot hurt beyond the pre-merge cost
     itself.  With sliced indices given, the search fixes each to one
     value and the returned stats describe one slice task.
+
+    The first candidate with the fewest FLOPs is returned, so a later one
+    wins only when strictly cheaper.  Each greedy trial is therefore
+    bounded by the fewest FLOPs among the candidates finished before it
+    (less the fixed cost of pre-merging the halves, for a trial over whole
+    gates) and abandoned on reaching it; the tree, slice set and stats
+    are those that finishing every trial would return.
     """
     t_count = tn.n_tensors
     legs = leg_sets(tn.indices)
@@ -170,21 +208,29 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
     time_sweep.chain([time_sweep.chain(g) for g in groups])
     wire_major = _MergeList(t_count)
     wire_major.chain(_wire_major_order(tn))
-    candidates = [time_sweep.merges, wire_major.merges]
+    premerge = _chain_flops(groups, legs, live) if split else 0
+    merges = time_sweep.merges
+    stats = walk_merges(merges, legs, cut)
+
+    def offer(found):
+        nonlocal merges, stats
+        if found is not None:
+            walk = walk_merges(found, legs, cut)
+            if walk.flops < stats.flops:
+                merges, stats = found, walk
+
+    offer(wire_major.merges)
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     for t, child in enumerate(ss.spawn(max(budget, 0))):
         rng = np.random.default_rng(child)
         noise = 0.0 if t == 0 else float(rng.choice([0.2, 0.5, 1.0]))
-        candidates.append(_greedy_merges(legs, live, rng, noise))
+        offer(_greedy_merges(legs, live, rng, noise, stats.flops))
         if split:
             qrng = np.random.default_rng(child)
-            qmerges = _greedy_merges(qlegs, live, qrng, noise)
-            candidates.append(_expand_groups(qmerges, groups, t_count))
-
-    # the first candidate with the fewest FLOPs, priced once
-    stats, merges = min(((walk_merges(m, legs, cut), m) for m in candidates),
-                        key=lambda pair: pair[0].flops)
+            qmerges = _greedy_merges(qlegs, live, qrng, noise, stats.flops - premerge)
+            if qmerges is not None:
+                offer(_expand_groups(qmerges, groups, t_count))
     return ContractionTree(merges, tuple(sliced), stats)
 
 

@@ -1,8 +1,10 @@
 """Shared oracles and factories for the test suite."""
 import cmath
+import functools
 import heapq
 import json
 import math
+import operator
 import re
 
 import numpy as np
@@ -12,7 +14,16 @@ from rcsw.circuits import (
     PAULIS, ZZ_ANGLE, Circuit, Layer, OneQubitGate, TwoQubitGate, build_rg_circuit,
 )
 from rcsw.statevector import NoiseModel, StateVector, TrajectoryResult, sample
-from rcsw.tn.tree import TreeStats, mask_indices, walk_merges
+from rcsw.tn import order
+from rcsw.tn.tree import (
+    ContractionTree,
+    TreeStats,
+    index_mask,
+    leg_sets,
+    mask_indices,
+    price,
+    walk_merges,
+)
 
 
 def rz(psi: float) -> np.ndarray:
@@ -360,6 +371,41 @@ def greedy_merges_reference(legs: list[int], live: int, rng,
             nbrs[w].add(x)
             heapq.heappush(heap, (score(w, x), rng.random(), w, x))
     return merges
+
+
+def optimize_order_reference(tn, budget: int = 8, seed=0, sliced=()) -> ContractionTree:
+    """``rcsw.tn.order.optimize_order`` with every greedy trial run to the end.
+
+    Every candidate is priced in one list and the first with the fewest
+    FLOPs is returned, so no trial is cut off by a bound.
+    """
+    t_count = tn.n_tensors
+    legs = leg_sets(tn.indices)
+    if t_count == 0:
+        return price([], legs, sliced)
+    cut = index_mask(sliced)
+    live = ~cut
+    groups = list(order._gate_groups(tn).values())
+    split = len(groups) < t_count
+    qlegs = [functools.reduce(operator.xor, (legs[t] for t in g)) for g in groups]
+    time_sweep = order._MergeList(t_count)
+    time_sweep.chain([time_sweep.chain(g) for g in groups])
+    wire_major = order._MergeList(t_count)
+    wire_major.chain(order._wire_major_order(tn))
+    candidates = [time_sweep.merges, wire_major.merges]
+    ss = seed if isinstance(seed, np.random.SeedSequence) \
+        else np.random.SeedSequence(seed)
+    for t, child in enumerate(ss.spawn(max(budget, 0))):
+        rng = np.random.default_rng(child)
+        noise = 0.0 if t == 0 else float(rng.choice([0.2, 0.5, 1.0]))
+        candidates.append(order._greedy_merges(legs, live, rng, noise, None))
+        if split:
+            qrng = np.random.default_rng(child)
+            qmerges = order._greedy_merges(qlegs, live, qrng, noise, None)
+            candidates.append(order._expand_groups(qmerges, groups, t_count))
+    stats, merges = min(((walk_merges(m, legs, cut), m) for m in candidates),
+                        key=lambda pair: pair[0].flops)
+    return ContractionTree(merges, tuple(sliced), stats)
 
 
 def apply_zz_full_merge_reference(state: mps.MpsState, theta: float, qa: int, qb: int):

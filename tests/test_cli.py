@@ -108,6 +108,20 @@ class TestCost:
                 "49e9fbedd86a74f17832b5f313afbd410a0a0f0e2ef84e772dc548928cc14485",
         }
 
+    def test_deep_run_matches_recorded_csv(self, tmp_path):
+        # sha256 of both CSVs as first recorded; at depth 10 most greedy
+        # trials pass the best FLOPs so far and are abandoned
+        run_cli(["cost", "--n", "12", "--d", "10", "--instances", "2", "--budget", "2",
+                 "--seed", "0", "--out", str(tmp_path)])
+        digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in tmp_path.iterdir()}
+        assert digests == {
+            "cost_rows.csv":
+                "50a931e1d86d30eab6ad2b725f967961a57b54ce31ec41ba03f90479da12e0be",
+            "cost_summary.csv":
+                "fd909b276b60f45cf8f9a806f1f6c965085ded73346540304a173550be28fcc2",
+        }
+
     def test_width_budget_sliced_column(self, tmp_path):
         out = tmp_path / "cost_w"
         run_cli(["cost", "--n", "8", "--d", "4", "--instances", "1",

@@ -252,6 +252,14 @@ def test_verifiable_depth_doubling_budget():
     assert doubled - base == pytest.approx(math.log(2) / (2e-3 * 20), rel=1e-9)
 
 
+@pytest.mark.parametrize("eps,tau_q,t_q", [
+    (math.inf, 1.0, 100.0), (math.nan, 1.0, 100.0), (1e-3, math.nan, 100.0),
+    (1e-3, 1.0, math.nan), (1e-3, 1.0, math.inf)])
+def test_verifiable_depth_rejects_non_finite(eps, tau_q, t_q):
+    with pytest.raises(DomainError, match="must be finite"):
+        verifiable_depth(eps, tau_q, t_q, 10)
+
+
 def test_verifiable_depth_domain_errors():
     with pytest.raises(DomainError):
         verifiable_depth(1e-3, 2.0, 1.0, 10)

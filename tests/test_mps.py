@@ -191,6 +191,15 @@ def test_epsilon_vs_chi_flat_rates_unfittable():
         epsilon_vs_chi(circuits, [4], 2)
 
 
+def test_extrapolate_chi_rejects_target_outside_unit_interval():
+    scan = mps.ChiScan((mps.ChiScanRow(4, "2x[4]", 1e-2, 0.0),
+                        mps.ChiScanRow(8, "2x[4]", 5e-3, 0.0)))
+    assert scan.extrapolate_chi(1e-3) > 8.0
+    for target in (float("nan"), float("inf"), -1.0, 0.0, 1.0):
+        with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
+            scan.extrapolate_chi(target)
+
+
 def test_epsilon_vs_chi_multiple_blockings():
     circuits = [rg_circuit(8, 4, seed=62)]
     rows = [r for blocks in (2, 4)

@@ -68,6 +68,13 @@ def test_script_runs(argv, first_line):
     (["estimator_agreement.py", "--seed", "-1"], "--seed must be nonnegative"),
     (["chi_extrapolation.py", "--seed", "-1"], "--seed must be nonnegative"),
     (["coverage_sweep.py", "--seed", "-1"], "--seed must be nonnegative"),
+    (["cost_scan.py", "--eps", "inf"], "--eps must be positive and finite"),
+    (["cost_scan.py", "--eps", "nan"], "--eps must be positive and finite"),
+    (["cost_scan.py", "--time-budget", "nan"], "--time-budget must be finite"),
+    (["cost_scan.py", "--time-budget", "inf"], "--time-budget must be finite"),
+    (["chi_extrapolation.py", "--target-eps", "nan"], "--target-eps must lie in (0, 1)"),
+    (["chi_extrapolation.py", "--target-eps", "-1"], "--target-eps must lie in (0, 1)"),
+    (["chi_extrapolation.py", "--target-eps", "1"], "--target-eps must lie in (0, 1)"),
 ], ids=["cost_scan", "cost_scan-size-not-above-depth", "cost_scan-odd-size",
         "cost_scan-depth", "cost_scan-eps", "cost_scan-time-budget",
         "estimator_agreement", "estimator_agreement-depth",
@@ -76,7 +83,10 @@ def test_script_runs(argv, first_line):
         "chi_extrapolation", "chi_extrapolation-odd-n", "coverage_sweep",
         "coverage_sweep-shots", "coverage_sweep-base-eps", "coverage_sweep-gates",
         "coverage_sweep-nan-mu", "coverage_sweep-infinite-mu", "cost_scan-seed",
-        "estimator_agreement-seed", "chi_extrapolation-seed", "coverage_sweep-seed"])
+        "estimator_agreement-seed", "chi_extrapolation-seed", "coverage_sweep-seed",
+        "cost_scan-infinite-eps", "cost_scan-nan-eps", "cost_scan-nan-time-budget",
+        "cost_scan-infinite-time-budget", "chi_extrapolation-nan-target",
+        "chi_extrapolation-negative-target", "chi_extrapolation-unit-target"])
 def test_script_rejects_bad_flag(argv, message):
     out = _run_script(argv)
     assert out.returncode == 2

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from helpers import (
     analyze_merges_reference,
     greedy_merges_reference,
+    optimize_order_reference,
     rg_circuit,
     schmidt_split_svd_reference,
     slice_choice_reference,
@@ -466,9 +467,74 @@ def test_greedy_draws_match_scalar_reference():
         cut = index_mask(ids[seed % len(ids)::17])
         for noise in (0.0, 0.5):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = order._greedy_merges(legs, ~cut, rng, noise)
+            got = order._greedy_merges(legs, ~cut, rng, noise, None)
             assert got == greedy_merges_reference(legs, ~cut, ref, noise)
             assert rng.random() == ref.random()
+
+
+def test_greedy_bound_edge():
+    # a bound equal to the finished trial's FLOPs abandons it; one more lets
+    # it finish with the same merges
+    nets = _slicing_networks()
+    for seed in range(24):
+        tn = nets[seed % len(nets)]
+        legs = leg_sets(tn.indices)
+        ids = sorted(set().union(*tn.indices))
+        cut = index_mask(ids[seed % len(ids)::11])
+        noise = 0.0 if seed % 3 == 0 else 0.5
+        merges = order._greedy_merges(legs, ~cut, np.random.default_rng(seed), noise, None)
+        flops = walk_merges(merges, legs, cut).flops
+        for bound, want in ((flops, None), (flops + 1, merges)):
+            rng = np.random.default_rng(seed)
+            assert order._greedy_merges(legs, ~cut, rng, noise, bound) == want
+
+
+def _tie_networks():
+    """2x2 grids at split rank 2 whose gate-group trial ties the time sweep at
+    80 FLOPs, with the seed ``rcsw cost`` gives their order search."""
+    return [(circuit_to_tn(build_instance("2d", 4, d, s), split_rank=2), s)
+            for d, s in ((2, 1), (3, 1), (3, 4))]
+
+
+def test_bounded_search_returns_the_full_search_tree(monkeypatch):
+    # abandoning trials at the best FLOPs so far returns the tree, slice set
+    # and stats of the search that finishes every trial
+    calls = {"trials": 0, "abandoned": 0}
+    greedy = order._greedy_merges
+
+    def counted(legs, live, rng, noise, bound):
+        merges = greedy(legs, live, rng, noise, bound)
+        calls["trials"] += 1
+        calls["abandoned"] += merges is None
+        return merges
+
+    monkeypatch.setattr(order, "_greedy_merges", counted)
+    rng = np.random.default_rng(44)
+    cases = [(tn, seed) for seed, tn in enumerate(_slicing_networks())] + _tie_networks()
+    for tn, seed in cases:
+        ids = sorted(set().union(*tn.indices))
+        cuts = [(), tuple(int(i) for i in rng.choice(ids, size=3, replace=False))]
+        for budget in range(5):
+            for sliced in cuts:
+                got = optimize_order(tn, budget=budget, seed=seed, sliced=sliced)
+                assert got == optimize_order_reference(tn, budget, seed, sliced)
+    for tn, seed in _tie_networks():
+        assert optimize_order(tn, budget=1, seed=seed).stats.flops == 80
+    assert 0 < calls["abandoned"] < calls["trials"]
+
+
+def test_slice_tree_over_bounded_search_matches_full_search(monkeypatch):
+    runs = []
+    for search in (optimize_order, optimize_order_reference):
+        monkeypatch.setattr(slicing, "optimize_order", search)
+        out = []
+        for tn in _slicing_networks():
+            tree = search(tn, 1, 0)
+            w = max(1, tree.stats.log2_width - 4)
+            out.append(slice_tree(tn, tree, width_budget=2.0 ** w, budget=2, seed=5))
+        runs.append(out)
+    assert runs[0] == runs[1]
+    assert all(len(t.sliced) >= slicing.REOPT_EVERY for t in runs[0])
 
 
 @given(st.integers(min_value=0, max_value=10))
