@@ -87,6 +87,11 @@ class RunConfig:
         for name in ("n", "d"):
             if min(getattr(self, name), default=1) < 1:
                 raise ValueError(f"{name} must be positive")
+        # a repeated grid value would write its rows twice
+        for name in ("n", "d", "chi", "blocks"):
+            values = getattr(self, name)
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} has a repeated value")
         if self.ensemble == "rg":
             for n, d in itertools.product(self.n, self.d):
                 if n % 2 or d >= n:

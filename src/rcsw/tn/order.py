@@ -1,29 +1,30 @@
 """Contraction-order search.
 
-Several candidate generators feed a best-of selection: two deterministic
-sweeps (gate-level time order, which can never do worse than a
-statevector pass over the circuit, and wire-major order, which is the
-right shape for chain-like circuits) and randomized greedy pairing that
-merges the neighbours sharing the most live legs, run over the leaves and
-over whole gates.  The greedy walks neighbours in ascending id order, so
-each tie-break draw goes to the same pair on every run.  Budgets are
-spent as independently seeded trials, so a larger budget only ever
-improves the returned tree.
+Two builders make every candidate of a best-of selection.  ``_sweep``
+merges each group's tensors left to right and then chains the group
+nodes: the gate-level time sweep, which can never do worse than a
+statevector pass over the circuit, the wire-major sweep (one tensor per
+group), which is the right shape for chain-like circuits, and
+``light_cone_order`` (gates in cone order).  ``_greedy_merges`` chains
+each group and then pairs the group nodes sharing the most live legs; its
+leaf trial is the case where every group holds one tensor, and on a split
+network each trial runs again over whole gates.  The greedy walks
+neighbours in ascending id order, so each tie-break draw goes to the same
+pair on every run.  Budgets are spent as independently seeded trials, so
+a larger budget only ever improves the returned tree.
 
 The search is branch and bound over whole trials (the cut of
 opt_einsum's ``branch`` optimizer, Smith & Gray, JOSS 3, 753 (2018)):
 the sweeps are priced first, and each greedy trial is abandoned once its
-running FLOPs reach the fewest of any candidate finished before it.
-Merge terms are positive and each trial draws from its own generator, so
-an abandoned trial could not have won and the others draw as they would
-without the bound; the returned tree is the one a search that finishes
-every trial returns.
+running FLOPs reach the fewest so far, so a trial that finishes is the new
+best and only the winner is walked again.  Merge terms are positive and
+each trial draws from its own generator, so an abandoned trial could not
+have won and the others draw as they would without the bound; the
+returned tree is the one a search that finishes every trial returns.
 """
 from __future__ import annotations
 
-import functools
 import heapq
-import operator
 from collections import defaultdict
 
 import numpy as np
@@ -32,23 +33,19 @@ from .network import TensorNetwork
 from .tree import ContractionTree, index_mask, leg_sets, mask_indices, price, walk_merges
 
 
-class _MergeList:
-    """Merge list under construction over ``n_leaves`` leaves."""
+def _sweep(n_leaves: int, groups) -> list[tuple[int, int]]:
+    """Merge each group's tensors left to right, then chain the group nodes."""
+    merges: list[tuple[int, int]] = []
 
-    def __init__(self, n_leaves: int):
-        self.n_leaves = n_leaves
-        self.merges: list[tuple[int, int]] = []
-
-    def join(self, a: int, b: int) -> int:
-        self.merges.append((a, b))
-        return self.n_leaves + len(self.merges) - 1
-
-    def chain(self, nodes) -> int:
-        """Merge nodes left to right and return the last node."""
+    def chain(nodes) -> int:
         cur = nodes[0]
         for t in nodes[1:]:
-            cur = self.join(cur, t)
+            merges.append((cur, t))
+            cur = n_leaves + len(merges) - 1
         return cur
+
+    chain([chain(g) for g in groups])
+    return merges
 
 
 def _wire_major_order(tn: TensorNetwork) -> list[int]:
@@ -60,15 +57,20 @@ def _wire_major_order(tn: TensorNetwork) -> list[int]:
     return sorted(range(tn.n_tensors), key=key)
 
 
-def _greedy_merges(legs: list[int], live: int, rng, noise: float,
-                   bound: int | None) -> list[tuple[int, int]] | None:
-    """Merge the neighbour pair sharing the most live legs, repeatedly.
+def _greedy_merges(legs: list[int], groups, live: int, rng, noise: float,
+                   bound: int | None) -> tuple[list[tuple[int, int]], int] | None:
+    """Chain each group's tensors, then merge the neighbour pair of group
+    nodes sharing the most live legs, repeatedly.
 
-    Each merge adds its FLOPs, ``8 << ((la | lb) & live).bit_count()`` as
-    in ``walk_merges``, to a running total.  With a ``bound`` given, the
+    Returns the merges over the leaves and their FLOPs.  Each merge, the
+    group chains' included, adds ``8 << ((la | lb) & live).bit_count()``
+    as in ``walk_merges`` to a running total.  With a ``bound`` given, the
     trial is abandoned and None returned as soon as that total reaches it;
     every term is positive, so a finished tree would cost at least that
-    much.
+    much.  With every group a single tensor this is the greedy over the
+    leaves.  With every group two tensors, group k's node has id T + k, so
+    the ids keep the group order and every draw goes to the pair it would
+    go to over the groups numbered 0, 1, ...
 
     The score is -2 times the number of live legs a and b share, optionally
     plus Gaussian noise: it ignores how large a and b are.  It is not the
@@ -85,10 +87,21 @@ def _greedy_merges(legs: list[int], live: int, rng, noise: float,
     merge step, which gives the same doubles as k scalar draws.
     """
     n_leaves = len(legs)
-    node = dict(enumerate(legs))
+    merges: list[tuple[int, int]] = []
+    flops = 0
+    node: dict[int, int] = {}
+    for g in groups:
+        a, la = g[0], legs[g[0]]
+        for b in g[1:]:
+            flops += 8 << ((la | legs[b]) & live).bit_count()
+            if bound is not None and flops >= bound:
+                return None
+            merges.append((a, b))
+            a, la = n_leaves + len(merges) - 1, la ^ legs[b]
+        node[a] = la
     nbrs: dict[int, set[int]] = defaultdict(set)
     owner: dict[int, list[int]] = defaultdict(list)
-    for t, ls in enumerate(legs):
+    for t, ls in node.items():
         for i in mask_indices(ls):
             owner[i].append(t)
     for pair in owner.values():
@@ -111,9 +124,6 @@ def _greedy_merges(legs: list[int], live: int, rng, noise: float,
     heap = entries([(a, b) for a in node for b in sorted(nbrs[a]) if a < b])
     heapq.heapify(heap)
 
-    merges = []
-    nxt = n_leaves
-    flops = 0
     while len(node) > 1:
         pick = None
         while heap:
@@ -128,8 +138,7 @@ def _greedy_merges(legs: list[int], live: int, rng, noise: float,
         flops += 8 << ((la | lb) & live).bit_count()
         if bound is not None and flops >= bound:
             return None
-        w = nxt
-        nxt += 1
+        w = n_leaves + len(merges)
         merges.append((a, b))
         node[w] = la ^ lb
         # neighbour sets are symmetric and hold only live nodes
@@ -144,7 +153,7 @@ def _greedy_merges(legs: list[int], live: int, rng, noise: float,
         if xs:
             for entry in entries([(w, x) for x in xs]):
                 heapq.heappush(heap, entry)
-    return merges
+    return merges, flops
 
 
 def _gate_groups(tn: TensorNetwork) -> dict[tuple, list[int]]:
@@ -155,44 +164,25 @@ def _gate_groups(tn: TensorNetwork) -> dict[tuple, list[int]]:
     return dict(sorted(groups.items()))
 
 
-def _chain_flops(groups, legs: list[int], live: int) -> int:
-    """FLOPs of merging each group's tensors left to right, as ``_MergeList.chain``."""
-    flops = 0
-    for g in groups:
-        acc = legs[g[0]]
-        for t in g[1:]:
-            flops += 8 << ((acc | legs[t]) & live).bit_count()
-            acc ^= legs[t]
-    return flops
-
-
-def _expand_groups(qmerges, groups, n_leaves) -> list[tuple[int, int]]:
-    """Lift a merge list over gate groups back to the full leaf set."""
-    out = _MergeList(n_leaves)
-    node = [out.chain(members) for members in groups]
-    for a, b in qmerges:
-        node.append(out.join(node[a], node[b]))
-    return out.merges
-
-
 def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
                    sliced: tuple[int, ...] = ()) -> ContractionTree:
     """Search for a cheap contraction order.
 
     budget counts randomized trials; the deterministic sweep orders are
     always evaluated as well, so the result never costs more than a
-    statevector-style pass.  The time sweep runs over whole gates, and on
-    a split network every trial is also run over whole gates (halves
-    pre-merged), so splitting gates cannot hurt beyond the pre-merge cost
-    itself.  With sliced indices given, the search fixes each to one
-    value and the returned stats describe one slice task.
+    statevector-style pass.  The time sweep runs over whole gates.  Each
+    trial runs the greedy over the leaves (every group one tensor) and, on
+    a split network, again over whole gates (each gate's halves chained
+    first), so splitting gates cannot hurt beyond the cost of joining the
+    halves.  With sliced indices given, the search fixes each to one value
+    and the returned stats describe one slice task.
 
     The first candidate with the fewest FLOPs is returned, so a later one
     wins only when strictly cheaper.  Each greedy trial is therefore
-    bounded by the fewest FLOPs among the candidates finished before it
-    (less the fixed cost of pre-merging the halves, for a trial over whole
-    gates) and abandoned on reaching it; the tree, slice set and stats
-    are those that finishing every trial would return.
+    bounded by the fewest FLOPs so far and abandoned on reaching them; a
+    trial that finishes is the new best, and only the final winner is
+    walked again for its stats.  The tree, slice set and stats are those
+    that finishing every trial would return.
     """
     t_count = tn.n_tensors
     legs = leg_sets(tn.indices)
@@ -202,35 +192,28 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
     live = ~cut
 
     groups = list(_gate_groups(tn).values())
-    split = len(groups) < t_count  # gates cut in two halves
-    qlegs = [functools.reduce(operator.xor, (legs[t] for t in g)) for g in groups]
-    time_sweep = _MergeList(t_count)
-    time_sweep.chain([time_sweep.chain(g) for g in groups])
-    wire_major = _MergeList(t_count)
-    wire_major.chain(_wire_major_order(tn))
-    premerge = _chain_flops(groups, legs, live) if split else 0
-    merges = time_sweep.merges
-    stats = walk_merges(merges, legs, cut)
+    trials = [[[t] for t in range(t_count)]]
+    if len(groups) < t_count:  # gates cut in two halves
+        trials.append(groups)
+    sweeps = (_sweep(t_count, groups),
+              _sweep(t_count, [[t] for t in _wire_major_order(tn)]))
+    stats, merges = min(((walk_merges(m, legs, cut), m) for m in sweeps),
+                        key=lambda pair: pair[0].flops)
 
-    def offer(found):
-        nonlocal merges, stats
-        if found is not None:
-            walk = walk_merges(found, legs, cut)
-            if walk.flops < stats.flops:
-                merges, stats = found, walk
-
-    offer(wire_major.merges)
+    flops = stats.flops
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     for t, child in enumerate(ss.spawn(max(budget, 0))):
         rng = np.random.default_rng(child)
         noise = 0.0 if t == 0 else float(rng.choice([0.2, 0.5, 1.0]))
-        offer(_greedy_merges(legs, live, rng, noise, stats.flops))
-        if split:
-            qrng = np.random.default_rng(child)
-            qmerges = _greedy_merges(qlegs, live, qrng, noise, stats.flops - premerge)
-            if qmerges is not None:
-                offer(_expand_groups(qmerges, groups, t_count))
+        for k, trial in enumerate(trials):
+            # the gate trial draws from a fresh generator of the same child
+            found = _greedy_merges(legs, trial, live, rng if k == 0
+                                   else np.random.default_rng(child), noise, flops)
+            if found is not None:
+                merges, flops = found
+    if flops < stats.flops:
+        stats = walk_merges(merges, legs, cut)
     return ContractionTree(merges, tuple(sliced), stats)
 
 
@@ -243,7 +226,8 @@ def light_cone_order(tn: TensorNetwork) -> ContractionTree:
     time order.  Each cone touches at most 2^depth wires, and a retired
     pair closes both its wires, so the open wire count never exceeds
     n(1 - 2^{1-depth}) + 2, inside the n(1 - 2^{-depth}) + 2 budget.
-    Split-gate halves are pre-merged so transients stay within the bound.
+    ``_sweep`` merges the gates in that order, each gate's split halves
+    joined first so transients stay within the bound.
     """
     groups = _gate_groups(tn)
 
@@ -276,20 +260,12 @@ def light_cone_order(tn: TensorNetwork) -> ContractionTree:
 
     finals = [k for k in sorted(groups) if k[0] == tn.depth - 1]
 
-    out = _MergeList(tn.n_tensors)
-    gate_node: dict[tuple, int] = {}
-
-    def node_for(key):
-        if key not in gate_node:
-            gate_node[key] = out.chain(groups[key])
-        return gate_node[key]
-
     done: set[tuple] = set()
     touched: set[int] = set()
-    acc = None
+    keys: list[tuple] = []
     remaining = set(finals)
     while remaining:
-        if acc is None:
+        if not keys:
             pick = min(remaining)
         else:
             pick = max(remaining,
@@ -297,14 +273,8 @@ def light_cone_order(tn: TensorNetwork) -> ContractionTree:
                                           & touched), (-k[0], k[1])))
         remaining.discard(pick)
         new = sorted(cone(pick) - done)
-        for key in new:
-            node = node_for(key)
-            acc = node if acc is None else out.join(acc, node)
-            done.add(key)
-            touched.update(key[1])
-    for key in sorted(set(groups) - done):
-        node = node_for(key)
-        acc = node if acc is None else out.join(acc, node)
-        done.add(key)
-
-    return price(out.merges, leg_sets(tn.indices))
+        keys += new
+        done.update(new)
+        touched.update(q for key in new for q in key[1])
+    keys += sorted(set(groups) - done)
+    return price(_sweep(tn.n_tensors, [groups[k] for k in keys]), leg_sets(tn.indices))

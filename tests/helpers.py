@@ -376,8 +376,13 @@ def greedy_merges_reference(legs: list[int], live: int, rng,
 def optimize_order_reference(tn, budget: int = 8, seed=0, sliced=()) -> ContractionTree:
     """``rcsw.tn.order.optimize_order`` with every greedy trial run to the end.
 
-    Every candidate is priced in one list and the first with the fewest
-    FLOPs is returned, so no trial is cut off by a bound.
+    The sweeps are chains over the gates and over the wire-major leaves.
+    Each trial runs ``greedy_merges_reference`` over the leaves and, on a
+    split network, over whole gates numbered 0, 1, ... from a fresh
+    generator of the same child, its merges lifted to the leaves by
+    chaining each gate's tensors first.  Every candidate is priced by its
+    own walk and the first with the fewest FLOPs is returned, so no trial
+    is cut off by a bound.
     """
     t_count = tn.n_tensors
     legs = leg_sets(tn.indices)
@@ -388,21 +393,36 @@ def optimize_order_reference(tn, budget: int = 8, seed=0, sliced=()) -> Contract
     groups = list(order._gate_groups(tn).values())
     split = len(groups) < t_count
     qlegs = [functools.reduce(operator.xor, (legs[t] for t in g)) for g in groups]
-    time_sweep = order._MergeList(t_count)
-    time_sweep.chain([time_sweep.chain(g) for g in groups])
-    wire_major = order._MergeList(t_count)
-    wire_major.chain(order._wire_major_order(tn))
-    candidates = [time_sweep.merges, wire_major.merges]
+
+    def lifted(qmerges, groups):
+        """Merges over group nodes 0, 1, ... as merges over the leaves."""
+        merges = []
+
+        def join(a, b):
+            merges.append((a, b))
+            return t_count + len(merges) - 1
+
+        node = [functools.reduce(join, g) for g in groups]
+        for a, b in qmerges:
+            node.append(join(node[a], node[b]))
+        return merges
+
+    def chain(m):
+        """Merges joining nodes 0..m-1 left to right."""
+        return [(0 if k == 1 else m + k - 2, k) for k in range(1, m)]
+
+    wire_major = [[t] for t in order._wire_major_order(tn)]
+    candidates = [lifted(chain(len(groups)), groups), lifted(chain(t_count), wire_major)]
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
     for t, child in enumerate(ss.spawn(max(budget, 0))):
         rng = np.random.default_rng(child)
         noise = 0.0 if t == 0 else float(rng.choice([0.2, 0.5, 1.0]))
-        candidates.append(order._greedy_merges(legs, live, rng, noise, None))
+        candidates.append(greedy_merges_reference(legs, live, rng, noise))
         if split:
             qrng = np.random.default_rng(child)
-            qmerges = order._greedy_merges(qlegs, live, qrng, noise, None)
-            candidates.append(order._expand_groups(qmerges, groups, t_count))
+            qmerges = greedy_merges_reference(qlegs, live, qrng, noise)
+            candidates.append(lifted(qmerges, groups))
     stats, merges = min(((walk_merges(m, legs, cut), m) for m in candidates),
                         key=lambda pair: pair[0].flops)
     return ContractionTree(merges, tuple(sliced), stats)

@@ -365,6 +365,10 @@ class TestConfig:
     ["coverage", "--seed", "-1"],
     ["coverage", "--mu", "nan"],
     ["coverage", "--mu", "inf"],
+    ["cost", "--d", "4", "--instances", "2", "--n", "12", "12"],
+    ["cost", "--n", "12", "--d", "4", "4"],
+    ["mps", "--chi", "4", "4"],
+    ["mps", "--n", "8", "--blocks", "2", "2"],
 ], ids=["zero-trajectories", "fidelity-resamples", "negative-xeb-cap",
         "coverage-resamples", "odd-n-odd-degree", "odd-n", "degree-not-below-n",
         "too-many-blocks", "zero-width-budget", "negative-width-budget",
@@ -373,7 +377,8 @@ class TestConfig:
         "generate-zero-instances", "cost-zero-instances", "cost-zero-budget",
         "fidelity-zero-shots", "generate-negative-seed", "cost-negative-seed",
         "fidelity-negative-seed", "mps-negative-seed", "coverage-negative-seed",
-        "nan-mu", "infinite-mu"])
+        "nan-mu", "infinite-mu", "repeated-n", "repeated-d", "repeated-chi",
+        "repeated-blocks"])
 def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(argv + ["--out", str(out)]) == 2
@@ -383,7 +388,8 @@ def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     # the message names the flag given last, as its RunConfig field, and
     # none of the shared checks' other flags, which some subcommands lack
     message = err.removeprefix(f"rcsw {argv[0]}: error: ")
-    named = argv[-2].removeprefix("--").replace("-", "_")
+    last = [a for a in argv if a.startswith("--")][-1]
+    named = last.removeprefix("--").replace("-", "_")
     assert re.search(rf"\b{named}\b", message)
     for other in {"instances", "budget", "shots"} - {named}:
         assert not re.search(rf"\b{other}\b", message)

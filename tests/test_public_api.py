@@ -1,10 +1,12 @@
-"""Every public library name and every defaulted parameter has a caller
-that is not its own unit test.
+"""Every library name and every defaulted parameter has a caller that is
+not its own unit test.
 
-A module-level public name in ``src/rcsw`` (package ``__init__`` files
-aside) must appear as a whole word somewhere besides its definition line:
-in the library itself, the scripts, the benchmark harness, the README or
-the acceptance tests.  A name found only in its definition is dead code.
+A module-level name in ``src/rcsw`` (package ``__init__`` files aside),
+public or private, must appear as a whole word somewhere besides its
+definition line: in the library itself, the scripts, the benchmark
+harness, the README or the acceptance tests.  A name found only in its
+definition is dead code, and so is a private helper that only the unit
+tests and their oracles still call.
 
 A defaulted parameter of a public function, or of a public method of a
 public class, must be bound by position or keyword in some call in the
@@ -25,8 +27,8 @@ def _modules():
     return sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
 
 
-def _public_names(path: pathlib.Path):
-    """(name, definition line number) for each module-level public name."""
+def _module_names(path: pathlib.Path):
+    """(name, definition line number) for each module-level name."""
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -37,8 +39,7 @@ def _public_names(path: pathlib.Path):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
-                yield name, node.lineno
+            yield name, node.lineno
 
 
 def _caller_files():
@@ -56,16 +57,30 @@ def _caller_lines():
             yield path, no, text
 
 
-def test_every_public_name_has_a_caller():
+def _names_without_caller(private: bool) -> list[str]:
+    """module:line name of each public or private name no caller line names."""
     lines = list(_caller_lines())
     unused = []
     for module in _modules():
-        for name, lineno in _public_names(module):
+        for name, lineno in _module_names(module):
+            if name.startswith("_") != private:
+                continue
             word = re.compile(rf"\b{re.escape(name)}\b")
             if not any(word.search(text) for path, no, text in lines
                        if (path, no) != (module, lineno)):
                 unused.append(f"{module.relative_to(PACKAGE)}:{lineno} {name}")
+    return unused
+
+
+def test_every_public_name_has_a_caller():
+    unused = _names_without_caller(private=False)
     assert not unused, "public names with no caller:\n" + "\n".join(unused)
+
+
+def test_every_private_name_has_a_caller():
+    # tests/ is not a caller, so a helper only an oracle still reaches fails
+    unused = _names_without_caller(private=True)
+    assert not unused, "private names with no caller:\n" + "\n".join(unused)
 
 
 def _defaulted_parameters(path: pathlib.Path):

@@ -30,7 +30,7 @@ from rcsw.tn import (
     slice_tree,
 )
 from rcsw.tn import execute, network, order, slicing
-from rcsw.tn.tree import index_mask, leg_sets, mask_indices, price, walk_merges
+from rcsw.tn.tree import TreeStats, index_mask, leg_sets, mask_indices, price, walk_merges
 
 
 def amplitude_oracle(c, bits):
@@ -337,6 +337,16 @@ def test_light_cone_bound_holds():
         assert tree.stats.max_rank <= bound + 1e-9
 
 
+def test_light_cone_stats_pinned():
+    # the first three instances of acceptance test 5, widest node included
+    want = {(18, 7, 9000): TreeStats(277096096, 18, 115043766, 0),
+            (24, 7, 9001): TreeStats(20929462048, 24, 58902408630, 0),
+            (10, 4, 9002): TreeStats(74656, 8, 28038, 0)}
+    for (n, d, seed), stats in want.items():
+        tree = light_cone_order(circuit_to_tn(build_instance("rg", n, d, seed)))
+        assert tree.stats == stats
+
+
 def test_light_cone_tree_is_exact():
     c = rg_circuit(8, 4, seed=22)
     bits = "01011010"
@@ -467,7 +477,8 @@ def test_greedy_draws_match_scalar_reference():
         cut = index_mask(ids[seed % len(ids)::17])
         for noise in (0.0, 0.5):
             rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = order._greedy_merges(legs, ~cut, rng, noise, None)
+            leaves = [[t] for t in range(len(legs))]
+            got, _ = order._greedy_merges(legs, leaves, ~cut, rng, noise, None)
             assert got == greedy_merges_reference(legs, ~cut, ref, noise)
             assert rng.random() == ref.random()
 
@@ -482,11 +493,13 @@ def test_greedy_bound_edge():
         ids = sorted(set().union(*tn.indices))
         cut = index_mask(ids[seed % len(ids)::11])
         noise = 0.0 if seed % 3 == 0 else 0.5
-        merges = order._greedy_merges(legs, ~cut, np.random.default_rng(seed), noise, None)
+        leaves = [[t] for t in range(len(legs))]
+        merges, _ = order._greedy_merges(legs, leaves, ~cut, np.random.default_rng(seed),
+                                         noise, None)
         flops = walk_merges(merges, legs, cut).flops
-        for bound, want in ((flops, None), (flops + 1, merges)):
+        for bound, want in ((flops, None), (flops + 1, (merges, flops))):
             rng = np.random.default_rng(seed)
-            assert order._greedy_merges(legs, ~cut, rng, noise, bound) == want
+            assert order._greedy_merges(legs, leaves, ~cut, rng, noise, bound) == want
 
 
 def _tie_networks():
@@ -502,11 +515,11 @@ def test_bounded_search_returns_the_full_search_tree(monkeypatch):
     calls = {"trials": 0, "abandoned": 0}
     greedy = order._greedy_merges
 
-    def counted(legs, live, rng, noise, bound):
-        merges = greedy(legs, live, rng, noise, bound)
+    def counted(legs, groups, live, rng, noise, bound):
+        found = greedy(legs, groups, live, rng, noise, bound)
         calls["trials"] += 1
-        calls["abandoned"] += merges is None
-        return merges
+        calls["abandoned"] += found is None
+        return found
 
     monkeypatch.setattr(order, "_greedy_merges", counted)
     rng = np.random.default_rng(44)
