@@ -334,18 +334,27 @@ def evolve(c: Circuit, chi: int, blocking: int,
 
     blocking is the block count: the qubits are split into that many
     blocks whose sizes differ by at most one, grouped (from seed) to cut
-    few gates, and the blocks form the chain in that order.  A merged pair
-    of blocks larger than 2^DEFAULT_CAP elements raises CapacityError.
+    few gates, and the blocks form the chain in that order.  A block, or a
+    merged pair of blocks, larger than 2^DEFAULT_CAP elements raises
+    CapacityError; an oversized block does so before anything is allocated.
     """
     if chi < 1:
         raise ValueError("chi must be at least 1")
     blocks = _resolve_blocking(c, blocking, seed)
+    for pos, block in enumerate(blocks):
+        if len(block) > DEFAULT_CAP:
+            raise CapacityError(
+                f"block at position {pos} needs {2 ** len(block)} elements, "
+                f"cap is 2^{DEFAULT_CAP}")
     bits = c.initial_bits or "0" * c.n
     state = _fresh_state(c.n, blocks, bits, chi)
     _apply_layers(state, c.layers)
     n2q = c.n_2q
-    eps = 0.0 if n2q == 0 or state.f_acc == 1.0 \
-        else 1.0 - state.f_acc ** (1.0 / n2q)
+    eps = 0.0
+    if n2q and state.f_acc < 1.0:
+        eps = 1.0 - state.f_acc ** (1.0 / n2q)
+        if eps == 0.0:  # f_acc within a few ulps of 1: its root rounds to 1
+            eps = -math.expm1(math.log(state.f_acc) / n2q)
     report = MpsRunReport(
         n=c.n, d=c.depth, chi=chi, blocking=blocking_label(blocks),
         f_mps=state.f_acc, eps_mps=eps, flops_est=state.flops,

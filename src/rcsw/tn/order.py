@@ -30,7 +30,8 @@ from collections import defaultdict
 import numpy as np
 
 from .network import TensorNetwork
-from .tree import ContractionTree, index_mask, leg_sets, mask_indices, price, walk_merges
+from .tree import (ContractionTree, index_mask, leg_sets, mask_indices, merge_flops, price,
+                   walk_merges)
 
 
 def _sweep(n_leaves: int, groups) -> list[tuple[int, int]]:
@@ -63,8 +64,8 @@ def _greedy_merges(legs: list[int], groups, live: int, rng, noise: float,
     nodes sharing the most live legs, repeatedly.
 
     Returns the merges over the leaves and their FLOPs.  Each merge, the
-    group chains' included, adds ``8 << ((la | lb) & live).bit_count()``
-    as in ``walk_merges`` to a running total.  With a ``bound`` given, the
+    group chains' included, adds its ``merge_flops``, the term
+    ``walk_merges`` sums, to a running total.  With a ``bound`` given, the
     trial is abandoned and None returned as soon as that total reaches it;
     every term is positive, so a finished tree would cost at least that
     much.  With every group a single tensor this is the greedy over the
@@ -93,7 +94,7 @@ def _greedy_merges(legs: list[int], groups, live: int, rng, noise: float,
     for g in groups:
         a, la = g[0], legs[g[0]]
         for b in g[1:]:
-            flops += 8 << ((la | legs[b]) & live).bit_count()
+            flops += merge_flops(la, legs[b], live)
             if bound is not None and flops >= bound:
                 return None
             merges.append((a, b))
@@ -135,7 +136,7 @@ def _greedy_merges(legs: list[int], groups, live: int, rng, noise: float,
             # disconnected parts: outer-product the survivors in id order
             a, b = sorted(node)[:2]
         la, lb = node.pop(a), node.pop(b)
-        flops += 8 << ((la | lb) & live).bit_count()
+        flops += merge_flops(la, lb, live)
         if bound is not None and flops >= bound:
             return None
         w = n_leaves + len(merges)

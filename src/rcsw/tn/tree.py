@@ -7,12 +7,17 @@ Because every index appears in exactly two tensors, the legs of a merged
 node are the XOR of its children's legs.  Every index has dimension 2 and
 a sliced index has one fixed value per task, so the log2 size of a leg set
 is the number of its legs outside the ``cut`` mask ``index_mask(sliced)``,
-``(legs & ~cut).bit_count()``.  ``walk_merges`` is the one walk
-that prices a tree for the order search, the slicer and ``price``.  Costs
-use 8*S*K real FLOPs for a complex contraction producing S entries from a
-contracted dimension K.  S*K spans the live legs of the two children
-together, so every such term is 8 * 2^k and FLOP totals are exact Python
-ints.  A ``ContractionTree`` is priced when it is made and never changes.
+``(legs & ~cut).bit_count()``.  This module is the only one that prices
+a merge.  Costs use 8*S*K real FLOPs for a complex contraction producing
+S entries from a contracted dimension K.  S*K spans the live legs of the
+two children together, so every term is ``merge_flops``, 8 * 2^k, and
+FLOP totals are exact Python ints.  One walk over the merges prices a
+tree for the order search, the slicer and ``price``, and in the same pass
+every slice candidate (Gray & Kourtis, arXiv:2002.01935): cutting a live
+index i halves the term of each merge whose children carry i, and lowers
+the width K by one exactly when i lies on every node of size K, leaves
+included.  A ``ContractionTree`` is priced when it is made and never
+changes.
 """
 from __future__ import annotations
 
@@ -34,10 +39,6 @@ class TreeStats:
     @property
     def width(self) -> int:
         return 1 << self.log2_width
-
-    @property
-    def max_rank(self) -> float:
-        return float(self.log2_width)
 
     @property
     def log2_flops(self) -> float:
@@ -75,29 +76,55 @@ def leg_sets(indices: list[tuple[int, ...]]) -> list[int]:
     return [index_mask(ids) for ids in indices]
 
 
-def walk_merges(merges, legs: list[int], cut: int) -> TreeStats:
-    """Price a merge list with the indices in ``cut`` fixed (sliced)."""
+def merge_flops(la: int, lb: int, live: int) -> int:
+    """FLOPs of merging nodes with legs la and lb: S * K = size(la ^ lb) *
+    size(la & lb) spans the live legs of la | lb."""
+    return 8 << ((la | lb) & live).bit_count()
+
+
+def _walk(merges, legs: list[int], cut: int,
+          candidates: int) -> tuple[TreeStats, list[tuple[int, int, int]]]:
+    """Stats of a merge list with ``cut`` fixed, and the (log2_width, flops,
+    i) of the tree with each index i of ``candidates`` also cut."""
     live = ~cut
-    best, widest = -1, 0
+    best, widest, on_all = -1, 0, 0  # on_all: legs common to nodes of size best
     for ls in legs:
         k = (ls & live).bit_count()
         if k > best:
-            best, widest = k, ls
+            best, widest, on_all = k, ls, ls
+        elif k == best:
+            on_all &= ls
     best = max(best, 0)
     node = list(legs)  # node legs by SSA id
     flops = 0
+    candidates &= live
+    carried = dict.fromkeys((1 << i for i in mask_indices(candidates)), 0)
     for a, b in merges:
         la, lb = node[a], node[b]
         parent = la ^ lb
         k = (parent & live).bit_count()
-        # S * K = size(parent) * size(la & lb): the live legs of la | lb
-        flops += 8 << ((la | lb) & live).bit_count()
         if k > best:
-            best, widest = k, parent
+            best, widest, on_all = k, parent, parent
+        elif k == best:
+            on_all &= parent
+        term = merge_flops(la, lb, live)
+        flops += term
+        hit = (la | lb) & candidates
+        while hit:
+            low = hit & -hit
+            carried[low] += term
+            hit ^= low
         node.append(parent)
     if legs and (len(merges) != len(legs) - 1 or node[-1]):
         raise ValueError("merge list does not contract the network to a scalar")
-    return TreeStats(flops, best, widest, cut.bit_count())
+    prices = [(best - 1 if on_all & bit else best, flops - (carried[bit] >> 1),
+               bit.bit_length() - 1) for bit in carried]
+    return TreeStats(flops, best, widest, cut.bit_count()), prices
+
+
+def walk_merges(merges, legs: list[int], cut: int) -> TreeStats:
+    """Price a merge list with the indices in ``cut`` fixed (sliced)."""
+    return _walk(merges, legs, cut, 0)[0]
 
 
 @dataclass(frozen=True)

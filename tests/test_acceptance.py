@@ -113,8 +113,8 @@ def test_05_rank_bounds_sandwich():
         tree = optimize_order(net, budget=1, seed=t)
         lc = light_cone_order(net)
         upper = n * (1.0 - 2.0 ** (-d)) + 2.0
-        violations += tree.stats.max_rank < lower_bound_rank(n, d) - 1e-9
-        violations += lc.stats.max_rank > upper + 1e-9
+        violations += tree.stats.log2_width < lower_bound_rank(n, d) - 1e-9
+        violations += lc.stats.log2_width > upper + 1e-9
     ok = violations == 0
     assert _verdict(5, "rank bounds sandwich", ok,
                     f"{violations} violations over 100 instances, "

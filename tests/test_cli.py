@@ -253,6 +253,17 @@ class TestMps:
         _, rows = read_csv(out / "mps_runs.csv")
         assert [r.split(",")[3] for r in rows] == ["4x[7]"]
 
+    def test_capacity_skip_of_a_single_block(self, tmp_path, capsys):
+        # one block of 28 qubits is 2^28 entries and is refused before it is made
+        out = tmp_path / "mps_cap1"
+        run_cli(["mps", "--n", "28", "--d", "2", "--blocks", "1", "4", "--seed", "1",
+                 "--out", str(out)])
+        assert capsys.readouterr().err.splitlines() == [
+            "rcsw mps: skipped n=28, d=2, chi=8, blocks=1, seed=1: block at "
+            "position 0 needs 268435456 elements, cap is 2^26"]
+        _, rows = read_csv(out / "mps_runs.csv")
+        assert [r.split(",")[3] for r in rows] == ["4x[7]"]
+
     def test_builds_each_circuit_once(self, tmp_path, monkeypatch):
         build = cli.circuits.build_instance
         calls = []

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from helpers import evolve_full_merge_reference, rg_circuit
 from rcsw import mps, statevector
-from rcsw.circuits import ZZ_ANGLE, Circuit, Layer, OneQubitGate, build_instance
+from rcsw.circuits import (ZZ_ANGLE, Circuit, Layer, OneQubitGate, TwoQubitGate,
+                           build_instance)
 from rcsw.errors import CapacityError, FitError
 from rcsw.mps import MPS_CSV_HEADER, blocking_label, epsilon_vs_chi, evolve
 
@@ -42,6 +43,17 @@ def test_product_layer_chi_one():
     state, report = evolve(c, 1, 2)
     assert max_state_error(state, sv) < 1e-12
     assert report.eps_mps == 0.0
+
+
+def test_nearly_exact_run_keeps_a_positive_eps():
+    # the discarded weight leaves f_acc = 1 - 2^-53, whose cube root rounds
+    # to 1.0; eps_mps must stay positive since f_mps is not 1
+    one = Layer("1q", tuple(OneQubitGate(q, 0.0, 1e-4, 0.0) for q in range(4)))
+    c = Circuit(n=4, layers=(one, Layer("2q", (TwoQubitGate(0, 1), TwoQubitGate(2, 3))),
+                             one, Layer("2q", (TwoQubitGate(1, 2),)), one))
+    _, report = evolve(c, 1, 4)
+    assert report.f_mps == 1.0 - 2.0 ** -53
+    assert report.eps_mps == pytest.approx(2.0 ** -53 / 3, rel=1e-12)
 
 
 def test_in_block_phase_equals_exp_bitwise():
@@ -161,6 +173,20 @@ def test_capacity_error_on_merge(monkeypatch):
     monkeypatch.setattr(mps, "DEFAULT_CAP", 8)
     with pytest.raises(CapacityError):
         evolve(c, 64, 2)
+
+
+def test_capacity_error_on_single_block(monkeypatch):
+    # one block never merges, so the cap is checked on the block itself,
+    # before the chain is allocated
+    c = rg_circuit(6, 3, seed=14)
+    monkeypatch.setattr(mps, "DEFAULT_CAP", 4)
+
+    def unreachable(*args):
+        raise AssertionError("the chain was allocated")
+
+    monkeypatch.setattr(mps, "_fresh_state", unreachable)
+    with pytest.raises(CapacityError, match="block at position 0 needs 64 elements"):
+        evolve(c, 8, 1)
 
 
 def test_capacity_error_on_densify(monkeypatch):

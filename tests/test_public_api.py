@@ -13,6 +13,10 @@ public class, must be bound by position or keyword in some call in the
 same files (the README's Python blocks parsed as code).  Calls are matched
 to definitions by callee name alone, so a name shared by two definitions
 can hide an unused parameter but never flag a used one.
+
+Every contraction FLOP term is ``8 << k`` and ``tn/tree.py`` is the only
+module that prices a merge, so no other module computes a left shift of
+the constant 8.
 """
 import ast
 import pathlib
@@ -158,3 +162,16 @@ def test_every_defaulted_parameter_has_a_caller():
                     unbound.append(f"{module.relative_to(PACKAGE)} "
                                    f"{qualname}({param}=)")
     assert not unbound, "defaulted parameters no caller sets:\n" + "\n".join(unbound)
+
+
+def test_only_the_tree_module_prices_a_merge():
+    tree = PACKAGE / "tn" / "tree.py"
+    shifts = []
+    for module in sorted(PACKAGE.rglob("*.py")):
+        if module == tree:
+            continue
+        for node in ast.walk(ast.parse(module.read_text())):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+                    and isinstance(node.left, ast.Constant) and node.left.value == 8):
+                shifts.append(f"{module.relative_to(PACKAGE)}:{node.lineno}")
+    assert not shifts, "merge FLOP terms outside tn/tree.py:\n" + "\n".join(shifts)

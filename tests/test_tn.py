@@ -30,7 +30,8 @@ from rcsw.tn import (
     slice_tree,
 )
 from rcsw.tn import execute, network, order, slicing
-from rcsw.tn.tree import TreeStats, index_mask, leg_sets, mask_indices, price, walk_merges
+from rcsw.tn.tree import (TreeStats, _walk, index_mask, leg_sets, mask_indices, price,
+                          walk_merges)
 
 
 def amplitude_oracle(c, bits):
@@ -149,10 +150,13 @@ def test_bitset_pricing_matches_frozenset_reference():
                       else optimize_order(tn, budget=1, seed=trial).merges)
             k = int(rng.integers(0, 6))
             sliced = tuple(int(i) for i in rng.choice(ids, size=k, replace=False))
-            got = price(merges, leg_sets(tn.indices), sliced).stats
+            legs = leg_sets(tn.indices)
+            got = price(merges, legs, sliced).stats
             ref = analyze_merges_reference(
                 merges, [frozenset(x) for x in tn.indices], sliced)
             assert got == ref
+            # the pricing loop with no slice candidates is the walk
+            assert _walk(merges, legs, index_mask(sliced), 0) == (ref, [])
 
 
 def test_tree_validation():
@@ -180,7 +184,7 @@ def test_stats_recompute_matches_cached():
     tree = optimize_order(tn, budget=3, seed=1)
     legs = leg_sets(tn.indices)
     assert price(tree.merges, legs, tree.sliced).stats == tree.stats
-    assert tree.stats.flops >= 2.0 ** tree.stats.max_rank
+    assert tree.stats.flops >= 2.0 ** tree.stats.log2_width
     # five slices: the tree is re-optimised after the fourth
     out = slice_tree(tn, tree, width_budget=2.0 ** 4, budget=2, seed=1)
     assert len(out.sliced) == 5
@@ -284,7 +288,7 @@ def test_wire_major_order_on_chain():
     c = build_brickwork_circuit(12, 8, seed=15)
     tn = circuit_to_tn(c, split_rank=2)
     tree = optimize_order(tn, budget=2, seed=0)
-    assert tree.stats.max_rank <= 8.0 / 2.0 + 4.0
+    assert tree.stats.log2_width <= 8.0 / 2.0 + 4.0
 
 
 def test_rank2_split_never_costlier_than_rank4():
@@ -334,7 +338,7 @@ def test_light_cone_bound_holds():
         tn = circuit_to_tn(c)
         tree = light_cone_order(tn)
         bound = n * (1.0 - 2.0 ** -d) + 2.0
-        assert tree.stats.max_rank <= bound + 1e-9
+        assert tree.stats.log2_width <= bound + 1e-9
 
 
 def test_light_cone_stats_pinned():
@@ -422,12 +426,14 @@ def test_one_walk_prices_every_slice_candidate():
                       else optimize_order(tn, budget=1, seed=trial).merges)
             k = int(rng.integers(0, 6))
             cut = index_mask(int(i) for i in rng.choice(ids, size=k, replace=False))
-            widest = walk_merges(merges, legs, cut).widest
+            stats = walk_merges(merges, legs, cut)
             drawn = index_mask(int(i) for i in rng.choice(ids, size=8, replace=False))
-            for candidates in (widest & ~cut, drawn & ~cut):
+            for candidates in (stats.widest & ~cut, drawn & ~cut):
                 if not candidates:
                     continue
-                prices = slicing._candidate_prices(merges, legs, cut, candidates)
+                # pricing the candidates leaves the tree's own stats as they are
+                got, prices = _walk(merges, legs, cut, candidates)
+                assert got == stats
                 walks = [(walk_merges(merges, legs, cut | 1 << i), i)
                          for i in mask_indices(candidates)]
                 assert prices == [(s.log2_width, s.flops, i) for s, i in walks]
@@ -439,19 +445,19 @@ def test_one_walk_prices_every_slice_candidate():
 
 def test_slice_step_takes_the_reference_choice_in_two_walks(monkeypatch):
     counts = {"priced": 0, "walked": 0}
-    one_walk, walk = slicing._candidate_prices, slicing.walk_merges
+    one_walk, walk = slicing._walk, slicing.walk_merges
 
     def priced(merges, legs, cut, candidates):
         counts["priced"] += 1
-        prices = one_walk(merges, legs, cut, candidates)
+        stats, prices = one_walk(merges, legs, cut, candidates)
         assert min(prices) == slice_choice_reference(merges, legs, cut, candidates)
-        return prices
+        return stats, prices
 
     def walked(merges, legs, cut):
         counts["walked"] += 1
         return walk(merges, legs, cut)
 
-    monkeypatch.setattr(slicing, "_candidate_prices", priced)
+    monkeypatch.setattr(slicing, "_walk", priced)
     monkeypatch.setattr(slicing, "walk_merges", walked)
     steps = 0
     for tn in _slicing_networks():
