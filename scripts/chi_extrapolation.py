@@ -30,7 +30,9 @@ def main():
         ap.error("--depth must lie in [1, n)")
     if args.instances < 1:
         ap.error("--instances must be at least 1")
-    if min(args.chis) < 1 or len(set(args.chis)) < 2:
+    if len(set(args.chis)) < len(args.chis):
+        ap.error("--chis has a repeated value")
+    if min(args.chis) < 1 or len(args.chis) < 2:
         ap.error("--chis needs at least two distinct positive bond dimensions")
     if not 1 <= args.blocks <= args.n:
         ap.error("--blocks must lie in [1, n]")

@@ -30,10 +30,14 @@ def main():
         ap.error("--seed must be nonnegative")
     if args.instances < 1:
         ap.error("--instances must be at least 1")
+    if args.budget < 1:
+        ap.error("--budget must be at least 1")
     if args.depth < 1:
         ap.error("--depth must be at least 1")
     if any(n % 2 or n <= args.depth for n in args.sizes):
         ap.error("--sizes must be even and above --depth")
+    if len(set(args.sizes)) < len(args.sizes):
+        ap.error("--sizes has a repeated value")
     if not 0 < args.eps < math.inf:
         ap.error("--eps must be positive and finite")
     if not math.isfinite(args.time_budget):

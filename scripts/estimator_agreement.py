@@ -33,6 +33,8 @@ def main():
         ap.error("--instances must be at least 1")
     if not all(1 <= d < args.n for d in args.depths):
         ap.error("--depths must lie in [1, n)")
+    if len(set(args.depths)) < len(args.depths):
+        ap.error("--depths has a repeated value")
     if min(args.trajectories, args.shots) < 1:
         ap.error("--trajectories and --shots must be at least 1")
     try:

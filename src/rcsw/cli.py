@@ -64,7 +64,7 @@ class RunConfig:
     shots: int = 256
     resamples: int = 300
     xeb_cap: int = 20
-    mu: float = 0.0
+    mu: tuple[float, ...] = (0.0,)
     observable: str = "xeb"
     base_eps: float = 2e-3
     gates: int = 100
@@ -88,7 +88,7 @@ class RunConfig:
             if min(getattr(self, name), default=1) < 1:
                 raise ValueError(f"{name} must be positive")
         # a repeated grid value would write its rows twice
-        for name in ("n", "d", "chi", "blocks"):
+        for name in ("n", "d", "chi", "blocks", "mu"):
             values = getattr(self, name)
             if len(set(values)) < len(values):
                 raise ValueError(f"{name} has a repeated value")
@@ -105,7 +105,7 @@ class RunConfig:
         for name in ("noise_eps2q", "noise_mem", "spam", "base_eps"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if not (np.isfinite(self.mu) and self.mu >= 0.0):
+        if not all(np.isfinite(mu) and mu >= 0.0 for mu in self.mu):
             raise ValueError("mu must be finite and nonnegative")
         for name in ("seed", "gates", "max_k", "xeb_cap"):
             if getattr(self, name) < 0:
@@ -322,12 +322,14 @@ def cmd_bootstrap(cfg: RunConfig) -> list[Path]:
 
 
 def cmd_coverage(cfg: RunConfig) -> list[Path]:
-    model = ExperimentModel(mu=cfg.mu, base_eps=cfg.base_eps,
-                            n_gates=cfg.gates, observable=cfg.observable)
-    res = coverage(model, cfg.instances, circuits=cfg.circuits,
-                   shots=cfg.shots, r=cfg.resamples, seed=cfg.seed)
-    return [_write_csv(Path(cfg.out) / "coverage.csv",
-                       COVERAGE_CSV_HEADER, res.csv_rows())]
+    rows = []
+    for mu in cfg.mu:  # every mu runs from the same seed
+        model = ExperimentModel(mu=mu, base_eps=cfg.base_eps,
+                                n_gates=cfg.gates, observable=cfg.observable)
+        rows.extend(coverage(model, cfg.instances, circuits=cfg.circuits,
+                             shots=cfg.shots, r=cfg.resamples,
+                             seed=cfg.seed).csv_rows())
+    return [_write_csv(Path(cfg.out) / "coverage.csv", COVERAGE_CSV_HEADER, rows)]
 
 
 _COMMANDS = {
@@ -403,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     out_flag(b)  # closed-form tables: no seed
 
     v = sub.add_parser("coverage", help="interval coverage of simulated experiments")
-    v.add_argument("--mu", type=float, default=0.0,
-                   help="relative spread of the per-circuit error rate")
+    v.add_argument("--mu", type=float, nargs="+", default=[0.0],
+                   help="relative spreads of the per-circuit error rate")
     v.add_argument("--observable", choices=["xeb", "mb"], default="xeb")
     v.add_argument("--base-eps", type=float, default=2e-3)
     v.add_argument("--gates", type=int, default=100)

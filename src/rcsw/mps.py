@@ -30,7 +30,7 @@ import numpy as np
 from .circuits import ZZ_PHASES, ZZ_TERMS, Circuit, _seed_int, layer_matrices
 from .errors import CapacityError, FitError
 from .graphs import partition_nodes
-from .statevector import DEFAULT_CAP, StateVector
+from .statevector import DEFAULT_CAP, StateVector, _check_cap
 
 _ZERO_TOL = 1e-14  # singular values below s0 * this are rank padding, not content
 
@@ -87,9 +87,7 @@ class MpsState:
                 raise ValueError(f"bond at position {j} exceeds chi")
 
     def to_statevector(self) -> StateVector:
-        if self.n > DEFAULT_CAP:
-            raise CapacityError(
-                f"{self.n} qubits exceeds the dense cap of {DEFAULT_CAP}")
+        _check_cap(self.n, DEFAULT_CAP)
         acc = self.tensors[0][0]
         for t in self.tensors[1:]:
             acc = np.tensordot(acc, t, axes=(-1, 0))

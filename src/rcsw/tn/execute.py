@@ -9,10 +9,10 @@ from __future__ import annotations
 from itertools import product
 
 from ..errors import CapacityError
+from ..statevector import DEFAULT_CAP  # log2 of the largest tensor allocated
 from .network import TensorNetwork, contract_pair
 from .tree import ContractionTree
 
-DEFAULT_CAP = 26  # log2 of the largest tensor the executor will allocate
 _TASK_CAP = 2 ** 22
 
 

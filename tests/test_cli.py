@@ -326,6 +326,18 @@ class TestCoverage:
             methods.append(parts[2])
         assert methods == ["aggregate", "double"]
 
+    def test_mu_sweep_writes_the_single_runs_in_order(self, tmp_path):
+        flags = ["--instances", "5", "--circuits", "5", "--shots", "10",
+                 "--resamples", "100", "--seed", "4"]
+
+        def csv_text(*mus):
+            out = tmp_path / "_".join(mus)
+            run_cli(["coverage", "--mu", *mus, *flags, "--out", str(out)])
+            return (out / "coverage.csv").read_text()
+
+        first, second = csv_text("0.0"), csv_text("0.3")
+        assert csv_text("0.0", "0.3") == first + second.split("\n", 1)[1]
+
 
 class TestConfig:
     def test_bad_ensemble_rejected(self):
@@ -380,6 +392,10 @@ class TestConfig:
     ["cost", "--n", "12", "--d", "4", "4"],
     ["mps", "--chi", "4", "4"],
     ["mps", "--n", "8", "--blocks", "2", "2"],
+    ["coverage", "--shots", "0"],
+    ["coverage", "--instances", "0"],
+    ["coverage", "--mu", "0.1", "nan"],
+    ["coverage", "--mu", "0.3", "0.3"],
 ], ids=["zero-trajectories", "fidelity-resamples", "negative-xeb-cap",
         "coverage-resamples", "odd-n-odd-degree", "odd-n", "degree-not-below-n",
         "too-many-blocks", "zero-width-budget", "negative-width-budget",
@@ -389,7 +405,8 @@ class TestConfig:
         "fidelity-zero-shots", "generate-negative-seed", "cost-negative-seed",
         "fidelity-negative-seed", "mps-negative-seed", "coverage-negative-seed",
         "nan-mu", "infinite-mu", "repeated-n", "repeated-d", "repeated-chi",
-        "repeated-blocks"])
+        "repeated-blocks", "coverage-zero-shots", "coverage-zero-instances",
+        "nan-among-mus", "repeated-mu"])
 def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(argv + ["--out", str(out)]) == 2

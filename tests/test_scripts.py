@@ -1,6 +1,7 @@
 """Smoke tests of the experiment scripts: each runs at a small size and
 prints its header line, and rejects a bad flag before it simulates."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,7 +19,7 @@ def _run_script(argv):
                           env=env, capture_output=True, text=True, timeout=300)
 
 
-@pytest.mark.parametrize("argv,first_line", [
+RUNS = [
     (["cost_scan.py", "--sizes", "8", "16", "--depth", "4", "--instances", "2",
       "--budget", "1"],
      "ensemble    N   d  C_median    C_max"),
@@ -28,14 +29,25 @@ def _run_script(argv):
     (["chi_extrapolation.py", "--n", "8", "--depth", "4", "--instances", "2",
       "--chis", "2", "4"],
      "N = 8, d = 4, 2 circuits"),
-    (["coverage_sweep.py", "--mus", "0.0", "0.3", "--experiments", "5",
-      "--circuits", "5", "--shots", "10", "--resamples", "100"],
-     "observable = xeb, base_eps = 0.002, n_gates = 100, nominal = 0.6827"),
-], ids=["cost_scan", "estimator_agreement", "chi_extrapolation", "coverage_sweep"])
+]
+RUN_IDS = [Path(argv[0]).stem for argv, _ in RUNS]
+
+
+@pytest.mark.parametrize("argv,first_line", RUNS, ids=RUN_IDS)
 def test_script_runs(argv, first_line):
     out = _run_script(argv)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[0].strip() == first_line
+
+
+def test_scripts_docs_and_smoke_tests_agree():
+    # a script added or deleted must gain or lose its README bullet and
+    # its smoke test with it
+    files = {p.stem for p in (ROOT / "scripts").glob("*.py")}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Experiment scripts\n", 1)[1].split("\n## ", 1)[0]
+    bullets = set(re.findall(r"^- `scripts/(\w+)\.py`", section, flags=re.M))
+    assert files == bullets == set(RUN_IDS)
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -57,17 +69,9 @@ def test_script_runs(argv, first_line):
      "--trajectories and --shots must be at least 1"),
     (["chi_extrapolation.py", "--instances", "0"], "--instances must be at least 1"),
     (["chi_extrapolation.py", "--n", "7"], "--n must be even"),
-    (["coverage_sweep.py", "--resamples", "99"], "--resamples must be at least 100"),
-    (["coverage_sweep.py", "--shots", "0"],
-     "--experiments, --circuits and --shots must be at least 1"),
-    (["coverage_sweep.py", "--base-eps", "2"], "base_eps must lie in [0, 1]"),
-    (["coverage_sweep.py", "--gates", "-1"], "n_gates must be nonnegative"),
-    (["coverage_sweep.py", "--mus", "0.1", "nan"], "mu must be finite and nonnegative"),
-    (["coverage_sweep.py", "--mus", "inf"], "mu must be finite and nonnegative"),
     (["cost_scan.py", "--seed", "-1"], "--seed must be nonnegative"),
     (["estimator_agreement.py", "--seed", "-1"], "--seed must be nonnegative"),
     (["chi_extrapolation.py", "--seed", "-1"], "--seed must be nonnegative"),
-    (["coverage_sweep.py", "--seed", "-1"], "--seed must be nonnegative"),
     (["cost_scan.py", "--eps", "inf"], "--eps must be positive and finite"),
     (["cost_scan.py", "--eps", "nan"], "--eps must be positive and finite"),
     (["cost_scan.py", "--time-budget", "nan"], "--time-budget must be finite"),
@@ -75,18 +79,22 @@ def test_script_runs(argv, first_line):
     (["chi_extrapolation.py", "--target-eps", "nan"], "--target-eps must lie in (0, 1)"),
     (["chi_extrapolation.py", "--target-eps", "-1"], "--target-eps must lie in (0, 1)"),
     (["chi_extrapolation.py", "--target-eps", "1"], "--target-eps must lie in (0, 1)"),
+    (["cost_scan.py", "--budget", "0"], "--budget must be at least 1"),
+    (["cost_scan.py", "--sizes", "8", "8"], "--sizes has a repeated value"),
+    (["estimator_agreement.py", "--depths", "2", "2"], "--depths has a repeated value"),
+    (["chi_extrapolation.py", "--chis", "4", "4", "8"], "--chis has a repeated value"),
 ], ids=["cost_scan", "cost_scan-size-not-above-depth", "cost_scan-odd-size",
         "cost_scan-depth", "cost_scan-eps", "cost_scan-time-budget",
         "estimator_agreement", "estimator_agreement-depth",
         "estimator_agreement-eps2q", "estimator_agreement-eps-mem",
         "estimator_agreement-trajectories", "estimator_agreement-shots",
-        "chi_extrapolation", "chi_extrapolation-odd-n", "coverage_sweep",
-        "coverage_sweep-shots", "coverage_sweep-base-eps", "coverage_sweep-gates",
-        "coverage_sweep-nan-mu", "coverage_sweep-infinite-mu", "cost_scan-seed",
-        "estimator_agreement-seed", "chi_extrapolation-seed", "coverage_sweep-seed",
+        "chi_extrapolation", "chi_extrapolation-odd-n", "cost_scan-seed",
+        "estimator_agreement-seed", "chi_extrapolation-seed",
         "cost_scan-infinite-eps", "cost_scan-nan-eps", "cost_scan-nan-time-budget",
         "cost_scan-infinite-time-budget", "chi_extrapolation-nan-target",
-        "chi_extrapolation-negative-target", "chi_extrapolation-unit-target"])
+        "chi_extrapolation-negative-target", "chi_extrapolation-unit-target",
+        "cost_scan-budget", "cost_scan-repeated-size",
+        "estimator_agreement-repeated-depth", "chi_extrapolation-repeated-chi"])
 def test_script_rejects_bad_flag(argv, message):
     out = _run_script(argv)
     assert out.returncode == 2
