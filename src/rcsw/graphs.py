@@ -194,6 +194,13 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
     k is dual[u] + dual[v] - 2 w[k], so every dual update is an exact
     integer.  Returns the indices of the matched edges, sorted.
 
+    An edge between two top-level blossoms counts as tight when its slack
+    is <= 0, checked as it is scanned.  Each dual step is found by one pass
+    over the edges of every S-vertex (delta2 to a free blossom, delta3 to
+    another S-blossom) and over the T-blossoms (delta4), with no cached
+    least-slack edges: O(n^2 m) in all rather than O(n^3), which is quick
+    enough for graphs of a few dozen nodes.
+
     Edge k has endpoints 2k (eu[k]) and 2k+1 (ev[k]); ``p ^ 1`` is the other
     end.  Ids 0..n-1 are vertices (trivial blossoms) and n..2n-1 are
     non-trivial blossoms.
@@ -224,19 +231,10 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
     blossomchilds: list = [None] * (2 * n)
     blossomendps: list = [None] * (2 * n)
     blossombase = list(range(n)) + [-1] * n
-    # bestedge[b]: least-slack edge to a different S-blossom (b an S-blossom)
-    # or from an S-vertex (b free or inside a T-blossom), -1 if none
-    bestedge = [-1] * (2 * n)
-    # blossombestedges[b]: least-slack edges to neighbouring S-blossoms
-    blossombestedges: list = [None] * (2 * n)
     unused = list(range(n, 2 * n))
     # dualvar[v] = 2 u(v) for vertices; dualvar[b] = z(b) for blossoms
     dualvar = [max(w)] * n + [0] * n
-    allowedge = [False] * m  # edge known to have zero slack
     queue: list[int] = []
-
-    def slack(k):
-        return dualvar[endpoint[2 * k]] + dualvar[endpoint[2 * k + 1]] - w2[k]
 
     def leaves(b):
         if b < n:
@@ -256,7 +254,6 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
             b = inblossom[v]
             label[v] = label[b] = t
             labelend[v] = labelend[b] = p
-            bestedge[v] = bestedge[b] = -1
             if t == 1:
                 queue.extend(leaves(b))
                 return
@@ -317,24 +314,6 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
             if label[inblossom[x]] == 2:
                 queue.append(x)  # a T-vertex turns S inside the new blossom
             inblossom[x] = b
-        bestto: dict[int, int] = {}
-        for sub in path:
-            nb = blossombestedges[sub]
-            if nb is None:
-                nb = [k for x in leaves(sub) for k, _, _ in nbrs[x]]
-            for e in nb:
-                j = endpoint[2 * e + 1]
-                if inblossom[j] == b:
-                    j = endpoint[2 * e]
-                bj = inblossom[j]
-                if bj != b and label[bj] == 1:
-                    cur = bestto.get(bj, -1)
-                    if cur == -1 or slack(e) < slack(cur):
-                        bestto[bj] = e
-            blossombestedges[sub] = None
-            bestedge[sub] = -1
-        blossombestedges[b] = best = list(bestto.values())
-        bestedge[b] = min(best, key=slack) if best else -1
 
     def expand_blossom(b, endstage):
         for s in blossomchilds[b]:
@@ -362,15 +341,12 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
                 label[endpoint[p ^ 1]] = 0
                 label[endpoint[endps[j - trick] ^ trick ^ 1]] = 0
                 assign_label(endpoint[p ^ 1], 2, p)
-                allowedge[endps[j - trick] >> 1] = True
                 j += jstep
                 p = endps[j - trick] ^ trick
-                allowedge[p >> 1] = True
                 j += jstep
             bv = childs[j]
             label[endpoint[p ^ 1]] = label[bv] = 2
             labelend[endpoint[p ^ 1]] = labelend[bv] = p
-            bestedge[bv] = -1
             j += jstep
             while childs[j] != entry:
                 bv = childs[j]
@@ -384,9 +360,8 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
                     label[endpoint[mate[blossombase[bv]]]] = 0
                     assign_label(x, 2, labelend[x])
         label[b] = labelend[b] = -1
-        blossomchilds[b] = blossomendps[b] = blossombestedges[b] = None
+        blossomchilds[b] = blossomendps[b] = None
         blossombase[b] = -1
-        bestedge[b] = -1
         unused.append(b)
 
     def augment_blossom(b, v):
@@ -442,9 +417,6 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
         # a stage: grow alternating trees from every single vertex until
         # one augmentation, adjusting duals whenever the trees are stuck
         label[:] = [0] * (2 * n)
-        bestedge[:] = [-1] * (2 * n)
-        blossombestedges[n:] = [None] * n
-        allowedge[:] = [False] * m
         queue.clear()
         for v in range(n):
             if mate[v] == -1 and label[inblossom[v]] == 0:
@@ -457,61 +429,50 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
                 dv = dualvar[v]
                 for k, u, pr in nbrs[v]:
                     bu = inblossom[u]
-                    if bv == bu:
-                        continue
-                    if not allowedge[k]:
-                        kslack = dv + dualvar[u] - w2[k]
-                        if kslack <= 0:
-                            allowedge[k] = True
-                    if allowedge[k]:
-                        if label[bu] == 0:
-                            assign_label(u, 2, pr)
-                        elif label[bu] == 1:
-                            base = scan_blossom(v, u)
-                            if base >= 0:
-                                add_blossom(base, k)
-                                bv = inblossom[v]
-                            else:
-                                augment_matching(k)
-                                augmented = True
-                                break
-                        elif label[u] == 0:
-                            label[u] = 2  # reached inside a T-blossom
-                            labelend[u] = pr
+                    if bv == bu or dv + dualvar[u] - w2[k] > 0:
+                        continue  # inside one blossom, or not tight
+                    if label[bu] == 0:
+                        assign_label(u, 2, pr)
                     elif label[bu] == 1:
-                        e = bestedge[bv]
-                        if e == -1 or kslack < (dualvar[endpoint[2 * e]]
-                                                + dualvar[endpoint[2 * e + 1]] - w2[e]):
-                            bestedge[bv] = k
+                        base = scan_blossom(v, u)
+                        if base >= 0:
+                            add_blossom(base, k)
+                            bv = inblossom[v]
+                        else:
+                            augment_matching(k)
+                            augmented = True
+                            break
                     elif label[u] == 0:
-                        e = bestedge[u]
-                        if e == -1 or kslack < (dualvar[endpoint[2 * e]]
-                                                + dualvar[endpoint[2 * e + 1]] - w2[e]):
-                            bestedge[u] = k
+                        label[u] = 2  # reached inside a T-blossom
+                        labelend[u] = pr
             if augmented:
                 break
             # no augmenting path over tight edges: the least dual change
-            # that tightens an edge (delta2, delta3) or empties a T-blossom
-            # dual (delta4); with none left, the matching is optimal
+            # that tightens an edge from an S-vertex to a free blossom
+            # (delta2, full slack) or to another S-blossom (delta3, half
+            # the slack, which is even), or that empties a T-blossom dual
+            # (delta4); with none left, the matching is optimal
             tops = set(inblossom)
             lab = [label[b] for b in inblossom]
-            deltatype, delta, deltaedge = -1, 0, -1
+            delta, target = -1, -1
             for v in range(n):
-                if lab[v] == 0 and bestedge[v] != -1:
-                    d = slack(bestedge[v])
-                    if deltatype == -1 or d < delta:
-                        deltatype, delta, deltaedge = 2, d, bestedge[v]
+                if lab[v] != 1:
+                    continue
+                bv = inblossom[v]
+                dv = dualvar[v]
+                for k, u, _ in nbrs[v]:
+                    if lab[u] == 0:
+                        d = dv + dualvar[u] - w2[k]
+                    elif lab[u] == 1 and inblossom[u] != bv:
+                        d = (dv + dualvar[u] - w2[k]) // 2
+                    else:
+                        continue
+                    if delta == -1 or d < delta:
+                        delta, target = d, v
             for b in tops:
-                lb = label[b]
-                if lb == 1:
-                    e = bestedge[b]
-                    if e != -1:
-                        d = slack(e) // 2  # even: both ends are S
-                        if deltatype == -1 or d < delta:
-                            deltatype, delta, deltaedge = 3, d, e
-                elif lb == 2 and b >= n and (deltatype == -1 or dualvar[b] < delta):
-                    deltatype, delta, deltaedge = 4, dualvar[b], b
-            if deltatype == -1:
+                if b >= n and label[b] == 2 and (delta == -1 or dualvar[b] < delta):
+                    delta, target = dualvar[b], b
+            if delta == -1:
                 break
             dualvar[:n] = [x - delta if lv == 1 else x + delta if lv == 2 else x
                            for x, lv in zip(dualvar, lab)]
@@ -521,14 +482,10 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
                         dualvar[b] += delta
                     elif label[b] == 2:
                         dualvar[b] -= delta
-            if deltatype == 4:
-                expand_blossom(deltaedge, False)
+            if target >= n:
+                expand_blossom(target, False)  # delta4
             else:
-                allowedge[deltaedge] = True
-                i = endpoint[2 * deltaedge]
-                if label[inblossom[i]] != 1:
-                    i = endpoint[2 * deltaedge + 1]
-                queue.append(i)
+                queue.append(target)  # rescans the S-vertex of the tight edge
         if not augmented:
             break
         for b in range(n, 2 * n):
@@ -629,16 +586,16 @@ def partition_nodes(n: int, edges, b: int, seed=0) -> list[list[int]]:
         assign[pos:pos + size] = j
         pos += size
 
-    weight: dict[Edge, float] = {}
+    weight: dict[Edge, int] = {}
     for u, v in edges:
         key = (min(u, v), max(u, v))
-        weight[key] = weight.get(key, 0.0) + 1.0
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+        weight[key] = weight.get(key, 0) + 1
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for (u, v), w in weight.items():
         adj[u].append((v, w))
         adj[v].append((u, w))
 
-    def gain(u: int, target: int) -> float:
+    def gain(u: int, target: int) -> int:
         # cut reduction if u alone moved to block `target`
         g_same = sum(w for v, w in adj[u] if assign[v] == assign[u])
         g_tgt = sum(w for v, w in adj[u] if assign[v] == target)
@@ -657,10 +614,10 @@ def partition_nodes(n: int, edges, b: int, seed=0) -> list[list[int]]:
                 if bv == bu:
                     continue
                 delta = gain(u, bv) + gain(v, bu)
-                uv_w = weight.get((min(u, v), max(u, v)), 0.0)
+                uv_w = weight.get((min(u, v), max(u, v)), 0)
                 # swapping u and v keeps them adjacent across the new cut
-                delta -= 2.0 * uv_w
-                if delta > 1e-12:
+                delta -= 2 * uv_w
+                if delta > 0:
                     assign[u], assign[v] = bv, bu
                     improved = True
                     break

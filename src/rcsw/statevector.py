@@ -18,15 +18,15 @@ they commute) and before the dephasing.
 run_trajectories draws every trajectory's errors first, from that
 trajectory's own generator and in circuit order, then samples its shots
 from the same generator; the draws never depend on the state, so results
-are seed-for-seed those of simulating each trajectory gate by gate.  Where
-errors are sparse, a trajectory's per-gate uniforms are one vector draw,
-and at each hit the generator is rewound to just past that uniform before
-the Pauli pair is drawn, which leaves the per-gate stream.  The error-free
-path is walked once.  A trajectory with errors is forked from it at the
-layer of its first error and run to the end; one without errors reuses the
-final error-free state, its overlap and one shared sampling table (the
-normalised cumulative distribution).  Extra memory is a few state vectors,
-whatever the depth or the number of trajectories.
+are seed-for-seed those of simulating each trajectory gate by gate.  A
+trajectory's per-gate uniforms are one vector draw, and at each hit the
+generator is rewound to just past that uniform before the Pauli pair is
+drawn, which leaves the per-gate stream.  The error-free path is walked
+once.  A trajectory with errors is forked from it at the layer of its first
+error and run to the end; one without errors reuses the final error-free
+state, its overlap and one shared sampling table (the normalised cumulative
+distribution).  Extra memory is a few state vectors, whatever the depth or
+the number of trajectories.
 """
 from __future__ import annotations
 
@@ -263,14 +263,6 @@ class TrajectoryResult:
     samples: np.ndarray  # int64 outcome indices, in trajectory order
 
 
-# Error rate per gate from which errors are drawn gate by gate.  Drawing the
-# uniforms as one vector costs a generator rewind per hit, so it pays only
-# while hits are sparse: on rg n=12, d=10 and its mirror (60 and 120 gates,
-# 128 trajectories, median of 15) it took 0.64-0.81x the per-gate loop's time
-# at eps_2q 0.04-0.05, 0.88-0.93x at 1/16 and 1.07-1.10x at 0.08.
-_DENSE = 1 / 16
-
-
 def _two_qubit_gates(c: Circuit) -> list[tuple[int, int, int]]:
     """The circuit's 2q gates in order, as (layer index, q0, q1)."""
     return [(i, g.q0, g.q1) for i, lay in enumerate(c.layers) if lay.kind == "2q"
@@ -282,26 +274,12 @@ def _draw_errors(gates: list, p2: float, rng: np.random.Generator) -> dict:
 
     Each gate of gates (see _two_qubit_gates) draws a uniform and, when it
     is below p2, a Pauli pair index: the stream of a per-gate loop, and the
-    generator ends where that loop leaves it.  Below _DENSE the uniforms up
-    to the last gate are drawn as one vector; at a hit the generator is set
-    back to its saved state from before that vector and redraws up to the
-    hit's uniform, then draws the pair.  The draws never depend on the state.
+    generator ends where that loop leaves it.  The uniforms up to the last
+    gate are drawn as one vector; at a hit the generator is set back to its
+    saved state from before that vector and redraws up to the hit's
+    uniform, then draws the pair.  The draws never depend on the state.
     """
     errors: dict[int, list] = {}
-
-    def hit(i: int, q0: int, q1: int):
-        la, lb = _PAULI_PAIRS[rng.integers(0, 15)]
-        layer = errors.setdefault(i, [])
-        if la != "I":
-            layer.append((q0, la))
-        if lb != "I":
-            layer.append((q1, lb))
-
-    if p2 >= _DENSE:
-        for g in gates:
-            if rng.random() < p2:
-                hit(*g)
-        return errors
     bg = rng.bit_generator
     j = 0
     while p2 > 0.0 and j < len(gates):
@@ -313,7 +291,13 @@ def _draw_errors(gates: list, p2: float, rng: np.random.Generator) -> dict:
         if h + 1 < u.size:
             bg.state = saved
             rng.random(h + 1)
-        hit(*gates[j + h])
+        i, q0, q1 = gates[j + h]
+        la, lb = _PAULI_PAIRS[rng.integers(0, 15)]
+        layer = errors.setdefault(i, [])
+        if la != "I":
+            layer.append((q0, la))
+        if lb != "I":
+            layer.append((q1, lb))
         j += h + 1
     return errors
 

@@ -158,9 +158,12 @@ class TestEdgeColor:
         with pytest.raises(ParityError):
             graphs.sample_colored_graph(11, 4, seed=0)
 
-    @pytest.mark.parametrize("n,d", [(12, 10), (16, 8), (24, 6), (36, 12)])
-    def test_matches_networkx_oracle(self, n, d):
-        for seed in range(50):
+    @pytest.mark.parametrize("n,d,seeds", [
+        pytest.param(n, d, seeds, id=f"{n}-{d}")
+        for n, d, seeds in [(12, 10, 50), (16, 8, 50), (24, 6, 50), (36, 12, 50),
+                            (56, 12, 5), (56, 16, 5)]])
+    def test_matches_networkx_oracle(self, n, d, seeds):
+        for seed in range(seeds):
             g = graphs.sample_regular_graph(n, d, seed)
             want = edge_color_networkx_reference(g, seed=seed)
             if want is None:
