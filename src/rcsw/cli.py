@@ -1,8 +1,9 @@
 """Batch command line driving reproducible experiments.
 
 Subcommands generate circuit files, price contraction costs, estimate
-fidelities from simulated noisy runs, scan chain-truncation error rates,
-tabulate resampling distributions, and run interval-coverage studies.
+fidelities from simulated noisy runs, scan chain-truncation error rates
+against bond dimension, tabulate resampling distributions, and run
+interval-coverage studies.
 Every command is a pure function of its flags and seeds: re-running
 reproduces primary outputs byte for byte (manifest timestamps aside).
 Files are written atomically (temp file, then rename).
@@ -32,14 +33,15 @@ from .bootstrap import (
     p_aggregate,
     p_double,
 )
-from .errors import CapacityError, InfeasibleBudget
-from .estimators import GateCountParams, gate_counting, mb_hits, xeb
-from .mps import MPS_CSV_HEADER, evolve
+from .errors import CapacityError, FitError, InfeasibleBudget
+from .estimators import REFERENCE_PARAMS, GateCountParams, gate_counting, mb_hits, xeb
+from .mps import MPS_CSV_HEADER, ChiScan, ChiScanRow, evolve
 from .tn import CSV_HEADER, circuit_to_tn, optimize_order, slice_tree, summarize
 
 BOOT_CSV_HEADER = "n_jobs,n_per,k,p_aggregate,p_double"
 COST_SUMMARY_HEADER = "ensemble,N,d,c_median,c_min,c_max,n_instances,seed0"
 FIDELITY_CSV_HEADER = "ensemble,N,d,estimator,value,ci_low,ci_high,n_samples,seed"
+MPS_SCAN_CSV_HEADER = "N,d,blocking,chi,eps_median,eps_std,n_runs,chi_h2"
 
 
 @dataclass(frozen=True)
@@ -219,25 +221,30 @@ def _median(xs: list[float]) -> float:
     return s[m] if len(s) % 2 else (s[m - 1] + s[m]) / 2
 
 
-def _fidelity_report(cfg: RunConfig, estimator: str, cs, nm, cap: int,
-                     traj_seed: int, boot_seed: int, scores) -> FidelityReport:
-    """Bootstrap interval of the per-shot scores(c, trajectory result).
+def _simulate(cfg: RunConfig, cs, nm, cap: int, traj_seed: int, spt: int, scores):
+    """Per-circuit shot scores(c, trajectory result) and trajectory overlaps.
 
-    Circuit i of cs runs its trajectories from seed traj_seed + i; circuits
-    are simulated one at a time, so cs may be a generator.
+    Circuit i of cs runs its trajectories from seed traj_seed + i, sampling
+    spt shots from each; circuits are simulated one at a time, so cs may be
+    a generator.
     """
-    spt = max(1, -(-cfg.shots // cfg.trajectories))
-    rows = []
+    shots, overlaps = [], []
     for i, c in enumerate(cs):
         res = statevector.run_trajectories(
             c, nm, cfg.trajectories, seed=traj_seed + i, shots_per_traj=spt,
             cap=cap)
-        rows.append(scores(c, res))
+        shots.append(scores(c, res))
+        overlaps.append(res.overlaps)
+    return shots, overlaps
+
+
+def _fidelity_report(cfg: RunConfig, estimator: str, rows, boot_seed: int,
+                     params: dict) -> FidelityReport:
+    """Mean of the per-circuit rows with its aggregate bootstrap interval."""
     ci = bootstrap_ci(ShotTable(tuple(rows)), method="aggregate",
                       r=cfg.resamples, seed=boot_seed)
     return FidelityReport(estimator, float(ci.estimate), float(ci.lo),
-                          float(ci.hi), sum(r.size for r in rows),
-                          {"trajectories": cfg.trajectories, "shots_per_traj": spt})
+                          float(ci.hi), sum(r.size for r in rows), params)
 
 
 def _xeb_scores(c, res) -> np.ndarray:
@@ -252,6 +259,8 @@ def cmd_fidelity(cfg: RunConfig) -> list[Path]:
     nm = statevector.NoiseModel(eps_2q=cfg.noise_eps2q, eps_mem=cfg.noise_mem)
     gc_params = GateCountParams(eps_2q=cfg.noise_eps2q, p_spam=cfg.spam,
                                 eps_mem=cfg.noise_mem)
+    spt = max(1, -(-cfg.shots // cfg.trajectories))
+    sampled = {"trajectories": cfg.trajectories, "shots_per_traj": spt}
     out = Path(cfg.out)
     files: list[Path] = []
     csv_rows: list[str] = []
@@ -270,12 +279,18 @@ def cmd_fidelity(cfg: RunConfig) -> list[Path]:
         reports: list[FidelityReport] = []
         for name, run_cs, cap, traj_seed, boot_seed, scores in runs:
             try:
-                reports.append(_fidelity_report(cfg, name, run_cs, nm, cap,
-                                                cfg.seed + traj_seed,
-                                                cfg.seed + boot_seed, scores))
+                shots, overlaps = _simulate(cfg, run_cs, nm, cap,
+                                            cfg.seed + traj_seed, spt, scores)
             except CapacityError as exc:  # keep the other estimators
                 print(f"rcsw fidelity: skipped {name} at n={n}, d={d}: {exc}",
                       file=sys.stderr)
+                continue
+            reports.append(_fidelity_report(cfg, name, shots, cfg.seed + boot_seed,
+                                            sampled))
+            if name == "xeb":  # the trajectory fidelity of the same circuits
+                reports.append(_fidelity_report(
+                    cfg, "direct", overlaps, cfg.seed + 103,
+                    {"trajectories": cfg.trajectories}))
         gc = gate_counting(gc_params, n, d)
         reports.append(FidelityReport(
             "gc", gc, None, None, 0,
@@ -295,6 +310,7 @@ def cmd_mps(cfg: RunConfig) -> list[Path]:
     cs = {(n, d, i): circuits.build_instance(cfg.ensemble, n, d, cfg.seed + i)
           for n, d in _grid(cfg) for i in range(cfg.instances)}
     rows = []
+    runs: dict[tuple, dict[int, list[float]]] = {}  # (n, d, blocking) -> chi -> eps
     for n, d in _grid(cfg):
         for chi in cfg.chi:
             for b in cfg.blocks:
@@ -307,7 +323,22 @@ def cmd_mps(cfg: RunConfig) -> list[Path]:
                               f"blocks={b}, seed={s}: {exc}", file=sys.stderr)
                         continue
                     rows.append(rep.csv_row())
-    return [_write_csv(Path(cfg.out) / "mps_runs.csv", MPS_CSV_HEADER, rows)]
+                    runs.setdefault((n, d, rep.blocking), {}).setdefault(
+                        chi, []).append(rep.eps_mps)
+    scan_rows = []
+    for (n, d, blocking), by_chi in runs.items():
+        scan = ChiScan(tuple(ChiScanRow(chi, blocking, _median(eps), float(np.std(eps)))
+                             for chi, eps in sorted(by_chi.items())))
+        try:
+            chi_h2 = repr(scan.extrapolate_chi(REFERENCE_PARAMS.eps_2q))
+        except FitError:  # one bond dimension, flat medians, or beyond float range
+            chi_h2 = ""
+        scan_rows.extend(f"{n},{d},{blocking},{r.chi},{r.eps_median!r},"
+                         f"{r.eps_std!r},{len(by_chi[r.chi])},{chi_h2}"
+                         for r in scan.rows)
+    out = Path(cfg.out)
+    return [_write_csv(out / "mps_runs.csv", MPS_CSV_HEADER, rows),
+            _write_csv(out / "mps_scan.csv", MPS_SCAN_CSV_HEADER, scan_rows)]
 
 
 def cmd_bootstrap(cfg: RunConfig) -> list[Path]:
@@ -378,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="log2 of the sliced width budget; omit to skip slicing")
     common(c)
 
-    f = sub.add_parser("fidelity", help="estimator comparison on simulated noise")
+    about = ("fidelity.csv: XEB, direct (mean trajectory fidelity of the XEB "
+             "circuits), mirror and gate-counting rows under simulated noise")
+    f = sub.add_parser("fidelity", help=about, description=about)
     circuit_flags(f)
     f.add_argument("--noise-eps2q", type=float, default=0.0)
     f.add_argument("--noise-mem", type=float, default=0.0)
@@ -392,7 +425,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "probabilities are computed")
     common(f)
 
-    m = sub.add_parser("mps", help="truncated-chain error-per-gate table")
+    about = ("truncated-chain error per gate: mps_runs.csv per run, and "
+             "mps_scan.csv per (N, d, blocking, chi) with the chi extrapolated "
+             "to H2's two-qubit error rate")
+    m = sub.add_parser("mps", help=about, description=about)
     circuit_flags(m)
     _int_list(m, "--chi", [8], "bond dimensions")
     _int_list(m, "--blocks", [2], "block counts")

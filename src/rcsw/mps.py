@@ -377,6 +377,8 @@ class ChiScan:
 
         Fits a line through the medians at the two largest bond dimensions
         and solves for the target error rate, which must lie in (0, 1).
+        Raises FitError when there is no such line (one bond dimension, or
+        equal medians) or its solution overflows a float.
         """
         if not 0 < eps_target < 1:
             raise ValueError(f"target error rate {eps_target!r} must lie in (0, 1)")
@@ -388,23 +390,8 @@ class ChiScan:
             raise FitError("flat error rates cannot be extrapolated")
         x1, x2 = math.log2(r1.chi), math.log2(r2.chi)
         slope = (r2.eps_median - r1.eps_median) / (x2 - x1)
-        return 2.0 ** (x2 + (eps_target - r2.eps_median) / slope)
+        try:
+            return 2.0 ** (x2 + (eps_target - r2.eps_median) / slope)
+        except OverflowError:  # a nearly flat line: far beyond any float
+            raise FitError("extrapolated bond dimension overflows a float") from None
 
-
-def epsilon_vs_chi(circuits, chis, blocks: int, seed=0) -> ChiScan:
-    """Median and spread of the error per entangling gate over a circuit
-    list, one row per bond dimension, every circuit cut into ``blocks``
-    blocks."""
-    if not circuits:
-        raise ValueError("need at least one circuit")
-    chis = sorted(set(int(x) for x in chis))
-    if len(chis) < 2:
-        raise ValueError("need at least two bond dimensions")
-    rows = []
-    for chi in chis:
-        reports = [evolve(c, chi, blocks, seed=seed)[1] for c in circuits]
-        eps = [r.eps_mps for r in reports]
-        rows.append(ChiScanRow(
-            chi=chi, blocking=reports[0].blocking,
-            eps_median=float(np.median(eps)), eps_std=float(np.std(eps))))
-    return ChiScan(rows=tuple(rows))

@@ -174,7 +174,8 @@ class TestFidelity:
                  "--seed", "9", "--out", str(out)])
         doc = json.loads((out / "fidelity_n6_d4.json").read_text())
         by_name = {r["estimator"]: r for r in doc}
-        assert set(by_name) == {"xeb", "mb", "gc"}
+        assert set(by_name) == {"xeb", "direct", "mb", "gc"}
+        assert by_name["direct"]["value"] == pytest.approx(1.0, abs=1e-12)
         assert by_name["mb"]["value"] == 1.0
         assert by_name["mb"]["ci_low"] == 1.0
         assert by_name["gc"]["value"] == 1.0
@@ -213,8 +214,28 @@ class TestFidelity:
         assert (out / "fidelity.csv").read_text() == (
             "ensemble,N,d,estimator,value,ci_low,ci_high,n_samples,seed\n"
             "rg,6,3,xeb,0.8157302359341416,0.7550446568678585,0.8734539760728004,512,0\n"
+            "rg,6,3,direct,0.9375760527319046,0.875152105463811,0.9999999999999983,16,0\n"
             "rg,6,3,mb,0.9609375,0.951171875,0.96875,512,0\n"
             "rg,6,3,gc,0.8929639755384502,,,0,0\n")
+
+    def test_direct_is_the_mean_trajectory_fidelity(self, tmp_path):
+        # the direct row reuses the XEB runs' overlaps; a fresh run of each
+        # circuit from the same seed gives the same mean
+        out = tmp_path / "fid_direct"
+        run_cli(["fidelity", "--n", "6", "--d", "3", "4", "--instances", "3",
+                 "--trajectories", "8", "--noise-eps2q", "2e-2", "--noise-mem", "1e-2",
+                 "--seed", "5", "--out", str(out)])
+        _, rows = read_csv(out / "fidelity.csv")
+        assert [r.split(",")[3] for r in rows] == ["xeb", "direct", "mb", "gc"] * 2
+        nm = cli.statevector.NoiseModel(eps_2q=2e-2, eps_mem=1e-2)
+        for d, row in zip((3, 4), rows[1::4]):
+            fids = [cli.statevector.run_trajectories(
+                        cli.circuits.build_instance("rg", 6, d, 5 + i), nm, 8,
+                        seed=5 + 1000 + i).fidelity for i in range(3)]
+            parts = row.split(",")
+            assert abs(float(parts[4]) - np.mean(fids)) <= 1e-12
+            assert float(parts[5]) <= float(parts[4]) <= float(parts[6])
+            assert parts[7] == "24"
 
 
 class TestMps:
@@ -241,6 +262,34 @@ class TestMps:
             "N,d,chi,blocking,F_mps,eps_mps,flops_est,seed\n"
             "8,4,2,2x[4],0.24447751540909082,0.0842752914433017,56704.0,0\n"
             "8,4,8,2x[4],0.8640990906248732,0.009087694299066973,593792.0,0\n")
+        assert (tmp_path / "mps_scan.csv").read_text() == (
+            "N,d,blocking,chi,eps_median,eps_std,n_runs,chi_h2\n"
+            "8,4,2x[4],2,0.0842752914433017,0.0,1,9.189406322221334\n"
+            "8,4,2x[4],8,0.009087694299066973,0.0,1,9.189406322221334\n")
+
+    def test_scan_summarizes_the_runs(self, tmp_path):
+        # each scan row is the median and population std of its group's
+        # eps_mps column in mps_runs.csv
+        run_cli(["mps", "--n", "8", "--d", "3", "4", "--instances", "4",
+                 "--chi", "2", "8", "--blocks", "2", "4", "--seed", "7",
+                 "--out", str(tmp_path)])
+        _, runs = read_csv(tmp_path / "mps_runs.csv")
+        groups: dict = {}
+        for r in runs:
+            n, d, chi, blocking, _, eps, _, _ = r.split(",")
+            groups.setdefault((n, d, blocking, chi), []).append(float(eps))
+        _, scan = read_csv(tmp_path / "mps_scan.csv")
+        assert len(scan) == len(groups) == 8
+        chi_h2 = {}
+        for r in scan:
+            n, d, blocking, chi, med, std, n_runs, h2 = r.split(",")
+            eps = groups[n, d, blocking, chi]
+            assert float(med) == cli._median(eps)
+            assert float(std) == float(np.std(eps))
+            assert int(n_runs) == 4  # an even count: the mean of the middle two
+            chi_h2.setdefault((n, d, blocking), set()).add(h2)
+        assert len(chi_h2) == 4  # one extrapolated chi per (N, d, blocking)
+        assert all(len(v) == 1 and "" not in v for v in chi_h2.values())
 
     def test_capacity_skip_keeps_other_rows(self, tmp_path, capsys):
         # two blocks of 14 qubits merge into 2^28 entries, over the dense cap
@@ -396,6 +445,28 @@ class TestConfig:
     ["coverage", "--instances", "0"],
     ["coverage", "--mu", "0.1", "nan"],
     ["coverage", "--mu", "0.3", "0.3"],
+    ["fidelity", "--n", "7", "--d", "3"],
+    ["fidelity", "--n", "6", "--d", "6"],
+    ["fidelity", "--noise-eps2q", "2"],
+    ["fidelity", "--noise-mem", "-0.1"],
+    ["fidelity", "--d", "4", "4"],
+    ["mps", "--n", "7", "--d", "3"],
+    # the settings the estimator-agreement and chi-extrapolation tables
+    # were made at, each with one bad flag last
+    ["fidelity", "--n", "10", "--d", "2", "4", "6", "8", "--instances", "4",
+     "--noise-eps2q", "0.008", "--noise-mem", "0.001", "--shots", "4",
+     "--trajectories", "0"],
+    ["fidelity", "--n", "10", "--d", "2", "4", "6", "8", "--instances", "4",
+     "--noise-eps2q", "0.008", "--noise-mem", "0.001", "--trajectories", "48",
+     "--shots", "0"],
+    ["fidelity", "--n", "10", "--d", "2", "4", "6", "8", "--instances", "4",
+     "--noise-eps2q", "0.008", "--noise-mem", "0.001", "--seed", "-1"],
+    ["mps", "--n", "12", "--d", "8", "--chi", "4", "8", "16", "32", "--blocks", "2",
+     "--instances", "0"],
+    ["mps", "--n", "12", "--d", "8", "--chi", "4", "8", "16", "32", "--blocks", "2",
+     "--instances", "6", "--seed", "-1"],
+    ["mps", "--n", "12", "--d", "8", "--blocks", "2", "--instances", "6",
+     "--chi", "4", "4", "8"],
 ], ids=["zero-trajectories", "fidelity-resamples", "negative-xeb-cap",
         "coverage-resamples", "odd-n-odd-degree", "odd-n", "degree-not-below-n",
         "too-many-blocks", "zero-width-budget", "negative-width-budget",
@@ -406,7 +477,12 @@ class TestConfig:
         "fidelity-negative-seed", "mps-negative-seed", "coverage-negative-seed",
         "nan-mu", "infinite-mu", "repeated-n", "repeated-d", "repeated-chi",
         "repeated-blocks", "coverage-zero-shots", "coverage-zero-instances",
-        "nan-among-mus", "repeated-mu"])
+        "nan-among-mus", "repeated-mu", "fidelity-odd-n",
+        "fidelity-degree-not-below-n", "fidelity-eps2q-above-one",
+        "fidelity-negative-noise-mem", "fidelity-repeated-d", "mps-odd-n",
+        "agreement-zero-trajectories", "agreement-zero-shots",
+        "agreement-negative-seed", "chi-scan-zero-instances",
+        "chi-scan-negative-seed", "chi-scan-repeated-chi"])
 def test_bad_flags_exit_2_before_running(argv, tmp_path, capsys):
     out = tmp_path / "never"
     assert cli.main(argv + ["--out", str(out)]) == 2

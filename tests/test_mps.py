@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import evolve_full_merge_reference, rg_circuit
-from rcsw import mps, statevector
+from rcsw import cli, mps, statevector
 from rcsw.circuits import (ZZ_ANGLE, Circuit, Layer, OneQubitGate, TwoQubitGate,
                            build_instance)
 from rcsw.errors import CapacityError, FitError
-from rcsw.mps import MPS_CSV_HEADER, blocking_label, epsilon_vs_chi, evolve
+from rcsw.estimators import REFERENCE_PARAMS
+from rcsw.mps import MPS_CSV_HEADER, blocking_label, evolve
 
 
 def max_state_error(state, sv):
@@ -197,24 +198,54 @@ def test_capacity_error_on_densify(monkeypatch):
         state.to_statevector()
 
 
-def test_epsilon_vs_chi_rows_and_extrapolation():
-    circuits = [rg_circuit(10, 6, seed=60 + s) for s in range(4)]
-    scan = epsilon_vs_chi(circuits, [2, 4, 8], 2)
-    assert [(r.chi, r.blocking) for r in scan.rows] == \
-        [(2, "2x[5]"), (4, "2x[5]"), (8, "2x[5]")]
-    meds = [r.eps_median for r in scan.rows]
+def _scan(tmp_path, capsys, *flags):
+    """rcsw mps at n=8: the mps_scan.csv rows, split, and empty stderr."""
+    assert cli.main(["mps", "--n", "8", *flags, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "mps_scan.csv").read_text().splitlines()
+    assert lines[0] == "N,d,blocking,chi,eps_median,eps_std,n_runs,chi_h2"
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_mps_scan_rows_and_extrapolation(tmp_path, capsys):
+    rows = _scan(tmp_path, capsys, "--d", "4", "--instances", "3",
+                 "--chi", "8", "2", "4", "--seed", "60")
+    assert [(r[2], int(r[3]), int(r[6])) for r in rows] == \
+        [("2x[4]", 2, 3), ("2x[4]", 4, 3), ("2x[4]", 8, 3)]
+    meds = [float(r[4]) for r in rows]
     assert meds == sorted(meds, reverse=True)
-    target = meds[-1] / 2.0
-    assert scan.extrapolate_chi(target) > 8.0
+    scan = mps.ChiScan(tuple(mps.ChiScanRow(int(r[3]), r[2], float(r[4]), float(r[5]))
+                             for r in rows))
+    chi_h2 = scan.extrapolate_chi(REFERENCE_PARAMS.eps_2q)
+    assert chi_h2 > 8.0
+    assert {r[7] for r in rows} == {repr(chi_h2)}
 
 
-def test_epsilon_vs_chi_flat_rates_unfittable():
-    circuits = [rg_circuit(8, 3, seed=61)]
-    scan = epsilon_vs_chi(circuits, [16, 32], 2)  # exact in both cases
-    with pytest.raises(FitError):
-        scan.extrapolate_chi(1e-3)
-    with pytest.raises(ValueError):
-        epsilon_vs_chi(circuits, [4], 2)
+def test_mps_scan_flat_rates_leave_chi_empty(tmp_path, capsys):
+    rows = _scan(tmp_path, capsys, "--d", "3", "--chi", "16", "32", "--seed", "61")
+    assert [(r[4], r[7]) for r in rows] == [("0.0", ""), ("0.0", "")]  # exact at both
+
+
+def test_mps_scan_single_chi_leaves_chi_empty(tmp_path, capsys):
+    rows = _scan(tmp_path, capsys, "--d", "4", "--chi", "4")
+    assert len(rows) == 1 and rows[0][7] == ""
+
+
+def test_mps_scan_groups_each_blocking(tmp_path, capsys):
+    rows = _scan(tmp_path, capsys, "--d", "4", "--chi", "2", "4", "--blocks", "2", "4",
+                 "--seed", "62")
+    assert [(r[2], r[3]) for r in rows] == \
+        [("2x[4]", "2"), ("2x[4]", "4"), ("4x[2]", "2"), ("4x[2]", "4")]
+    assert rows[0][7] == rows[1][7] != rows[2][7] == rows[3][7] != ""
+
+
+def test_mps_scan_needs_an_instance(tmp_path, capsys):
+    with pytest.raises(FitError, match="two distinct bond dimensions"):
+        mps.ChiScan(()).extrapolate_chi(REFERENCE_PARAMS.eps_2q)
+    out = tmp_path / "never"
+    assert cli.main(["mps", "--n", "8", "--instances", "0", "--out", str(out)]) == 2
+    assert "instances" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_extrapolate_chi_rejects_target_outside_unit_interval():
@@ -226,17 +257,11 @@ def test_extrapolate_chi_rejects_target_outside_unit_interval():
             scan.extrapolate_chi(target)
 
 
-def test_epsilon_vs_chi_multiple_blockings():
-    circuits = [rg_circuit(8, 4, seed=62)]
-    rows = [r for blocks in (2, 4)
-            for r in epsilon_vs_chi(circuits, [2, 4], blocks).rows]
-    assert {r.blocking for r in rows} == {"2x[4]", "4x[2]"}
-    assert len(rows) == 4
-
-
-def test_epsilon_vs_chi_needs_a_circuit():
-    with pytest.raises(ValueError, match="at least one circuit"):
-        epsilon_vs_chi([], [2, 4], 2)
+def test_extrapolate_chi_beyond_float_range_is_a_fit_error():
+    scan = mps.ChiScan((mps.ChiScanRow(4, "2x[4]", 0.5, 0.0),
+                        mps.ChiScanRow(8, "2x[4]", 0.5 - 1e-15, 0.0)))
+    with pytest.raises(FitError, match="overflows"):
+        scan.extrapolate_chi(1e-3)
 
 
 def test_blocking_label_forms():

@@ -23,12 +23,6 @@ RUNS = [
     (["cost_scan.py", "--sizes", "8", "16", "--depth", "4", "--instances", "2",
       "--budget", "1"],
      "ensemble    N   d  C_median    C_max"),
-    (["estimator_agreement.py", "--n", "6", "--depths", "2", "4", "--instances", "2",
-      "--trajectories", "8", "--shots", "2"],
-     "N = 6, eps_2q = 0.008, eps_mem = 0.001"),
-    (["chi_extrapolation.py", "--n", "8", "--depth", "4", "--instances", "2",
-      "--chis", "2", "4"],
-     "N = 8, d = 4, 2 circuits"),
 ]
 RUN_IDS = [Path(argv[0]).stem for argv, _ in RUNS]
 
@@ -58,43 +52,17 @@ def test_scripts_docs_and_smoke_tests_agree():
     (["cost_scan.py", "--eps", "0"], "--eps must be positive"),
     (["cost_scan.py", "--time-budget", "0.5"],
      "total time budget is below the per-shot time"),
-    (["estimator_agreement.py", "--n", "7"], "--n must be even"),
-    (["estimator_agreement.py", "--n", "6", "--depths", "2", "6"],
-     "--depths must lie in [1, n)"),
-    (["estimator_agreement.py", "--eps2q", "2"], "eps_2q must lie in [0, 1]"),
-    (["estimator_agreement.py", "--eps-mem", "-0.1"], "eps_mem must lie in [0, 1]"),
-    (["estimator_agreement.py", "--trajectories", "0"],
-     "--trajectories and --shots must be at least 1"),
-    (["estimator_agreement.py", "--shots", "0"],
-     "--trajectories and --shots must be at least 1"),
-    (["chi_extrapolation.py", "--instances", "0"], "--instances must be at least 1"),
-    (["chi_extrapolation.py", "--n", "7"], "--n must be even"),
     (["cost_scan.py", "--seed", "-1"], "--seed must be nonnegative"),
-    (["estimator_agreement.py", "--seed", "-1"], "--seed must be nonnegative"),
-    (["chi_extrapolation.py", "--seed", "-1"], "--seed must be nonnegative"),
     (["cost_scan.py", "--eps", "inf"], "--eps must be positive and finite"),
     (["cost_scan.py", "--eps", "nan"], "--eps must be positive and finite"),
     (["cost_scan.py", "--time-budget", "nan"], "--time-budget must be finite"),
     (["cost_scan.py", "--time-budget", "inf"], "--time-budget must be finite"),
-    (["chi_extrapolation.py", "--target-eps", "nan"], "--target-eps must lie in (0, 1)"),
-    (["chi_extrapolation.py", "--target-eps", "-1"], "--target-eps must lie in (0, 1)"),
-    (["chi_extrapolation.py", "--target-eps", "1"], "--target-eps must lie in (0, 1)"),
     (["cost_scan.py", "--budget", "0"], "--budget must be at least 1"),
     (["cost_scan.py", "--sizes", "8", "8"], "--sizes has a repeated value"),
-    (["estimator_agreement.py", "--depths", "2", "2"], "--depths has a repeated value"),
-    (["chi_extrapolation.py", "--chis", "4", "4", "8"], "--chis has a repeated value"),
 ], ids=["cost_scan", "cost_scan-size-not-above-depth", "cost_scan-odd-size",
-        "cost_scan-depth", "cost_scan-eps", "cost_scan-time-budget",
-        "estimator_agreement", "estimator_agreement-depth",
-        "estimator_agreement-eps2q", "estimator_agreement-eps-mem",
-        "estimator_agreement-trajectories", "estimator_agreement-shots",
-        "chi_extrapolation", "chi_extrapolation-odd-n", "cost_scan-seed",
-        "estimator_agreement-seed", "chi_extrapolation-seed",
+        "cost_scan-depth", "cost_scan-eps", "cost_scan-time-budget", "cost_scan-seed",
         "cost_scan-infinite-eps", "cost_scan-nan-eps", "cost_scan-nan-time-budget",
-        "cost_scan-infinite-time-budget", "chi_extrapolation-nan-target",
-        "chi_extrapolation-negative-target", "chi_extrapolation-unit-target",
-        "cost_scan-budget", "cost_scan-repeated-size",
-        "estimator_agreement-repeated-depth", "chi_extrapolation-repeated-chi"])
+        "cost_scan-infinite-time-budget", "cost_scan-budget", "cost_scan-repeated-size"])
 def test_script_rejects_bad_flag(argv, message):
     out = _run_script(argv)
     assert out.returncode == 2
