@@ -34,12 +34,29 @@ from .bootstrap import (
     p_double,
 )
 from .errors import CapacityError, FitError, InfeasibleBudget
-from .estimators import REFERENCE_PARAMS, GateCountParams, gate_counting, mb_hits, xeb
+from .estimators import (
+    REFERENCE_PARAMS,
+    GateCountParams,
+    effective_2q_infidelity,
+    gate_counting,
+    mb_hits,
+    xeb,
+)
 from .mps import MPS_CSV_HEADER, ChiScan, ChiScanRow, evolve
-from .tn import CSV_HEADER, circuit_to_tn, optimize_order, slice_tree, summarize
+from .tn import (
+    CSV_HEADER,
+    TIME_BUDGET,
+    SimpleCostModel,
+    circuit_to_tn,
+    max_effective_qubits,
+    optimize_order,
+    slice_tree,
+    summarize,
+)
 
 BOOT_CSV_HEADER = "n_jobs,n_per,k,p_aggregate,p_double"
 COST_SUMMARY_HEADER = "ensemble,N,d,c_median,c_min,c_max,n_instances,seed0"
+COST_FRONTIER_HEADER = "ensemble,eps,time_budget,N_star,d_star,N_eff,depth_limit"
 FIDELITY_CSV_HEADER = "ensemble,N,d,estimator,value,ci_low,ci_high,n_samples,seed"
 MPS_SCAN_CSV_HEADER = "N,d,blocking,chi,eps_median,eps_std,n_runs,chi_h2"
 
@@ -210,7 +227,13 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
         agg_rows.append(f"{cfg.ensemble},{n},{d},{_median(dens)!r},"
                         f"{min(dens)!r},{max(dens)!r},{len(dens)},{cfg.seed}")
     sum_path = _write_csv(out / "cost_summary.csv", COST_SUMMARY_HEADER, agg_rows)
-    return [rows_path, sum_path]
+    # the model frontier at H2's error per gate slot, the same at every n
+    eps = effective_2q_infidelity(REFERENCE_PARAMS, max(cfg.n))
+    front = max_effective_qubits(eps, 1.0, TIME_BUDGET, SimpleCostModel(cfg.ensemble))
+    front_path = _write_csv(out / "cost_frontier.csv", COST_FRONTIER_HEADER, [
+        f"{cfg.ensemble},{eps!r},{TIME_BUDGET!r},{front.n_star},{front.d_star},"
+        f"{front.n_eff!r},{front.depth_limit!r}"])
+    return [rows_path, sum_path, front_path]
 
 
 def _median(xs: list[float]) -> float:
@@ -311,18 +334,20 @@ def cmd_mps(cfg: RunConfig) -> list[Path]:
           for n, d in _grid(cfg) for i in range(cfg.instances)}
     rows = []
     runs: dict[tuple, dict[int, list[float]]] = {}  # (n, d, blocking) -> chi -> eps
+    exact: dict[tuple, int] = {}  # (n, d, blocking) -> the chain's exact-rank bond
     for n, d in _grid(cfg):
         for chi in cfg.chi:
             for b in cfg.blocks:
                 for i in range(cfg.instances):
                     s = cfg.seed + i
                     try:
-                        rep = evolve(cs[n, d, i], chi, int(b), seed=s)[1]
+                        state, rep = evolve(cs[n, d, i], chi, int(b), seed=s)
                     except CapacityError as exc:  # keep the other rows
                         print(f"rcsw mps: skipped n={n}, d={d}, chi={chi}, "
                               f"blocks={b}, seed={s}: {exc}", file=sys.stderr)
                         continue
                     rows.append(rep.csv_row())
+                    exact[n, d, rep.blocking] = state.exact_bond
                     runs.setdefault((n, d, rep.blocking), {}).setdefault(
                         chi, []).append(rep.eps_mps)
     scan_rows = []
@@ -330,7 +355,9 @@ def cmd_mps(cfg: RunConfig) -> list[Path]:
         scan = ChiScan(tuple(ChiScanRow(chi, blocking, _median(eps), float(np.std(eps)))
                              for chi, eps in sorted(by_chi.items())))
         try:
-            chi_h2 = repr(scan.extrapolate_chi(REFERENCE_PARAMS.eps_2q))
+            # no chi past the exact bond truncates anything
+            chi_h2 = repr(min(scan.extrapolate_chi(REFERENCE_PARAMS.eps_2q),
+                              float(exact[n, d, blocking])))
         except FitError:  # one bond dimension, flat medians, or beyond float range
             chi_h2 = ""
         scan_rows.extend(f"{n},{d},{blocking},{r.chi},{r.eps_median!r},"
@@ -401,7 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
     circuit_flags(g)
     common(g)
 
-    c = sub.add_parser("cost", help="contraction cost table over a grid")
+    about = ("contraction cost: cost_rows.csv per instance, cost_summary.csv "
+             "per (N, d), and cost_frontier.csv, the cost model's largest "
+             "effective qubit number at H2's error per gate slot in a time "
+             f"budget of {TIME_BUDGET:g} shots")
+    c = sub.add_parser("cost", help=about, description=about)
     circuit_flags(c)
     c.add_argument("--budget", type=int, default=4,
                    help="contraction-order search budget")

@@ -22,6 +22,7 @@ multiplicatively.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -65,6 +66,13 @@ class MpsState:
     @property
     def max_bond(self) -> int:
         return max(t.shape[2] for t in self.tensors)
+
+    @property
+    def exact_bond(self) -> int:
+        """The bond an untruncated chain of these blocks can need: over its
+        cuts, the largest 2^min(qubits left, qubits right)."""
+        left = itertools.accumulate(len(b) for b in self.blocks[:-1])
+        return max((2 ** min(k, self.n - k) for k in left), default=1)
 
     def locate(self, q: int) -> tuple[int, int]:
         """Chain position and within-block index of qubit q."""

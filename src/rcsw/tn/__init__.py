@@ -8,6 +8,7 @@ verification against the statevector simulator.
 from .execute import execute_tree
 from .models import (
     CSV_HEADER,
+    TIME_BUDGET,
     CostSummary,
     SimpleCostModel,
     lower_bound_rank,
@@ -26,5 +27,5 @@ __all__ = [
     "optimize_order", "light_cone_order",
     "slice_tree", "execute_tree",
     "SimpleCostModel", "simple_cost", "CostSummary", "summarize",
-    "CSV_HEADER", "lower_bound_rank", "max_effective_qubits",
+    "CSV_HEADER", "lower_bound_rank", "max_effective_qubits", "TIME_BUDGET",
 ]

@@ -44,7 +44,10 @@ def simple_cost(model: SimpleCostModel, n: int, d: float) -> tuple[float, float]
     else:
         density = min(1.0, model.rate * (d - model.offset))
     density = max(density, 0.0)
-    flops = (n * d / 2.0) * 2.0 ** (density * n)
+    try:
+        flops = (n * d / 2.0) * 2.0 ** (density * n)
+    except OverflowError:  # density * n past 1024: beyond any float
+        flops = math.inf
     return density, flops
 
 
@@ -62,6 +65,10 @@ def lower_bound_rank(n: int, d: int) -> float:
     return n * (1.0 - eta) / 9.0
 
 
+# quantum time budget of the frontier, in per-shot times
+TIME_BUDGET = 100.0
+
+
 @dataclass(frozen=True)
 class MaxQubitsResult:
     n_eff: float
@@ -74,16 +81,15 @@ def max_effective_qubits(eps: float, tau_q: float, t_q: float,
                          model: SimpleCostModel) -> MaxQubitsResult:
     """Largest model-predicted effective qubit number under a time budget.
 
-    Scans n = 8, 12, ..., 128 and d = 1..256, keeping only depths whose
-    fidelity stays resolvable in the quantum time budget, maximizing
-    density * n.
+    Scans n = 8, 12, ... and, at each n, the depths d = 1, 2, ... whose
+    fidelity stays resolvable in the quantum time budget, up to
+    verifiable_depth, maximizing density * n.  Past n = ln(t_q / tau_q) /
+    eps not even depth 1 is resolvable, which ends the scan.
     """
     best = None
-    for n in range(8, 129, 4):
+    for n in range(8, math.floor(verifiable_depth(eps, tau_q, t_q, 1)) + 1, 4):
         d_max = verifiable_depth(eps, tau_q, t_q, n)
-        for d in range(1, 257):
-            if d > d_max:
-                break
+        for d in range(1, math.floor(d_max) + 1):
             density, _ = simple_cost(model, n, d)
             n_eff = density * n
             if best is None or n_eff > best.n_eff:

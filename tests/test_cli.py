@@ -14,7 +14,8 @@ import pytest
 from helpers import deserialize
 from rcsw import cli
 from rcsw.bootstrap import p_aggregate, p_double
-from rcsw.mps import MPS_CSV_HEADER, evolve
+from rcsw.estimators import REFERENCE_PARAMS
+from rcsw.mps import MPS_CSV_HEADER, ChiScan, ChiScanRow, evolve
 
 
 def run_cli(argv):
@@ -95,7 +96,7 @@ class TestCost:
             assert lo <= med <= hi
 
     def test_small_run_matches_recorded_csv(self, tmp_path):
-        # sha256 of both CSVs as first recorded; seed 1 takes 6 slices, so the
+        # sha256 of the three CSVs as first recorded; seed 1 takes 6 slices, so the
         # tree is re-optimised once along the way
         run_cli(["cost", "--n", "12", "--d", "4", "--instances", "2", "--budget", "2",
                  "--width-budget", "6", "--seed", "0", "--out", str(tmp_path)])
@@ -106,10 +107,12 @@ class TestCost:
                 "8f3f3703782e80eb4d8a45057cc312f2274f36f5121d9b7553c8bd0484a19342",
             "cost_summary.csv":
                 "49e9fbedd86a74f17832b5f313afbd410a0a0f0e2ef84e772dc548928cc14485",
+            "cost_frontier.csv":
+                "29f41c90c0ca2d0ebc29bc0af4e8390e8f6cab1e86788408cb636b2fe49e34cd",
         }
 
     def test_deep_run_matches_recorded_csv(self, tmp_path):
-        # sha256 of both CSVs as first recorded; at depth 10 most greedy
+        # sha256 of the three CSVs as first recorded; at depth 10 most greedy
         # trials pass the best FLOPs so far and are abandoned
         run_cli(["cost", "--n", "12", "--d", "10", "--instances", "2", "--budget", "2",
                  "--seed", "0", "--out", str(tmp_path)])
@@ -120,7 +123,21 @@ class TestCost:
                 "50a931e1d86d30eab6ad2b725f967961a57b54ce31ec41ba03f90479da12e0be",
             "cost_summary.csv":
                 "fd909b276b60f45cf8f9a806f1f6c965085ded73346540304a173550be28fcc2",
+            "cost_frontier.csv":
+                "29f41c90c0ca2d0ebc29bc0af4e8390e8f6cab1e86788408cb636b2fe49e34cd",
         }
+
+    @pytest.mark.parametrize("ensemble,row", [
+        ("rg", "rg,0.0031625,100.0,144,10,144.0,10.11236316642093"),
+        ("2d", "2d,0.0031625,100.0,64,22,67.76,22.752817124447095"),
+    ], ids=["rg", "2d"])
+    def test_frontier_matches_recorded_csv(self, tmp_path, ensemble, row):
+        # the model frontier at H2's error per gate slot; rg saturates at
+        # d = 10, verifiable up to n = ln(100) / (10 eps) = 145.6
+        run_cli(["cost", "--ensemble", ensemble, "--n", "8", "--d", "4",
+                 "--out", str(tmp_path)])
+        assert (tmp_path / "cost_frontier.csv").read_text() == (
+            "ensemble,eps,time_budget,N_star,d_star,N_eff,depth_limit\n" + row + "\n")
 
     def test_width_budget_sliced_column(self, tmp_path):
         out = tmp_path / "cost_w"
@@ -291,6 +308,18 @@ class TestMps:
         assert len(chi_h2) == 4  # one extrapolated chi per (N, d, blocking)
         assert all(len(v) == 1 and "" not in v for v in chi_h2.values())
 
+    def test_chi_h2_capped_at_the_exact_bond(self, tmp_path):
+        # the line through chi 2 and 4 meets H2's rate at chi 17.3, past
+        # 4x[2]'s exact-rank bond 2^min(4, 4) = 16, where nothing is truncated
+        run_cli(["mps", "--n", "8", "--d", "4", "--chi", "2", "4", "--blocks", "4",
+                 "--seed", "2", "--out", str(tmp_path)])
+        _, runs = read_csv(tmp_path / "mps_runs.csv")
+        scan = ChiScan(tuple(ChiScanRow(int(r.split(",")[2]), "4x[2]",
+                                        float(r.split(",")[5]), 0.0) for r in runs))
+        assert scan.extrapolate_chi(REFERENCE_PARAMS.eps_2q) > 16
+        _, rows = read_csv(tmp_path / "mps_scan.csv")
+        assert [r.split(",")[-1] for r in rows] == ["16.0", "16.0"]
+
     def test_capacity_skip_keeps_other_rows(self, tmp_path, capsys):
         # two blocks of 14 qubits merge into 2^28 entries, over the dense cap
         out = tmp_path / "mps_cap"
@@ -429,6 +458,7 @@ class TestConfig:
     ["generate", "--instances", "0"],
     ["cost", "--instances", "0"],
     ["cost", "--budget", "0"],
+    ["cost", "--d", "0"],
     ["fidelity", "--shots", "0"],
     ["generate", "--seed", "-1"],
     ["cost", "--seed", "-1"],
@@ -473,6 +503,7 @@ class TestConfig:
         "zero-circuits", "negative-gates", "negative-mu", "base-eps-above-one",
         "zero-n-jobs", "zero-n-per", "negative-max-k", "mps-zero-instances",
         "generate-zero-instances", "cost-zero-instances", "cost-zero-budget",
+        "cost-zero-d",
         "fidelity-zero-shots", "generate-negative-seed", "cost-negative-seed",
         "fidelity-negative-seed", "mps-negative-seed", "coverage-negative-seed",
         "nan-mu", "infinite-mu", "repeated-n", "repeated-d", "repeated-chi",

@@ -3,8 +3,8 @@ not its own unit test.
 
 A module-level name in ``src/rcsw`` (package ``__init__`` files aside),
 public or private, must appear as a whole word somewhere besides its
-definition line: in the library itself, the scripts, the benchmark
-harness, the README or the acceptance tests.  A name found only in its
+definition line: in the library itself, the benchmark harness, the
+README or the acceptance tests.  A name found only in its
 definition is dead code, and so is a private helper that only the unit
 tests and their oracles still call.
 
@@ -49,7 +49,6 @@ def _module_names(path: pathlib.Path):
 def _caller_files():
     """Every file a caller may sit in."""
     files = list(_modules())
-    files += sorted((ROOT / "scripts").rglob("*.py"))
     files += sorted((ROOT / "perfbench").rglob("*.py"))
     return files + [ROOT / "README.md", ROOT / "tests" / "test_acceptance.py"]
 

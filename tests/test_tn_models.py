@@ -65,6 +65,10 @@ def test_simple_cost_flops_formula():
     assert flops == pytest.approx((30 * 8 / 2) * 2 ** (density * 30), rel=1e-12)
 
 
+def test_simple_cost_flops_beyond_float_range():
+    assert simple_cost(RG, 2000, 10) == (1.0, math.inf)
+
+
 def test_simple_cost_model_validation():
     with pytest.raises(ValueError):
         SimpleCostModel("hexagonal")
@@ -73,10 +77,17 @@ def test_simple_cost_model_validation():
 def test_max_effective_qubits_reference_budget():
     res = max_effective_qubits(3.2e-3, 1.0, 100.0, RG)
     # saturation needs d = 10; feasible whenever 10 <= ln(100)/(eps n),
-    # so the grid cap wins
+    # that is n <= 143.9, so the largest n on the step-4 grid wins
     assert res.d_star == 10
-    assert res.n_star == 128
-    assert res.n_eff == pytest.approx(128.0)
+    assert res.n_star == 140
+    assert res.n_eff == pytest.approx(140.0)
+
+
+def test_max_effective_qubits_small_eps_passes_float_range():
+    # n reaches ln(100)/eps = 46,051, so the model's FLOPs pass 2^1024;
+    # saturation at d = 10 is verifiable up to n = 4,605
+    res = max_effective_qubits(1e-4, 1.0, 100.0, RG)
+    assert (res.n_star, res.d_star, res.n_eff) == (4604, 10, 4604.0)
 
 
 def test_max_effective_qubits_rg_dominates_2d():
