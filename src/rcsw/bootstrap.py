@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyTable
-
 _SIGMA_LO = 15.865
 _SIGMA_HI = 84.135
 
@@ -32,11 +30,11 @@ class ShotTable:
 
     def __post_init__(self):
         if len(self.circuits) == 0:
-            raise EmptyTable("shot table has no circuits")
+            raise ValueError("shot table has no circuits")
         rows = [np.asarray(c, dtype=float) for c in self.circuits]
         for i, arr in enumerate(rows):
             if arr.ndim != 1 or arr.size == 0:
-                raise EmptyTable(f"circuit {i} has no shots")
+                raise ValueError(f"circuit {i} has no shots")
             if not np.isfinite(arr).all():
                 raise ValueError(f"circuit {i} contains non-finite values")
         if len({arr.size for arr in rows}) > 1:

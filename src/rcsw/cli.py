@@ -4,8 +4,9 @@ Subcommands generate circuit files, price contraction costs, estimate
 fidelities from simulated noisy runs, scan chain-truncation error rates
 against bond dimension, tabulate resampling distributions, and run
 interval-coverage studies.
-Every command is a pure function of its flags and seeds: re-running
-reproduces primary outputs byte for byte (manifest timestamps aside).
+Every command is a pure function of its flags and seeds: re-running at
+the same BLAS/OpenMP thread count reproduces primary outputs byte for
+byte (manifest timestamps aside).
 Files are written atomically (temp file, then rename).
 """
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .tn import (
     slice_tree,
     summarize,
 )
+from .tn.tree import leg_sets, price
 
 BOOT_CSV_HEADER = "n_jobs,n_per,k,p_aggregate,p_double"
 COST_SUMMARY_HEADER = "ensemble,N,d,c_median,c_min,c_max,n_instances,seed0"
@@ -216,6 +218,12 @@ def cmd_cost(cfg: RunConfig) -> list[Path]:
             except InfeasibleBudget as exc:  # keep the unsliced columns
                 print(f"rcsw cost: slicing skipped at n={n}, d={d}, seed={s}: "
                       f"{exc}", file=sys.stderr)
+            else:
+                # the sliced tree's merges, uncut, may undercut the searched
+                # tree; a merge list never costs less sliced than uncut
+                uncut = price(sliced.merges, leg_sets(net.indices))
+                if uncut.stats.flops < tree.stats.flops:
+                    tree = uncut
         summaries.append(summarize(c, tree, sliced_tree=sliced, seed=s))
     out = Path(cfg.out)
     rows_path = _write_csv(out / "cost_rows.csv", CSV_HEADER,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EmptySamples, FitError
+from .errors import FitError
 
 
 @dataclass
@@ -27,7 +27,7 @@ def _outcomes(samples, size: int) -> np.ndarray:
     """samples as an array of outcome indices, each in [0, size)."""
     x = np.asarray(samples)
     if x.size == 0:
-        raise EmptySamples("need at least one sample")
+        raise ValueError("need at least one sample")
     if x.dtype.kind not in "iu" or x.min() < 0 or x.max() >= size:
         raise ValueError(f"samples must be integer outcome indices in [0, {size})")
     return x
@@ -105,7 +105,7 @@ def gate_counting(params: GateCountParams, n: int, d: float,
     eps = effective_2q_infidelity(params, n)
     slots = n * (d - delta) / 2.0
     if slots < 0:
-        raise DomainError("depth below the comparison shift")
+        raise ValueError("depth below the comparison shift")
     return (1.0 - eps) ** slots * (1.0 - params.p_spam) ** n
 
 
@@ -116,11 +116,11 @@ def verifiable_depth(eps: float, tau_q: float, t_q: float, n: int) -> float:
     ln(t_q / tau_q) / (eps n).  Real valued; callers floor it.
     """
     if not all(map(math.isfinite, (eps, tau_q, t_q))):
-        raise DomainError("eps, tau_q, and t_q must be finite")
+        raise ValueError("eps, tau_q, and t_q must be finite")
     if eps <= 0 or tau_q <= 0 or n <= 0:
-        raise DomainError("eps, tau_q, and n must be positive")
+        raise ValueError("eps, tau_q, and n must be positive")
     if t_q < tau_q:
-        raise DomainError("total time budget is below the per-shot time")
+        raise ValueError("total time budget is below the per-shot time")
     return math.log(t_q / tau_q) / (eps * n)
 
 

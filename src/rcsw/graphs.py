@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegreeError, ParityError, RejectSignal
+from .errors import RejectSignal
 
 Edge = tuple[int, int]
 _COLOR_ATTEMPTS = 64  # matching peels tried before edge_color rejects a graph
@@ -47,7 +47,7 @@ class RegularGraph:
             counts[u] += 1
             counts[v] += 1
         if any(c != self.degree for c in counts):
-            raise DegreeError("node degrees do not all equal the stated degree")
+            raise ValueError("node degrees do not all equal the stated degree")
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,9 @@ def sample_regular_graph(n: int, d: int, seed) -> RegularGraph:
     fixed seed.
     """
     if d < 1 or d >= n:
-        raise DegreeError(f"degree {d} invalid for {n} nodes")
+        raise ValueError(f"degree {d} invalid for {n} nodes")
     if (n * d) % 2:
-        raise ParityError(f"n*d = {n * d} is odd")
+        raise ValueError(f"n*d = {n * d} is odd")
     rng = np.random.default_rng(seed)
     while True:
         edges = _pairing_attempt(n, d, rng)
@@ -136,7 +136,7 @@ def _has_suitable_pair(stubs, edges) -> bool:
 
 def _require_even(n: int, d: int):
     if n % 2:
-        raise ParityError(
+        raise ValueError(
             f"n = {n} is odd: a {d}-regular graph on an odd number of nodes has "
             f"no perfect matching, so it has no proper {d}-edge-coloring")
 
@@ -148,7 +148,7 @@ def edge_color(g: RegularGraph, seed=0) -> ColoredGraph:
     matching search so retries explore different decompositions; if all
     _COLOR_ATTEMPTS attempts stall (the graph may have chromatic index
     d+1) RejectSignal is raised and the caller should resample the graph.
-    An odd node count raises ParityError before any attempt.
+    An odd node count raises ValueError before any attempt.
     """
     _require_even(g.n, g.degree)
     rng = np.random.default_rng(seed)
@@ -498,7 +498,7 @@ def _max_weight_matching(n: int, eu: list[int], ev: list[int],
 def sample_colored_graph(n: int, d: int, seed) -> ColoredGraph:
     """Sample graphs until one admits a proper d-coloring; returns the coloring.
 
-    An odd n raises ParityError before any graph is drawn.
+    An odd n raises ValueError before any graph is drawn.
     """
     _require_even(n, d)
     base = np.random.SeedSequence(seed)

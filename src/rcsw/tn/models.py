@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 from ..circuits import Circuit
-from ..errors import DegreeError, DomainError
 from ..estimators import verifiable_depth
 from .tree import ContractionTree
 
@@ -60,7 +59,7 @@ def lower_bound_rank(n: int, d: int) -> float:
     on it to reach rank at least n(1-eta)/9.
     """
     if d < 1:
-        raise DegreeError("degree must be positive")
+        raise ValueError("degree must be positive")
     eta = 2.0 * math.sqrt(math.log(2.0) / d)
     return n * (1.0 - eta) / 9.0
 
@@ -95,7 +94,7 @@ def max_effective_qubits(eps: float, tau_q: float, t_q: float,
             if best is None or n_eff > best.n_eff:
                 best = MaxQubitsResult(n_eff, n, d, d_max)
     if best is None:
-        raise DomainError("no feasible (n, d) point in the grid")
+        raise ValueError("no feasible (n, d) point in the grid")
     return best
 
 

@@ -6,12 +6,12 @@ nodes: the gate-level time sweep, which can never do worse than a
 statevector pass over the circuit, the wire-major sweep (one tensor per
 group), which is the right shape for chain-like circuits, and
 ``light_cone_order`` (gates in cone order).  ``_greedy_merges`` chains
-each group and then pairs the group nodes sharing the most live legs; its
-leaf trial is the case where every group holds one tensor, and on a split
-network each trial runs again over whole gates.  The greedy walks
-neighbours in ascending id order, so each tie-break draw goes to the same
-pair on every run.  Budgets are spent as independently seeded trials, so
-a larger budget only ever improves the returned tree.
+each group and then pairs the group nodes whose merge grows the network
+least; its leaf trial is the case where every group holds one tensor, and
+on a split network each trial runs again over whole gates.  The greedy
+walks neighbours in ascending id order, so each tie-break draw goes to the
+same pair on every run.  Budgets are spent as independently seeded
+trials, so a larger budget only ever improves the returned tree.
 
 The search is branch and bound over whole trials (the cut of
 opt_einsum's ``branch`` optimizer, Smith & Gray, JOSS 3, 753 (2018)):
@@ -58,10 +58,10 @@ def _wire_major_order(tn: TensorNetwork) -> list[int]:
     return sorted(range(tn.n_tensors), key=key)
 
 
-def _greedy_merges(legs: list[int], groups, live: int, rng, noise: float,
+def _greedy_merges(legs: list[int], groups, live: int, rng,
                    bound: int | None) -> tuple[list[tuple[int, int]], int] | None:
     """Chain each group's tensors, then merge the neighbour pair of group
-    nodes sharing the most live legs, repeatedly.
+    nodes whose merge grows the network least, repeatedly.
 
     Returns the merges over the leaves and their FLOPs.  Each merge, the
     group chains' included, adds its ``merge_flops``, the term
@@ -73,17 +73,13 @@ def _greedy_merges(legs: list[int], groups, live: int, rng, noise: float,
     the ids keep the group order and every draw goes to the pair it would
     go to over the groups numbered 0, 1, ...
 
-    The score is -2 times the number of live legs a and b share, optionally
-    plus Gaussian noise: it ignores how large a and b are.  It is not the
-    linear-size score of Gray & Kourtis (arXiv:2002.01935),
-    size(a ^ b) - size(a) - size(b) in entries; that score is an open
-    roadmap item.
-
-    Each heap entry carries a uniform tie-break draw.  Pairs are scored in
-    a fixed order: the initial pairs by ascending ids, then at each merge
-    step the new node against its neighbours in ascending id order.  A
-    noisy trial draws each pair's normal and then its uniform, one scalar
-    at a time; a noise-free trial draws only uniforms, one
+    The score of a pair is the linear-size score of Gray & Kourtis
+    (arXiv:2002.01935), size(a ^ b) - size(a) - size(b) with size(x) =
+    2^(live legs of x): the entries the merge adds less the entries it
+    frees, an exact int.  Each heap entry also carries a uniform tie-break
+    draw.  Pairs are scored in a fixed order: the initial pairs by
+    ascending ids, then at each merge step the new node against its
+    neighbours in ascending id order, and the draws come as one
     ``rng.random(k)`` vector for the k pairs of the initial heap or of a
     merge step, which gives the same doubles as k scalar draws.
     """
@@ -111,14 +107,13 @@ def _greedy_merges(legs: list[int], groups, live: int, rng, noise: float,
             nbrs[a].add(b)
             nbrs[b].add(a)
 
+    def size(ls: int) -> int:
+        return 1 << (ls & live).bit_count()
+
     def entries(pairs):
         """Heap entries (score, tie-break, a, b) in pair order."""
-        if noise:
-            return [(-2 * (node[a] & node[b] & live).bit_count()
-                     + noise * rng.standard_normal(), rng.random(), a, b)
-                    for a, b in pairs]
         ties = rng.random(len(pairs)).tolist()
-        return [(-2 * (node[a] & node[b] & live).bit_count() + 0.0, u, a, b)
+        return [(size(node[a] ^ node[b]) - size(node[a]) - size(node[b]), u, a, b)
                 for (a, b), u in zip(pairs, ties)]
 
     # distinct entries pop in one order however the heap was built
@@ -204,13 +199,10 @@ def optimize_order(tn: TensorNetwork, budget: int = 8, seed=0,
     flops = stats.flops
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    for t, child in enumerate(ss.spawn(max(budget, 0))):
-        rng = np.random.default_rng(child)
-        noise = 0.0 if t == 0 else float(rng.choice([0.2, 0.5, 1.0]))
-        for k, trial in enumerate(trials):
-            # the gate trial draws from a fresh generator of the same child
-            found = _greedy_merges(legs, trial, live, rng if k == 0
-                                   else np.random.default_rng(child), noise, flops)
+    for child in ss.spawn(max(budget, 0)):
+        for trial in trials:
+            # each trial draws from a fresh generator of the child
+            found = _greedy_merges(legs, trial, live, np.random.default_rng(child), flops)
             if found is not None:
                 merges, flops = found
     if flops < stats.flops:

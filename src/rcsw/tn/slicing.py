@@ -7,7 +7,9 @@ task-count multiplier.  Indices are chosen greedily, one per step, among
 the unsliced legs of the widest node: the one giving the smallest
 (log2 width, FLOPs, index id) wins.  The tree is re-optimized every
 ``REOPT_EVERY`` slices because the best order for the sliced network can
-differ from the unsliced one.
+differ from the unsliced one.  The re-optimized tree replaces the current
+one without being priced against it, so a step can end on a costlier
+tree than the one it started from.
 """
 from __future__ import annotations
 

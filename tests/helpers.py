@@ -320,12 +320,12 @@ def slice_choice_reference(merges, legs: list[int], cut: int,
     return stats.log2_width, stats.flops, i
 
 
-def greedy_merges_reference(legs: list[int], live: int, rng,
-                            noise: float) -> list[tuple[int, int]]:
+def greedy_merges_reference(legs: list[int], live: int, rng) -> list[tuple[int, int]]:
     """The greedy pairing of ``rcsw.tn.order``, one scalar draw per heap push.
 
-    Every pair's score (with its normal draw when noisy) and then its
-    uniform tie-break are drawn as the pair is pushed, initial pairs first.
+    Every pair is scored by the entries its merge adds less those it frees,
+    and its uniform tie-break is drawn as the pair is pushed, initial pairs
+    first.
     """
     node = dict(enumerate(legs))
     nbrs = {t: set() for t in node}
@@ -339,9 +339,11 @@ def greedy_merges_reference(legs: list[int], live: int, rng,
             nbrs[a].add(b)
             nbrs[b].add(a)
 
+    def size(ls):
+        return 2 ** (ls & live).bit_count()
+
     def score(a, b):
-        s = -2 * (node[a] & node[b] & live).bit_count()
-        return s + (noise * rng.standard_normal() if noise else 0.0)
+        return size(node[a] ^ node[b]) - size(node[a]) - size(node[b])
 
     heap = []
     for a in list(node):
@@ -415,13 +417,10 @@ def optimize_order_reference(tn, budget: int = 8, seed=0, sliced=()) -> Contract
     candidates = [lifted(chain(len(groups)), groups), lifted(chain(t_count), wire_major)]
     ss = seed if isinstance(seed, np.random.SeedSequence) \
         else np.random.SeedSequence(seed)
-    for t, child in enumerate(ss.spawn(max(budget, 0))):
-        rng = np.random.default_rng(child)
-        noise = 0.0 if t == 0 else float(rng.choice([0.2, 0.5, 1.0]))
-        candidates.append(greedy_merges_reference(legs, live, rng, noise))
+    for child in ss.spawn(max(budget, 0)):
+        candidates.append(greedy_merges_reference(legs, live, np.random.default_rng(child)))
         if split:
-            qrng = np.random.default_rng(child)
-            qmerges = greedy_merges_reference(qlegs, live, qrng, noise)
+            qmerges = greedy_merges_reference(qlegs, live, np.random.default_rng(child))
             candidates.append(lifted(qmerges, groups))
     stats, merges = min(((walk_merges(m, legs, cut), m) for m in candidates),
                         key=lambda pair: pair[0].flops)

@@ -12,10 +12,12 @@ import numpy as np
 import pytest
 
 from helpers import deserialize
-from rcsw import cli
+from rcsw import circuits, cli
 from rcsw.bootstrap import p_aggregate, p_double
 from rcsw.estimators import REFERENCE_PARAMS
 from rcsw.mps import MPS_CSV_HEADER, ChiScan, ChiScanRow, evolve
+from rcsw.tn import circuit_to_tn, optimize_order, slice_tree
+from rcsw.tn.tree import leg_sets, price
 
 
 def run_cli(argv):
@@ -96,17 +98,17 @@ class TestCost:
             assert lo <= med <= hi
 
     def test_small_run_matches_recorded_csv(self, tmp_path):
-        # sha256 of the three CSVs as first recorded; seed 1 takes 6 slices, so the
+        # sha256 of the three CSVs as first recorded; seed 0 takes 4 slices, so the
         # tree is re-optimised once along the way
         run_cli(["cost", "--n", "12", "--d", "4", "--instances", "2", "--budget", "2",
-                 "--width-budget", "6", "--seed", "0", "--out", str(tmp_path)])
+                 "--width-budget", "4", "--seed", "0", "--out", str(tmp_path)])
         digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in tmp_path.iterdir()}
         assert digests == {
             "cost_rows.csv":
-                "8f3f3703782e80eb4d8a45057cc312f2274f36f5121d9b7553c8bd0484a19342",
+                "656dc84eeb41f7eed491cdbc99a07800a4c3593aa0c443c97a997175dc66ce2c",
             "cost_summary.csv":
-                "49e9fbedd86a74f17832b5f313afbd410a0a0f0e2ef84e772dc548928cc14485",
+                "16230fefdc244796730a3c41562a1d78c42d0ef34628a453c11e4d9aeaa1875e",
             "cost_frontier.csv":
                 "29f41c90c0ca2d0ebc29bc0af4e8390e8f6cab1e86788408cb636b2fe49e34cd",
         }
@@ -120,12 +122,28 @@ class TestCost:
                    for f in tmp_path.iterdir()}
         assert digests == {
             "cost_rows.csv":
-                "50a931e1d86d30eab6ad2b725f967961a57b54ce31ec41ba03f90479da12e0be",
+                "eb6ba53b9ea3e51bc57deb1c9e97176eeff164453aca0844fdaa2b245fe6aa24",
             "cost_summary.csv":
-                "fd909b276b60f45cf8f9a806f1f6c965085ded73346540304a173550be28fcc2",
+                "ee3a4d44c9827508acf5870a304f8e6016ef555ede157ede29da4876cd6c792a",
             "cost_frontier.csv":
                 "29f41c90c0ca2d0ebc29bc0af4e8390e8f6cab1e86788408cb636b2fe49e34cd",
         }
+
+    def test_unsliced_cost_never_exceeds_the_sliced_trees_merges(self, tmp_path):
+        # the sliced tree's merges priced uncut bound the unsliced column, and so
+        # does the sliced column; at seed 9 those merges undercut the searched tree
+        run_cli(["cost", "--n", "12", "--d", "4", "--instances", "4", "--seed", "9",
+                 "--budget", "2", "--width-budget", "5", "--out", str(tmp_path)])
+        header, rows = read_csv(tmp_path / "cost_rows.csv")
+        for row in rows:
+            r = dict(zip(header.split(","), row.split(",")))
+            s = int(r["seed"])
+            net = circuit_to_tn(circuits.build_instance("rg", 12, 4, s))
+            tree = optimize_order(net, budget=2, seed=s)
+            sliced = slice_tree(net, tree, 1 << 5, budget=1, seed=s + 1)
+            uncut = price(sliced.merges, leg_sets(net.indices)).stats.log2_flops
+            assert float(r["log2_flops"]) <= float(f"{uncut:.4f}")
+            assert float(r["log2_flops"]) <= float(r["log2_flops_sliced"])
 
     @pytest.mark.parametrize("ensemble,row", [
         ("rg", "rg,0.0031625,100.0,144,10,144.0,10.11236316642093"),

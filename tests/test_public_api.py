@@ -17,6 +17,10 @@ can hide an unused parameter but never flag a used one.
 Every contraction FLOP term is ``8 << k`` and ``tn/tree.py`` is the only
 module that prices a merge, so no other module computes a left shift of
 the constant 8.
+
+An exception type in ``errors.py`` exists so that a caller can handle it:
+each is named by an ``except`` clause in the package.  A bad argument
+that nothing catches raises ``ValueError``.
 """
 import ast
 import pathlib
@@ -174,3 +178,17 @@ def test_only_the_tree_module_prices_a_merge():
                     and isinstance(node.left, ast.Constant) and node.left.value == 8):
                 shifts.append(f"{module.relative_to(PACKAGE)}:{node.lineno}")
     assert not shifts, "merge FLOP terms outside tn/tree.py:\n" + "\n".join(shifts)
+
+
+def test_every_error_type_is_caught():
+    errors = PACKAGE / "errors.py"
+    defined = {node.name for node in ast.parse(errors.read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    caught = set()
+    for module in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(module.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught |= {n.id if isinstance(n, ast.Name) else n.attr
+                           for n in ast.walk(node.type)
+                           if isinstance(n, (ast.Name, ast.Attribute))}
+    assert defined - caught == set(), "error types no except clause names"

@@ -179,14 +179,14 @@ def test_walk_rejects_unclosed_merge_list():
 
 
 def test_stats_recompute_matches_cached():
-    c = rg_circuit(8, 4, seed=4)
+    c = rg_circuit(8, 4, seed=0)
     tn = circuit_to_tn(c)
     tree = optimize_order(tn, budget=3, seed=1)
     legs = leg_sets(tn.indices)
     assert price(tree.merges, legs, tree.sliced).stats == tree.stats
     assert tree.stats.flops >= 2.0 ** tree.stats.log2_width
     # five slices: the tree is re-optimised after the fourth
-    out = slice_tree(tn, tree, width_budget=2.0 ** 4, budget=2, seed=1)
+    out = slice_tree(tn, tree, width_budget=2.0 ** 3, budget=2, seed=1)
     assert len(out.sliced) == 5
     assert price(out.merges, legs, out.sliced).stats == out.stats
 
@@ -472,21 +472,19 @@ def test_slice_step_takes_the_reference_choice_in_two_walks(monkeypatch):
 
 
 def test_greedy_draws_match_scalar_reference():
-    # noise-free trials draw their tie-breaks as one vector per merge step,
-    # noisy ones a normal and a uniform per pair; both give the merges and
-    # leave the generator where one scalar draw per push does
+    # trials draw their tie-breaks as one vector per merge step; that gives
+    # the merges and leaves the generator where one scalar draw per push does
     nets = _slicing_networks()
     for seed in range(120):
         tn = nets[seed % len(nets)]
         legs = leg_sets(tn.indices)
         ids = sorted(set().union(*tn.indices))
         cut = index_mask(ids[seed % len(ids)::17])
-        for noise in (0.0, 0.5):
-            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            leaves = [[t] for t in range(len(legs))]
-            got, _ = order._greedy_merges(legs, leaves, ~cut, rng, noise, None)
-            assert got == greedy_merges_reference(legs, ~cut, ref, noise)
-            assert rng.random() == ref.random()
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        leaves = [[t] for t in range(len(legs))]
+        got, _ = order._greedy_merges(legs, leaves, ~cut, rng, None)
+        assert got == greedy_merges_reference(legs, ~cut, ref)
+        assert rng.random() == ref.random()
 
 
 def test_greedy_bound_edge():
@@ -498,14 +496,13 @@ def test_greedy_bound_edge():
         legs = leg_sets(tn.indices)
         ids = sorted(set().union(*tn.indices))
         cut = index_mask(ids[seed % len(ids)::11])
-        noise = 0.0 if seed % 3 == 0 else 0.5
         leaves = [[t] for t in range(len(legs))]
         merges, _ = order._greedy_merges(legs, leaves, ~cut, np.random.default_rng(seed),
-                                         noise, None)
+                                         None)
         flops = walk_merges(merges, legs, cut).flops
         for bound, want in ((flops, None), (flops + 1, (merges, flops))):
             rng = np.random.default_rng(seed)
-            assert order._greedy_merges(legs, leaves, ~cut, rng, noise, bound) == want
+            assert order._greedy_merges(legs, leaves, ~cut, rng, bound) == want
 
 
 def _tie_networks():
@@ -521,8 +518,8 @@ def test_bounded_search_returns_the_full_search_tree(monkeypatch):
     calls = {"trials": 0, "abandoned": 0}
     greedy = order._greedy_merges
 
-    def counted(legs, groups, live, rng, noise, bound):
-        found = greedy(legs, groups, live, rng, noise, bound)
+    def counted(legs, groups, live, rng, bound):
+        found = greedy(legs, groups, live, rng, bound)
         calls["trials"] += 1
         calls["abandoned"] += found is None
         return found
